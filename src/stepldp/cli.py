@@ -31,7 +31,7 @@ from .graphon import (
     make_step_graphon,
 )
 from .cutmetric import aligned_cut_distance, cut_distance_search
-from .rates import rate_J, rate_R
+from .rates import _check_prob_matrix, rate_J, rate_R
 from .samplers import apportion_counts, coupled_block_sample, sample_block, sample_wrandom
 from .ldplab import (
     BlockFamily,
@@ -90,13 +90,10 @@ def parse_prob_matrix(text):
         except ValueError:
             raise CliError("bad probability matrix %r" % text)
     p = np.asarray(rows, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise CliError("probability matrix must be square")
-    if np.abs(p - p.T).max() > 1e-12:
-        raise CliError("probability matrix must be symmetric")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise CliError("probabilities must lie in [0, 1]")
-    return p
+    try:
+        return _check_prob_matrix(p)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def parse_weights(text):

@@ -98,33 +98,65 @@ class StepGraphon:
 
 
 class LabeledGraph:
-    """Finite simple graph on vertices 0..n-1."""
+    """Finite simple graph on vertices 0..n-1.
+
+    ``edges`` is a read-only int32 array of shape (E, 2): each edge appears
+    once as a row (u, v) with u < v, and the rows are in lexicographic order.
+    The constructor accepts any iterable of vertex pairs (or an (E, 2) array)
+    in any orientation and order, with repeats; it canonicalizes them.
+    """
 
     def __init__(self, n, edges=()):
         n = int(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError("loops are not allowed (vertex %d)" % u)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%d, %d) outside vertex range 0..%d" % (u, v, n - 1))
-            canon.add((min(u, v), max(u, v)))
+        if n > np.iinfo(np.int32).max:
+            raise ValueError("graph has too many vertices for int32 labels")
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            e = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            # labels beyond int64: the range check below rejects them
+            e = np.asarray(edges, dtype=object)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = e[:, 0], e[:, 1]
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if a == b:
+                raise ValueError("loops are not allowed (vertex %d)" % a)
+            raise ValueError("edge (%d, %d) outside vertex range 0..%d" % (a, b, n - 1))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * n + hi
+        if np.any(key[1:] <= key[:-1]):
+            key = np.unique(key)
+            lo, hi = np.divmod(key, n)
+        canon = np.empty((key.size, 2), dtype=np.int32)
+        canon[:, 0] = lo
+        canon[:, 1] = hi
+        canon.flags.writeable = False
         self.n = n
-        self.edges = frozenset(canon)
+        self.edges = canon
 
     def edge_count(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u, v) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        lo, hi = min(u, v), max(u, v)
+        if lo < 0 or hi >= self.n:
+            return False
+        start, stop = np.searchsorted(self.edges[:, 0], np.array([lo, lo + 1], dtype=np.int32))
+        return bool(np.any(self.edges[start:stop, 1] == hi))
 
     def adjacency(self):
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
+        a[self.edges[:, 0], self.edges[:, 1]] = 1.0
+        a[self.edges[:, 1], self.edges[:, 0]] = 1.0
         return a
 
     def density(self) -> float:
@@ -381,10 +413,18 @@ def load_graphon(path) -> StepGraphon:
 
 
 def graph_to_edgelist(g: LabeledGraph) -> str:
-    """Plain-text edge list: first line the vertex count, then "u v" pairs."""
-    lines = [str(g.n)]
-    lines.extend("%d %d" % (u, v) for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    """Plain-text edge list: first line the vertex count, then "u v" pairs.
+
+    Each edge appears once with u < v, and the pairs are in lexicographic
+    order, so a graph has exactly one edge-list text.
+    """
+    # one label string per vertex, looked up per edge end and joined once
+    heads = np.array(["%d " % u for u in range(g.n)], dtype=object)
+    tails = np.array(["%d\n" % v for v in range(g.n)], dtype=object)
+    pieces = np.empty((len(g.edges), 2), dtype=object)
+    pieces[:, 0] = heads[g.edges[:, 0]]
+    pieces[:, 1] = tails[g.edges[:, 1]]
+    return "%d\n" % g.n + "".join(pieces.ravel().tolist())
 
 
 def graph_from_edgelist(text: str) -> LabeledGraph:
@@ -395,14 +435,13 @@ def graph_from_edgelist(text: str) -> LabeledGraph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError("first line must be the vertex count, got %r" % lines[0]) from exc
-    edges = []
+    ends = []
     for lineno, ln in enumerate(lines[1:], start=2):
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError("line %d: expected 'u v', got %r" % (lineno, ln))
         try:
-            u, v = int(fields[0]), int(fields[1])
+            ends.extend(map(int, fields))
         except ValueError as exc:
             raise ValueError("line %d: vertex ids must be integers" % lineno) from exc
-        edges.append((u, v))
-    return LabeledGraph(n, edges)
+    return LabeledGraph(n, np.reshape(ends, (-1, 2)))

@@ -288,8 +288,8 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
             "event enumeration needs at most %d undetermined pairs, got %d"
             % (ENUM_FREE_LIMIT, f)
         )
-    base_edges = [(int(s), int(t)) for s, t in zip(iu[forced_on], ju[forced_on])]
-    free_pairs = [(int(s), int(t)) for s, t in zip(iu[free], ju[free])]
+    pairs = np.column_stack((iu, ju))
+    free_idx = np.flatnonzero(free)
     logq = np.log(q[free])
     log1mq = np.log1p(-q[free])
 
@@ -300,9 +300,9 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
         bits = (idx[:, None] >> np.arange(f)[None, :]) & 1
         logp_masks = bits @ logq + (1 - bits) @ log1mq
         for row in range(idx.size):
-            edges = list(base_edges)
-            edges.extend(fp for fp, bit in zip(free_pairs, bits[row]) if bit)
-            if event.check_graph(LabeledGraph(n, edges)):
+            present = forced_on.copy()
+            present[free_idx[bits[row] == 1]] = True
+            if event.check_graph(LabeledGraph(n, pairs[present])):
                 total = np.logaddexp(total, logp_masks[row])
     return float(total)
 

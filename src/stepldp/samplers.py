@@ -12,6 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 from .graphon import LabeledGraph, StepGraphon
+from .rates import _check_prob_matrix
 
 __all__ = [
     "apportion_counts",
@@ -43,17 +44,6 @@ def _check_counts(counts):
     return a.astype(int)
 
 
-def _check_prob_square(p, k):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (k, k):
-        raise ValueError("probability matrix must be %d x %d" % (k, k))
-    if np.abs(p - p.T).max() > 1e-12:
-        raise ValueError("probability matrix must be symmetric")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    return p
-
-
 def apportion_counts(n, weights):
     """Integer block counts summing to n, off from n*weights by less than 1.
 
@@ -75,6 +65,36 @@ def apportion_counts(n, weights):
     return base
 
 
+def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
+    """Independent Bernoulli edges on vertices with the given block types.
+
+    Each unordered pair {s, t}, s < t, takes one uniform coin from rng, drawn
+    in row-major upper-triangular order, and is an edge iff its coin is
+    strictly below p[types[s], types[t]], so probabilities 0 and 1 are exact.
+    With ``aligned`` (increasing vertex indices) and ``shared_coins`` (one
+    coin per pair of aligned positions, in the same row-major order), the
+    pairs of two aligned vertices use the shared coin instead of their own.
+    Returns the edges as an (E, 2) array of rows (s, t) in lexicographic
+    order.
+    """
+    n = types.size
+    iu, ju = np.triu_indices(n, k=1)
+    coins = rng.random(iu.size)
+    if shared_coins is not None:
+        c = aligned.size
+        pos = np.full(n, -1, dtype=int)
+        pos[aligned] = np.arange(c)
+        pi, pj = pos[iu], pos[ju]
+        both = (pi >= 0) & (pj >= 0)
+        # row-major rank of the aligned pair (s, t), s < t, among c(c-1)/2 pairs
+        s_idx = pi[both]
+        t_idx = pj[both]
+        rank = s_idx * (2 * c - s_idx - 1) // 2 + (t_idx - s_idx - 1)
+        coins[both] = shared_coins[rank]
+    hit = coins < p[types[iu], types[ju]]
+    return np.column_stack((iu[hit], ju[hit]))
+
+
 def sample_block(counts, p, seed):
     """One sample of the block model with the given per-block vertex counts.
 
@@ -85,16 +105,11 @@ def sample_block(counts, p, seed):
     """
     a = _check_counts(counts)
     k = a.size
-    p = _check_prob_square(p, k)
+    p = _check_prob_matrix(p, k)
     rng = _as_rng(seed)
     n = int(a.sum())
     types = np.repeat(np.arange(k), a)
-    iu, ju = np.triu_indices(n, k=1)
-    coins = rng.random(iu.size)
-    probs = p[types[iu], types[ju]]
-    hit = coins < probs
-    edges = [(int(s), int(t)) for s, t in zip(iu[hit], ju[hit])]
-    return LabeledGraph(n, edges)
+    return LabeledGraph(n, _bernoulli_pairs(types, p, rng))
 
 
 WRandomSample = namedtuple("WRandomSample", ["graph", "counts"])
@@ -116,13 +131,8 @@ def sample_wrandom(n, u: StepGraphon, seed):
     boundaries = np.cumsum(u.parts.weights)
     x = rng.random(n)
     types = np.minimum(np.searchsorted(boundaries, x, side="right"), m - 1)
-    iu, ju = np.triu_indices(n, k=1)
-    coins = rng.random(iu.size)
-    probs = u.values[types[iu], types[ju]]
-    hit = coins < probs
-    edges = [(int(s), int(t)) for s, t in zip(iu[hit], ju[hit])]
-    counts = np.bincount(types, minlength=m)
-    return WRandomSample(LabeledGraph(n, edges), counts)
+    graph = LabeledGraph(n, _bernoulli_pairs(types, u.values, rng))
+    return WRandomSample(graph, np.bincount(types, minlength=m))
 
 
 def alignment_distance_bound(counts_a, counts_b):
@@ -171,7 +181,7 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     if a.size != b.size:
         raise ValueError("count vectors must have the same number of blocks")
     k = a.size
-    p = _check_prob_square(p, k)
+    p = _check_prob_matrix(p, k)
     na, nb = int(a.sum()), int(b.sum())
     if na == 0 or nb == 0:
         raise ValueError("both graphs need at least one vertex")
@@ -190,31 +200,13 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     ss = np.random.SeedSequence(seed)
     s_shared, s_a, s_b = ss.spawn(3)
     rng_shared = np.random.default_rng(s_shared)
+    shared_coins = rng_shared.random(c * (c - 1) // 2) if c > 1 else None
 
     def build(counts, aligned, rng):
-        n = int(counts.sum())
         types = np.repeat(np.arange(k), counts)
-        iu, ju = np.triu_indices(n, k=1)
-        coins = rng.random(iu.size)
-        if c > 1:
-            # overwrite the aligned-pair coins with the shared draw; the
-            # shared coins are indexed by aligned positions in row-major
-            # upper-triangular order, identical for both graphs
-            pos = np.full(n, -1, dtype=int)
-            pos[aligned] = np.arange(c)
-            pi, pj = pos[iu], pos[ju]
-            both = (pi >= 0) & (pj >= 0)
-            # row-major rank of the pair (s, t), s < t, among c(c-1)/2 pairs
-            s_idx = pi[both]
-            t_idx = pj[both]
-            rank = s_idx * (2 * c - s_idx - 1) // 2 + (t_idx - s_idx - 1)
-            coins[both] = shared_coins[rank]
-        probs = p[types[iu], types[ju]]
-        hit = coins < probs
-        edges = [(int(s), int(t)) for s, t in zip(iu[hit], ju[hit])]
-        return LabeledGraph(n, edges)
+        edges = _bernoulli_pairs(types, p, rng, aligned, shared_coins)
+        return LabeledGraph(int(counts.sum()), edges)
 
-    shared_coins = rng_shared.random(c * (c - 1) // 2) if c > 1 else np.empty(0)
     g_a = build(a, aligned_a, np.random.default_rng(s_a))
     g_b = build(b, aligned_b, np.random.default_rng(s_b))
 

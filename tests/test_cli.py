@@ -46,6 +46,14 @@ class TestParseHelpers:
             with pytest.raises(cli.CliError):
                 cli.parse_prob_matrix(bad)
 
+    def test_prob_matrix_messages(self):
+        for bad, message in [("0.1,0.2,0.3", "probability matrix must be square"),
+                             ("0.5,0.2;0.3,0.5", "probability matrix must be symmetric"),
+                             ("1.5", "probabilities must lie in [0, 1]")]:
+            with pytest.raises(cli.CliError) as info:
+                cli.parse_prob_matrix(bad)
+            assert str(info.value) == message
+
     def test_sizes(self):
         assert cli.parse_sizes("12") == [12]
         assert cli.parse_sizes("6,10,14") == [6, 10, 14]

@@ -113,6 +113,87 @@ class TestLabeledGraph:
         g = LabeledGraph(4, [(0, 1), (2, 3), (0, 3)])
         assert g.density() == 0.5
 
+    def test_canonical_array_ignores_orientation_repeats_and_order(self):
+        canon = [[0, 2], [0, 3], [1, 2], [2, 4]]
+        inputs = [
+            [(0, 2), (0, 3), (1, 2), (2, 4)],
+            [(2, 0), (3, 0), (2, 1), (4, 2)],
+            [(0, 2), (2, 0), (0, 3), (1, 2), (2, 1), (2, 4), (0, 2)],
+            [(0, 2), (0, 2), (0, 3), (1, 2), (2, 4), (2, 4)],
+            [(2, 4), (1, 2), (0, 3), (0, 2)],
+            [(4, 2), (0, 3), (2, 1), (0, 2), (3, 0)],
+        ]
+        for edges in inputs:
+            np.testing.assert_array_equal(LabeledGraph(5, edges).edges, canon)
+
+    def test_array_generator_and_empty_inputs(self):
+        canon = [[0, 1], [1, 2], [2, 3]]
+        arr = np.array([[3, 2], [0, 1], [1, 2]])
+        np.testing.assert_array_equal(LabeledGraph(4, arr).edges, canon)
+        np.testing.assert_array_equal(LabeledGraph(4, arr.astype(np.int32)).edges, canon)
+        gen = ((i, i + 1) for i in range(3))
+        np.testing.assert_array_equal(LabeledGraph(4, gen).edges, canon)
+        for empty in [(), [], np.empty((0, 2), dtype=int), iter([])]:
+            g = LabeledGraph(4, empty)
+            assert g.edges.shape == (0, 2)
+            assert g.edge_count() == 0
+            assert g.density() == 0.0
+
+    def test_input_array_is_not_aliased(self):
+        arr = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        g = LabeledGraph(3, arr)
+        arr[0, 1] = 2
+        assert arr.flags.writeable
+        np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
+
+    def test_edges_int32_and_read_only(self):
+        g = LabeledGraph(4, [(3, 0), (1, 2)])
+        assert g.edges.dtype == np.int32
+        assert g.edges.shape == (2, 2)
+        assert not g.edges.flags.writeable
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+    def test_has_edge_both_orientations(self):
+        g = LabeledGraph(6, [(0, 5), (4, 1), (2, 3), (1, 2)])
+        for u, v in [(0, 5), (1, 4), (2, 3), (1, 2)]:
+            assert g.has_edge(u, v) and g.has_edge(v, u)
+        for u, v in [(0, 1), (0, 4), (3, 5), (2, 4), (1, 3), (2, 2), (0, 6), (-1, 0)]:
+            assert not g.has_edge(u, v) and not g.has_edge(v, u)
+        assert not LabeledGraph(3).has_edge(0, 1)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^loops are not allowed \(vertex 1\)$"):
+            LabeledGraph(3, [(0, 2), (1, 1)])
+        with pytest.raises(ValueError,
+                           match=r"^edge \(0, 3\) outside vertex range 0\.\.2$"):
+            LabeledGraph(3, [(0, 1), (0, 3), (2, 2)])
+        with pytest.raises(ValueError,
+                           match=r"^edge \(-1, 2\) outside vertex range 0\.\.2$"):
+            LabeledGraph(3, np.array([[-1, 2]]))
+        # a loop is reported as a loop even when it is out of range
+        with pytest.raises(ValueError, match=r"^loops are not allowed \(vertex 7\)$"):
+            LabeledGraph(3, [(7, 7)])
+        with pytest.raises(ValueError, match=r"^edge \(0, %d\) outside" % 2 ** 70):
+            LabeledGraph(3, [(0, 2 ** 70)])
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            LabeledGraph(0)
+
+    def test_adjacency_symmetric_zero_diagonal(self):
+        rng = np.random.default_rng(5)
+        n = 9
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        g = LabeledGraph(n, edges)
+        adj = g.adjacency()
+        assert adj.dtype == float
+        assert np.array_equal(adj, adj.T)
+        assert np.all(np.diag(adj) == 0.0)
+        expected = np.zeros((n, n))
+        for u, v in edges:
+            expected[u, v] = expected[v, u] = 1.0
+        assert np.array_equal(adj, expected)
+        assert adj[np.triu_indices(n, 1)].sum() == g.edge_count()
+
 
 class TestOverlay:
     def test_frozen_example(self):
@@ -256,7 +337,20 @@ class TestSerialization:
     def test_edgelist_roundtrip(self):
         g = LabeledGraph(5, [(0, 1), (3, 4), (1, 4)])
         h = graph_from_edgelist(graph_to_edgelist(g))
-        assert h.n == g.n and h.edges == g.edges
+        assert h.n == g.n and np.array_equal(h.edges, g.edges)
+
+    def test_edgelist_text_is_canonical(self):
+        g = LabeledGraph(12, [(11, 3), (3, 10), (0, 11), (2, 0), (10, 3)])
+        assert graph_to_edgelist(g) == "12\n0 2\n0 11\n3 10\n3 11\n"
+        assert graph_to_edgelist(LabeledGraph(1)) == "1\n"
+
+    def test_edgelist_errors_name_the_line(self):
+        with pytest.raises(ValueError, match="^line 3: expected 'u v', got '1 2 3'$"):
+            graph_from_edgelist("4\n0 1\n1 2 3\n")
+        with pytest.raises(ValueError, match="^line 2: vertex ids must be integers$"):
+            graph_from_edgelist("4\n0 x\n")
+        with pytest.raises(ValueError, match=r"^edge \(1, 4\) outside vertex range 0\.\.3$"):
+            graph_from_edgelist("4\n0 1\n1 4\n")
 
     def test_edgelist_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from stepldp.graphon import make_step_graphon
+from stepldp.graphon import graph_to_edgelist, make_step_graphon
 from stepldp.samplers import (
     alignment_distance_bound,
     apportion_counts,
@@ -45,9 +47,9 @@ class TestSampleBlock:
         g1 = sample_block([3, 4], p, seed=42)
         g2 = sample_block([3, 4], p, seed=42)
         assert g1.n == 7
-        assert g1.edges == g2.edges
+        assert np.array_equal(g1.edges, g2.edges)
         g3 = sample_block([3, 4], p, seed=43)
-        assert g1.edges != g3.edges  # overwhelmingly likely
+        assert not np.array_equal(g1.edges, g3.edges)  # overwhelmingly likely
 
     def test_probability_zero_and_one_exact(self):
         p = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -97,7 +99,7 @@ class TestSampleWRandom:
         u = make_step_graphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.6]])
         a = sample_wrandom(20, u, seed=3)
         b = sample_wrandom(20, u, seed=3)
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.edges, b.graph.edges)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_type_frequencies(self):
@@ -158,12 +160,49 @@ class TestCoupledBlockSample:
         p = np.full((2, 2), 0.4)
         x = coupled_block_sample([4, 5], [5, 4], p, seed=9)
         y = coupled_block_sample([4, 5], [5, 4], p, seed=9)
-        assert x.graph_a.edges == y.graph_a.edges
-        assert x.graph_b.edges == y.graph_b.edges
+        assert np.array_equal(x.graph_a.edges, y.graph_a.edges)
+        assert np.array_equal(x.graph_b.edges, y.graph_b.edges)
 
     def test_identical_counts_identical_graphs(self):
         p = np.full((2, 2), 0.5)
         pair = coupled_block_sample([6, 6], [6, 6], p, seed=4)
         assert pair.epsilon == 0.0
         assert pair.bound == 0.0
-        assert pair.graph_a.edges == pair.graph_b.edges
+        assert np.array_equal(pair.graph_a.edges, pair.graph_b.edges)
+
+
+def _edgelist_sha256(graph):
+    return hashlib.sha256(graph_to_edgelist(graph).encode()).hexdigest()
+
+
+class TestFrozenStreams:
+    """Edge-list digests at fixed seeds; any change to a coin stream shows here.
+
+    The digests were recorded from the frozenset-backed graphs that preceded
+    the array-backed ones, so they pin the streams and the output bytes.
+    """
+
+    def test_sample_block(self):
+        p = [[0.6, 0.1, 0.3], [0.1, 0.5, 0.2], [0.3, 0.2, 0.7]]
+        g = sample_block([100, 120, 80], p, seed=2024)
+        assert (g.n, g.edge_count()) == (300, 14243)
+        assert _edgelist_sha256(g) == (
+            "3c8f462e087b1deee6fec21308f0bd1660a00fd9e914ab9b6767fe7b7cf0eb81")
+
+    def test_sample_wrandom(self):
+        u = make_step_graphon([0.2, 0.5, 0.3],
+                              [[0.9, 0.1, 0.4], [0.1, 0.3, 0.6], [0.4, 0.6, 0.05]])
+        s = sample_wrandom(300, u, seed=2025)
+        assert s.counts.tolist() == [56, 163, 81]
+        assert s.graph.edge_count() == 16223
+        assert _edgelist_sha256(s.graph) == (
+            "f36c5b3fac43680a3225bd149b117c4a79efdb61c4c12236f162701ef446ef47")
+
+    def test_coupled_block_sample(self):
+        pair = coupled_block_sample([150, 140], [145, 155],
+                                    [[0.55, 0.2], [0.2, 0.45]], seed=2026)
+        assert (pair.graph_a.edge_count(), pair.graph_b.edge_count()) == (14784, 15597)
+        assert _edgelist_sha256(pair.graph_a) == (
+            "91e68ebf3a757a624d08dbb974aff3a42f5473feaad99f2122aaa26b5dc950db")
+        assert _edgelist_sha256(pair.graph_b) == (
+            "63eb3686cc4b9714cb465c22c2ded234ca3d0a9506d6961ec660d7ea992ac254")
