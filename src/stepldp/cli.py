@@ -89,7 +89,11 @@ def parse_prob_matrix(text):
             rows = [[float(text)]]
         except ValueError:
             raise CliError("bad probability matrix %r" % text)
-    p = np.asarray(rows, dtype=float)
+    try:
+        p = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise CliError("probability matrix rows must have equal length "
+                       "and hold only numbers")
     try:
         return _check_prob_matrix(p)
     except ValueError as exc:
@@ -228,11 +232,11 @@ def parse_seed(value):
 
 
 DEFAULTS = {
-    "sample": {"num-samples": 1, "out": None, "jobs": 1},
-    "distance": {"restarts": 64, "seed": 0, "exact": False, "out": None, "jobs": 1},
-    "rate": {"alpha": None, "budget": 64, "seed": 0, "out": None, "jobs": 1},
-    "coupling-demo": {"out": None, "jobs": 1},
-    "ldp-curve": {"method": "auto", "num-samples": 10000, "out": None, "jobs": 1},
+    "sample": {"num-samples": 1, "out": None},
+    "distance": {"restarts": 64, "seed": 0, "exact": False, "out": None},
+    "rate": {"alpha": None, "budget": 64, "seed": 0, "out": None},
+    "coupling-demo": {"out": None},
+    "ldp-curve": {"method": "auto", "num-samples": 10000, "out": None},
 }
 
 REQUIRED = {
@@ -270,13 +274,6 @@ def resolve_config(command, args, flag_names):
     if missing:
         raise CliError("missing required flag(s): %s"
                        % ", ".join("--" + name for name in missing))
-    if "jobs" in resolved:
-        try:
-            resolved["jobs"] = int(resolved["jobs"])
-        except (TypeError, ValueError):
-            raise CliError("jobs must be a positive integer")
-        if resolved["jobs"] < 1:
-            raise CliError("jobs must be a positive integer")
     return resolved
 
 
@@ -333,7 +330,7 @@ def ensure_out(resolved):
 
 
 def cmd_sample(args):
-    flags = ["model", "n", "num-samples", "seed", "out", "jobs"]
+    flags = ["model", "n", "num-samples", "seed", "out"]
     resolved = resolve_config("sample", args, flags)
     family = parse_model(str(resolved["model"]))
     try:
@@ -383,7 +380,7 @@ def cmd_sample(args):
 
 
 def cmd_distance(args):
-    flags = ["u", "v", "restarts", "seed", "exact", "out", "jobs"]
+    flags = ["u", "v", "restarts", "seed", "exact", "out"]
     resolved = resolve_config("distance", args, flags)
     try:
         u = load_graphon(str(resolved["u"]))
@@ -417,7 +414,7 @@ def cmd_distance(args):
 
 
 def cmd_rate(args):
-    flags = ["p", "u", "alpha", "budget", "seed", "out", "jobs"]
+    flags = ["p", "u", "alpha", "budget", "seed", "out"]
     resolved = resolve_config("rate", args, flags)
     p = parse_prob_matrix(str(resolved["p"]))
     try:
@@ -459,7 +456,7 @@ def cmd_rate(args):
 
 
 def cmd_coupling_demo(args):
-    flags = ["counts-a", "counts-b", "p", "seed", "out", "jobs"]
+    flags = ["counts-a", "counts-b", "p", "seed", "out"]
     resolved = resolve_config("coupling-demo", args, flags)
     counts_a = parse_counts(str(resolved["counts-a"]))
     counts_b = parse_counts(str(resolved["counts-b"]))
@@ -519,7 +516,7 @@ def _predicted_rate(family, event, budget, seed):
 
 
 def cmd_ldp_curve(args):
-    flags = ["model", "event", "n", "method", "num-samples", "seed", "out", "jobs"]
+    flags = ["model", "event", "n", "method", "num-samples", "seed", "out"]
     resolved = resolve_config("ldp-curve", args, flags)
     family = parse_model(str(resolved["model"]))
     event = parse_event(str(resolved["event"]))
@@ -527,6 +524,9 @@ def cmd_ldp_curve(args):
     method = str(resolved["method"])
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise CliError("method must be auto, exact, enum, tilted, or mc")
+    if method == "exact" and not event.is_density and not isinstance(family, WRandomFamily):
+        raise CliError("method exact covers density events only; "
+                       "use enum or mc for ball events")
     num_samples = int(resolved["num-samples"])
     if num_samples < 1:
         raise CliError("num-samples must be positive")
@@ -579,7 +579,6 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--config", help="JSON file of flag defaults")
         sp.add_argument("--out", help="directory for report.json and artifacts")
-        sp.add_argument("--jobs", type=int, help="worker processes (results identical for any value)")
 
     sp = sub.add_parser("sample", help="draw graphs from a model")
     sp.add_argument("--model", help="gnp:p | block:<alpha>:<p> | wrandom:<graphon.json>")

@@ -13,7 +13,6 @@ makes the colour layer useful for rate-function bookkeeping.
 import numpy as np
 
 from .graphon import (
-    OverlapCoupling,
     PartWeights,
     StepGraphon,
     coupling_pieces,
@@ -24,14 +23,9 @@ from .cutmetric import (
     DEFAULT_ALTERNATING_RESTARTS,
     DEFAULT_SEARCH_RESTARTS,
     DistanceEstimate,
-    _cycle_moves,
+    _coupling_search,
     _enumerate_cut_norm,
-    _greedy_fill,
-    _northwest_fill,
-    _polish,
-    _profile_distance,
-    _support_key,
-    _value_profiles,
+    _profile_cost,
 )
 
 # The sup term enumerates sign patterns (one per ordered colour pair) on top
@@ -228,12 +222,9 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
         )
     k = a.num_colours
     u, v = a.graphon, b.graphon
-    rows = u.parts.weights
-    cols = v.parts.weights
-    m, nb = rows.size, cols.size
+    m, nb = u.parts.size, v.parts.size
 
-    def objective(c):
-        coupling = OverlapCoupling(c, u.parts, v.parts)
+    def objective(coupling):
         w, src, tgt = coupling_pieces(coupling)
         return _dk_value(
             w,
@@ -246,45 +237,14 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
             seed=0,
         )
 
-    moves = _cycle_moves(m, nb)
     support_cap = min(
         DK_EXACT_PART_LIMIT,
         max(_DK_ENUM_BUDGET - k * k, 8),
         m * nb if m * nb > 0 else 1,
         max(m + nb + 2, 12),
     )
-    pu, pv = _value_profiles(u), _value_profiles(v)
-    cost = np.empty((m, nb))
-    for s in range(m):
-        for t in range(nb):
-            cost[s, t] = _profile_distance(pu[s][0], pu[s][1], pv[t][0], pv[t][1])
-            if a.colours[s] != b.colours[t]:
-                cost[s, t] += 2.0
-    similarity = np.argsort(cost, axis=None, kind="stable")
-
-    best_val = None
-    best_c = None
-    best_support = None
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        if r == 0:
-            c0 = _greedy_fill(rows, cols, similarity)
-        elif r == 1:
-            c0 = _northwest_fill(rows, cols)
-        elif r == 2 and m * nb <= support_cap:
-            c0 = np.outer(rows, cols)
-        else:
-            c0 = _greedy_fill(rows, cols, rng.permutation(m * nb))
-        c, val = _polish(c0, objective, moves, support_cap)
-        used = r + 1
-        key = _support_key(c)
-        if best_val is None or val < best_val or (val == best_val and key < best_support):
-            best_val, best_c, best_support = val, c, key
-        if best_val == 0.0:
-            break
-    witness = OverlapCoupling(best_c, u.parts, v.parts)
-    return DistanceEstimate(best_val, witness, used)
+    start_cost = _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
+    return _coupling_search(u, v, objective, start_cost, support_cap, restarts, seed)
 
 
 def gamma_forget(a: ColouredStepGraphon) -> StepGraphon:

@@ -87,19 +87,31 @@ def _mass_matrix(f: SignedStepFn):
     return (w[:, None] * w[None, :]) * f.values
 
 
+def _subset_bits(m, start, stop):
+    """0/1 indicator rows of the subsets numbered start..stop-1 of m parts."""
+    masks = np.arange(start, stop, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1).astype(float)
+
+
+def _best_cut(t):
+    """Largest |sum over A x B| given t[A, j] = sum_{i in A} M[i, j].
+
+    For each subset A the best B takes every positive (or every negative)
+    column sum, so only one side is enumerated.
+    """
+    pos = np.where(t > 0.0, t, 0.0).sum(axis=1)
+    neg = np.where(t < 0.0, t, 0.0).sum(axis=1)
+    return max(float(pos.max()), float(-neg.min()))
+
+
 def _enumerate_cut_norm(M):
     """Exact max over subset pairs of |sum over A x B| for a mass matrix."""
     m = M.shape[0]
     total = 1 << m
-    cols = np.arange(m, dtype=np.int64)
     best = 0.0
     for start in range(0, total, _ENUM_CHUNK):
-        masks = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        bits = ((masks[:, None] >> cols[None, :]) & 1).astype(float)
-        t = bits @ M  # t[A, j] = sum_{i in A} M[i, j]
-        pos = np.where(t > 0.0, t, 0.0).sum(axis=1)
-        neg = np.where(t < 0.0, t, 0.0).sum(axis=1)
-        best = max(best, float(pos.max()), float(-neg.min()))
+        bits = _subset_bits(m, start, min(start + _ENUM_CHUNK, total))
+        best = max(best, _best_cut(bits @ M))
     return best
 
 
@@ -246,11 +258,6 @@ def _greedy_fill(rows, cols, order):
     return c
 
 
-def _value_profiles(u: StepGraphon):
-    """Per-part distribution of neighbour values, weighted by part mass."""
-    return [(u.values[a], u.parts.weights) for a in range(u.parts.size)]
-
-
 def _profile_distance(vals_a, wts_a, vals_b, wts_b):
     """1-Wasserstein distance between two weighted value distributions."""
     pts = np.concatenate([vals_a, vals_b])
@@ -262,20 +269,21 @@ def _profile_distance(vals_a, wts_a, vals_b, wts_b):
     return float(np.abs(cdf_gap) @ gaps)
 
 
-def _similarity_order(u: StepGraphon, v: StepGraphon):
-    """Cells ordered by how alike the two parts' value profiles look.
+def _profile_cost(u: StepGraphon, v: StepGraphon):
+    """Cost matrix of how unlike the two parts' value profiles look.
 
-    Matching parts that play the same structural role first tends to start
-    the search near a good rearrangement (for weakly isomorphic inputs it
-    reconstructs the permutation outright).
+    A part's profile is the distribution of its neighbour values, weighted
+    by part mass.  Matching parts that play the same structural role first
+    tends to start the search near a good rearrangement (for weakly
+    isomorphic inputs it reconstructs the permutation outright).
     """
     m, k = u.parts.size, v.parts.size
-    pu, pv = _value_profiles(u), _value_profiles(v)
     cost = np.empty((m, k))
     for a in range(m):
         for i in range(k):
-            cost[a, i] = _profile_distance(pu[a][0], pu[a][1], pv[i][0], pv[i][1])
-    return np.argsort(cost, axis=None, kind="stable")
+            cost[a, i] = _profile_distance(u.values[a], u.parts.weights,
+                                           v.values[i], v.parts.weights)
+    return cost
 
 
 def _cycle_moves(m, k):
@@ -340,6 +348,48 @@ def _polish(c, objective, moves, support_cap, tol=1e-12, max_sweeps=60):
     return c, best
 
 
+def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
+                     support_cap, restarts, seed) -> DistanceEstimate:
+    """Multi-start cycle-move search for the coupling minimizing ``objective``.
+
+    Starts: a greedy fill along ``start_cost`` (cheapest cells first), the
+    northwest corner, the independent product when its support fits
+    ``support_cap``, then random greedy vertices from ``[seed, r]``.  Each
+    start is polished; ties prefer the lexicographically smallest support,
+    and the search stops early once the objective reaches zero.
+    """
+    rows = u.parts.weights
+    cols = v.parts.weights
+    m, k = rows.size, cols.size
+
+    def evaluate(c):
+        return objective(OverlapCoupling(c, u.parts, v.parts))
+
+    moves = _cycle_moves(m, k)
+    best_val = None
+    best_c = None
+    best_support = None
+    used = 0
+    for r in range(restarts):
+        if r == 0:
+            c0 = _greedy_fill(rows, cols, np.argsort(start_cost, axis=None, kind="stable"))
+        elif r == 1:
+            c0 = _northwest_fill(rows, cols)
+        elif r == 2 and m * k <= support_cap:
+            c0 = np.outer(rows, cols)
+        else:
+            c0 = _greedy_fill(rows, cols, np.random.default_rng([seed, r]).permutation(m * k))
+        c, val = _polish(c0, evaluate, moves, support_cap)
+        used = r + 1
+        key = _support_key(c)
+        if best_val is None or val < best_val or (val == best_val and key < best_support):
+            best_val, best_c, best_support = val, c, key
+        if best_val == 0.0:
+            break
+    witness = OverlapCoupling(best_c, u.parts, v.parts)
+    return DistanceEstimate(best_val, witness, used)
+
+
 def cut_distance_search(u: StepGraphon, v: StepGraphon,
                         restarts=DEFAULT_SEARCH_RESTARTS, seed=0) -> DistanceEstimate:
     """Search couplings for the smallest rearranged cut norm.
@@ -358,41 +408,11 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
         raise ValueError("need at least one restart")
     if _canonical_key(v) < _canonical_key(u):
         return cut_distance_search(v, u, restarts=restarts, seed=seed).transposed()
-
-    rows = u.parts.weights
-    cols = v.parts.weights
-    m, k = rows.size, cols.size
-
-    def objective(c):
-        coupling = OverlapCoupling(c, u.parts, v.parts)
-        return cut_distance_upper(u, v, coupling)
-
-    moves = _cycle_moves(m, k)
+    m, k = u.parts.size, v.parts.size
     # keep every evaluated coupling inside the exact cut-norm regime
     support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
-    best_val = None
-    best_c = None
-    best_support = None
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        if r == 0:
-            c0 = _greedy_fill(rows, cols, _similarity_order(u, v))
-        elif r == 1:
-            c0 = _northwest_fill(rows, cols)
-        elif r == 2 and m * k <= support_cap:
-            c0 = np.outer(rows, cols)
-        else:
-            c0 = _greedy_fill(rows, cols, rng.permutation(m * k))
-        c, val = _polish(c0, objective, moves, support_cap)
-        used = r + 1
-        key = _support_key(c)
-        if best_val is None or val < best_val or (val == best_val and key < best_support):
-            best_val, best_c, best_support = val, c, key
-        if best_val == 0.0:
-            break
-    witness = OverlapCoupling(best_c, u.parts, v.parts)
-    return DistanceEstimate(best_val, witness, used)
+    return _coupling_search(u, v, lambda coupling: cut_distance_upper(u, v, coupling),
+                            _profile_cost(u, v), support_cap, restarts, seed)
 
 
 def graph_cut_distance_exact(g, h, max_vertices=8) -> float:
@@ -412,17 +432,11 @@ def graph_cut_distance_exact(g, h, max_vertices=8) -> float:
     A = g.adjacency()
     B = h.adjacency()
     scale = 1.0 / (n * n)
-    cols = np.arange(n, dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = ((masks[:, None] >> cols[None, :]) & 1).astype(float)
+    bits = _subset_bits(n, 0, 1 << n)
     best = np.inf
     for perm in itertools.permutations(range(n)):
         pi = np.asarray(perm)
-        M = (A - B[np.ix_(pi, pi)]) * scale
-        t = bits @ M
-        pos = np.where(t > 0.0, t, 0.0).sum(axis=1)
-        neg = np.where(t < 0.0, t, 0.0).sum(axis=1)
-        val = max(float(pos.max()), float(-neg.min()))
+        val = _best_cut(bits @ ((A - B[np.ix_(pi, pi)]) * scale))
         if val < best:
             best = val
             if best == 0.0:

@@ -33,8 +33,6 @@ __all__ = [
     "GnpFamily",
     "BlockFamily",
     "WRandomFamily",
-    "CurvePoint",
-    "Estimate",
     "binomial_tail_logprob",
     "density_logprob_block",
     "exact_event_logprob_block",
@@ -336,9 +334,6 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
 # sampling estimators
 
 
-Estimate = dict  # alias kept for readability of return annotations
-
-
 def _estimate(logprob, stderr_log, samples, hits, method):
     return {
         "logprob": logprob,
@@ -448,9 +443,6 @@ def gnp_density_rate(p, r, kind="density-ge"):
 def _free_pair_count(counts, p):
     a = np.asarray(counts, dtype=int)
     return sum(mult for prob, mult in _pair_classes(a, p) if 0.0 < prob < 1.0)
-
-
-CurvePoint = dict
 
 
 def _curve_point(n, speed, est):

@@ -25,6 +25,7 @@ from .graphon import (
     overlay_partitions,
 )
 from .coloured import ColouredStepGraphon
+from .cutmetric import _cycle_moves
 
 DEFAULT_RATE_RESTARTS = 64
 
@@ -242,6 +243,8 @@ def _hall_feasible(w, alpha, allowed):
     certifies that no coupling confined to ``allowed`` has the marginals.
     """
     m, k = allowed.shape
+    if k > m:
+        return _hall_feasible(alpha, w, allowed.T)
     tol = 1e-12
     live_rows = w > 0.0
     live_cols = alpha > 0.0
@@ -249,18 +252,11 @@ def _hall_feasible(w, alpha, allowed):
         return False
     if np.any(live_cols & ~allowed.any(axis=0)):
         return False
-    if k <= m:
-        for mask in range(1, 1 << k):
-            t = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
-            stuck = allowed[:, ~t].sum(axis=1) == 0
-            if w[stuck & live_rows].sum() > alpha[t].sum() + tol:
-                return False
-    else:
-        for mask in range(1, 1 << m):
-            t = np.array([(mask >> a) & 1 for a in range(m)], dtype=bool)
-            stuck = allowed[~t, :].sum(axis=0) == 0
-            if alpha[stuck & live_cols].sum() > w[t].sum() + tol:
-                return False
+    for mask in range(1, 1 << k):
+        t = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+        stuck = allowed[:, ~t].sum(axis=1) == 0
+        if w[stuck & live_rows].sum() > alpha[t].sum() + tol:
+            return False
     return True
 
 
@@ -367,14 +363,9 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
     x = c.reshape(-1)[sup].copy()
     grad = qs @ x
 
-    moves = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if (mask[a, i] and mask[a, j] and mask[b, i] and mask[b, j]):
-                        moves.append((pos[a * k + i], pos[a * k + j],
-                                      pos[b * k + i], pos[b * k + j]))
+    moves = [(pos[a * k + i], pos[a * k + j], pos[b * k + i], pos[b * k + j])
+             for a, b, i, j in _cycle_moves(m, k)
+             if mask[a, i] and mask[a, j] and mask[b, i] and mask[b, j]]
 
     def apply(ai, aj, bi, bj, theta):
         x[ai] += theta

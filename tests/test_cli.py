@@ -141,6 +141,16 @@ class TestSampleCommand:
         assert "sample 000" in stdout
 
 
+    def test_malformed_matrix_file_exits_2(self, tmp_path, capsys):
+        pfile = tmp_path / "p.json"
+        for text in ['[[0.5],[0.1,0.2]]', '[["a"]]', '{"p": 1}']:
+            pfile.write_text(text)
+            rc = cli.main(["sample", "--model", "block:0.5,0.5:@%s" % pfile,
+                           "--n", "10", "--seed", "1"])
+            assert rc == 2
+            assert "rows must have equal length" in capsys.readouterr().err
+
+
 class TestDistanceCommand:
     def test_search_and_exact_modes(self, tmp_path, capsys):
         ua = write_graphon(tmp_path / "a.json", [0.5, 0.5],
@@ -320,6 +330,26 @@ class TestLdpCurveCommand:
         assert rc == 2
 
 
+    def test_exact_rejects_ball_event(self, tmp_path, capsys):
+        target = write_graphon(tmp_path / "t.json", [0.5, 0.5],
+                               [[1.0, 0.0], [0.0, 1.0]])
+        for model in ["gnp:0.5", "block:0.5,0.5:0.5,0.1;0.1,0.5"]:
+            rc = cli.main(["ldp-curve", "--model", model,
+                           "--event", "ball:%s:0.3" % target, "--n", "4",
+                           "--method", "exact", "--seed", "0"])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "density events only" in captured.err
+            assert "enum" in captured.err
+        # the wrandom exact law enumerates block counts, so it covers balls
+        rc = cli.main(["ldp-curve", "--model", "wrandom:%s" % target,
+                       "--event", "ball:%s:0.3" % target, "--n", "4",
+                       "--method", "exact", "--seed", "0"])
+        assert rc == 0
+        assert "method=exact" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_merge_and_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -341,12 +371,17 @@ class TestConfigFile:
         assert rc == 2
         assert "wat" in capsys.readouterr().err
 
-    def test_jobs_flag_accepted(self, capsys):
+    def test_jobs_flag_removed(self, tmp_path, capsys):
         rc = cli.main(["sample", "--model", "gnp:0.5", "--n", "6",
                        "--seed", "0", "--jobs", "4"])
-        assert rc == 0
-        resolved = first_line_config(capsys.readouterr().out)["resolvedConfig"]
-        assert resolved["jobs"] == 4
+        assert rc == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gnp:0.5", "n": 6, "seed": 0,
+                                   "jobs": 1}))
+        capsys.readouterr()
+        rc = cli.main(["sample", "--config", str(cfg)])
+        assert rc == 2
+        assert "jobs" in capsys.readouterr().err
 
 
 class TestArgparseBehaviour:

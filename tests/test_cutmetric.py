@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from stepldp.cutmetric import (
     graph_cut_distance_exact,
     overlay_coupling,
 )
+from stepldp.coloured import ColouredStepGraphon, dk_distance_search
 from stepldp.graphon import (
     LabeledGraph,
     OverlapCoupling,
@@ -21,6 +23,7 @@ from stepldp.graphon import (
     graph_to_graphon,
     make_step_graphon,
 )
+from stepldp.rates import rate_J, rate_R
 
 
 def brute_cut_norm(f: SignedStepFn) -> float:
@@ -210,3 +213,104 @@ class TestDistanceEstimate:
         flipped = est.transposed()
         assert flipped.upper == est.upper
         np.testing.assert_array_equal(flipped.witness.matrix, est.witness.matrix.T)
+
+
+def _search_digest(results):
+    """sha256 over (repr(value), witness bytes, restarts used) of each result."""
+    h = hashlib.sha256()
+    for value, witness, used in results:
+        h.update(repr(value).encode())
+        if witness is not None:
+            h.update(np.ascontiguousarray(witness).tobytes())
+        h.update(repr(used).encode())
+    return h.hexdigest()
+
+
+def _random_graphon(rng, m):
+    vals = rng.uniform(0.0, 1.0, (m, m))
+    return make_step_graphon(rng.dirichlet(np.ones(m)), (vals + vals.T) / 2.0)
+
+
+class TestFrozenSearch:
+    """Digests of the coupling searches and rate optimizers at fixed seeds.
+
+    Any change to a start, a polish step, a tie-break or a stopping rule
+    moves some upper bound, witness or restart count and shows here.  The
+    digests were recorded from the two separate search loops that preceded
+    the shared ``_coupling_search``, so they pin its behaviour exactly.
+    """
+
+    def test_cut_distance_search(self):
+        rng = np.random.default_rng(31)
+        results = []
+        for trial, (m, k) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3),
+                                        (2, 4), (4, 2), (3, 4), (1, 3)]):
+            u, v = _random_graphon(rng, m), _random_graphon(rng, k)
+            est = cut_distance_search(u, v, restarts=6, seed=trial)
+            results.append((est.upper, est.witness.matrix, est.restarts_used))
+        # the same pair in both orders, and a permuted copy (early stop at 0)
+        u, v = _random_graphon(rng, 2), _random_graphon(rng, 3)
+        for a, b in ((u, v), (v, u)):
+            est = cut_distance_search(a, b, restarts=5, seed=3)
+            results.append((est.upper, est.witness.matrix, est.restarts_used))
+        w = make_step_graphon(u.parts.weights[::-1], u.values[::-1, ::-1])
+        est = cut_distance_search(u, w, restarts=8, seed=0)
+        results.append((est.upper, est.witness.matrix, est.restarts_used))
+        assert _search_digest(results) == (
+            "12e9ab4cb50b200864bd7a6045027d24e537a8b84c157081af28dfcde132eddb")
+
+    def test_dk_distance_search(self):
+        rng = np.random.default_rng(32)
+        layouts = [([0, 0], [0, 0, 0], 1), ([0, 1], [1, 0], 2),
+                   ([0, 1, 1], [1, 0], 2), ([0, 0], [0, 1, 1], 2),
+                   ([1, 0], [0, 0, 1], 2), ([0], [1, 0], 2)]
+        results = []
+        for trial, (ca, cb, k) in enumerate(layouts):
+            a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=k)
+            b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=k)
+            est = dk_distance_search(a, b, restarts=3, seed=trial)
+            results.append((est.upper, est.witness.matrix, est.restarts_used))
+        assert _search_digest(results) == (
+            "3ebd5516d06a0fac00f23972dc49ea8aa479e61eb7711a82f44aabf4eeac9cab")
+
+    def test_rate_J(self):
+        rng = np.random.default_rng(33)
+        p3 = [[0.6, 0.2, 0.3], [0.2, 0.5, 0.1], [0.3, 0.1, 0.7]]
+        two_cliques = make_step_graphon([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
+        cases = [
+            ([0.2, 0.3, 0.5], p3, _random_graphon(rng, 2)),           # k > m
+            ([0.5, 0.5], [[0.7, 0.1], [0.1, 0.4]], _random_graphon(rng, 3)),  # k <= m
+            ([0.3, 0.7], np.eye(2), two_cliques),                     # k <= m, rigid
+            ([0.5, 0.5], np.eye(2), two_cliques),                     # infeasible
+            ([0.2, 0.3, 0.5], np.eye(3), two_cliques),                # k > m, infeasible
+            ([0.3, 0.0, 0.7], np.eye(3), two_cliques),                # k > m, rigid
+            ([0.3, 0.3, 0.4], [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+             make_step_graphon([0.3, 0.7], [[1.0, 0.0], [0.0, 0.4]])),  # k > m
+        ]
+        results = []
+        for trial, (alpha, p, u) in enumerate(cases):
+            rep = rate_J(alpha, p, u, budget=6, seed=trial)
+            witness = None if rep.witness_coupling is None else rep.witness_coupling.matrix
+            results.append((rep.value, witness, rep.budget_used))
+        assert _search_digest(results) == (
+            "e6408a6fdbff559176ac84d2104213ca11f6d92b452dd3231fb57b4661b698a8")
+
+    def test_rate_R(self):
+        u = make_step_graphon([0.3, 0.3, 0.4], [[0.8, 0.2, 0.4],
+                                                [0.2, 0.6, 0.1],
+                                                [0.4, 0.1, 0.3]])
+        rep = rate_R([[0.6, 0.2], [0.2, 0.5]], u, budget=6, seed=1)
+        results = [(rep.value, rep.witness_coupling.matrix, rep.budget_used),
+                    (None, rep.witness_alpha.weights, None)]
+        assert _search_digest(results) == (
+            "2c25e6a3ff4f0f6017149ae8ca3dd912d085b9e9f018437b20f678262a99b879")
+
+    def test_graph_cut_distance_exact(self):
+        rng = np.random.default_rng(34)
+        results = []
+        for _ in range(2):
+            g, h = (LabeledGraph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)
+                                     if rng.random() < 0.5]) for _ in range(2))
+            results.append((graph_cut_distance_exact(g, h), None, None))
+        assert _search_digest(results) == (
+            "0d112ea6da5eece0726451d8bb737740c035a482a93c023fc20da19041d58145")
