@@ -20,19 +20,10 @@ import sys
 
 import numpy as np
 
-from .graphon import (
-    LabeledGraph,
-    PartWeights,
-    StepGraphon,
-    graph_to_edgelist,
-    graphon_from_json,
-    graphon_to_json,
-    load_graphon,
-    make_step_graphon,
-)
+from .graphon import graph_to_edgelist, load_graphon
 from .cutmetric import aligned_cut_distance, cut_distance_search
 from .rates import _check_prob_matrix, rate_J, rate_R
-from .samplers import apportion_counts, coupled_block_sample, sample_block, sample_wrandom
+from .samplers import coupled_block_sample, sample_block, sample_wrandom
 from .ldplab import (
     BlockFamily,
     EventSpec,

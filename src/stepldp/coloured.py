@@ -99,10 +99,14 @@ def _class_symmetric_difference(w, ca, cb, k):
     return total
 
 
-def _sign_tables(k, mask):
-    """Sign matrix number ``mask`` (row-major bits, bit set means -1)."""
-    bits = (mask >> np.arange(k * k)) & 1
-    return np.where(bits.reshape(k, k) == 1, -1.0, 1.0)
+def _sign_tables(k):
+    """Sign matrices of the even masks below 2^(k^2), shape (2^(k^2-1), k, k).
+
+    Mask bits are read row-major; a set bit means -1.
+    """
+    masks = np.arange(0, 1 << (k * k), 2, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(k * k, dtype=np.int64)[None, :]) & 1
+    return np.where(bits == 1, -1.0, 1.0).reshape(-1, k, k)
 
 
 def _dk_sup_exact(w, va, vb, ca, cb, k):
@@ -115,10 +119,12 @@ def _dk_sup_exact(w, va, vb, ca, cb, k):
     pinned, halving the pattern count.
     """
     mass = w[:, None] * w[None, :]
+    sig = _sign_tables(k)
+    sig_a = sig[:, ca[:, None], ca[None, :]]
+    sig_b = sig[:, cb[:, None], cb[None, :]]
     best = 0.0
-    for mask in range(0, 1 << (k * k), 2):
-        sig = _sign_tables(k, mask)
-        h = mass * (sig[ca[:, None], ca[None, :]] * va - sig[cb[:, None], cb[None, :]] * vb)
+    for sa, sb in zip(sig_a, sig_b):
+        h = mass * (sa * va - sb * vb)
         best = max(best, _enumerate_cut_norm(h))
     return best
 

@@ -8,6 +8,8 @@ minimizes over rearrangements, parameterized here by overlap couplings; the
 search only ever certifies the distance from above.
 """
 
+import functools
+
 import numpy as np
 
 from .graphon import (
@@ -17,7 +19,6 @@ from .graphon import (
     StepGraphon,
     common_refinement,
     coupling_pieces,
-    graph_to_graphon,
 )
 
 # Exact subset enumeration is used up to this many parts; past it the
@@ -87,21 +88,38 @@ def _mass_matrix(f: SignedStepFn):
     return (w[:, None] * w[None, :]) * f.values
 
 
+# Full subset tables of at most _ENUM_CHUNK rows, keyed by part count; filled
+# on first use and read-only, so every caller can share them.
+_FULL_SUBSET_BITS = {}
+
+
 def _subset_bits(m, start, stop):
     """0/1 indicator rows of the subsets numbered start..stop-1 of m parts."""
+    full = start == 0 and stop == 1 << m and stop <= _ENUM_CHUNK
+    if full and m in _FULL_SUBSET_BITS:
+        return _FULL_SUBSET_BITS[m]
     masks = np.arange(start, stop, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1).astype(float)
+    bits = ((masks[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1).astype(float)
+    if full:
+        bits.flags.writeable = False
+        _FULL_SUBSET_BITS[m] = bits
+    return bits
 
 
 def _best_cut(t):
     """Largest |sum over A x B| given t[A, j] = sum_{i in A} M[i, j].
 
     For each subset A the best B takes every positive (or every negative)
-    column sum, so only one side is enumerated.
+    column sum, so only one side is enumerated.  numpy does not fix which
+    zero ``maximum``/``minimum`` return for a -0.0 entry; the sign of a zero
+    changes no nonzero row sum, and the final ``+ 0.0`` returns 0.0 for the
+    zero function.
     """
-    pos = np.where(t > 0.0, t, 0.0).sum(axis=1)
-    neg = np.where(t < 0.0, t, 0.0).sum(axis=1)
-    return max(float(pos.max()), float(-neg.min()))
+    buf = np.maximum(t, 0.0)
+    pos = float(buf.sum(axis=1).max())
+    np.minimum(t, 0.0, out=buf)
+    neg = float(buf.sum(axis=1).min())
+    return max(pos, -neg) + 0.0
 
 
 def _enumerate_cut_norm(M):
@@ -286,14 +304,12 @@ def _profile_cost(u: StepGraphon, v: StepGraphon):
     return cost
 
 
+@functools.lru_cache(maxsize=64)
 def _cycle_moves(m, k):
-    moves = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    moves.append((a, b, i, j))
-    return moves
+    """All 2x2 cycle moves (a, b, i, j), a < b, i < j, in lexicographic order."""
+    return tuple((a, b, i, j)
+                 for a in range(m) for b in range(a + 1, m)
+                 for i in range(k) for j in range(i + 1, k))
 
 
 def _canonical_key(u: StepGraphon):

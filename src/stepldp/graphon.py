@@ -298,15 +298,8 @@ def coupling_pieces(coupling: OverlapCoupling):
     which a pulled-back graphon lives.
     """
     c = coupling.matrix
-    w, src, tgt = [], [], []
-    for i in range(c.shape[1]):
-        for a in range(c.shape[0]):
-            mass = float(c[a, i])
-            if mass > 0.0:
-                w.append(mass)
-                src.append(a)
-                tgt.append(i)
-    return np.array(w), np.array(src, dtype=int), np.array(tgt, dtype=int)
+    tgt, src = np.nonzero(c.T > 0.0)
+    return c[src, tgt], src, tgt
 
 
 def apply_coupling(u: StepGraphon, target: PartWeights, coupling: OverlapCoupling) -> StepGraphon:

@@ -302,7 +302,8 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
             present[free_idx[bits[row] == 1]] = True
             if event.check_graph(LabeledGraph(n, pairs[present])):
                 total = np.logaddexp(total, logp_masks[row])
-    return float(total)
+    # a certain event sums every mask, which can round just above 0
+    return min(float(total), 0.0)
 
 
 def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
@@ -327,7 +328,8 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
             terms.append(log_mult + log_cond)
     if not terms:
         return -math.inf
-    return float(logsumexp(np.asarray(terms)))
+    # the mixture of a certain event can round just above 0
+    return min(float(logsumexp(np.asarray(terms))), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,8 @@ def _free_pair_count(counts, p):
 
 def _curve_point(n, speed, est):
     logprob = est["logprob"]
-    normalized = (-logprob / speed) if speed > 0 else math.nan
+    # 0.0 - x, unlike -x, maps logprob 0 to +0.0
+    normalized = (0.0 - logprob / speed) if speed > 0 else math.nan
     return {
         "n": int(n),
         "speed": int(speed),

@@ -366,6 +366,11 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
     moves = [(pos[a * k + i], pos[a * k + j], pos[b * k + i], pos[b * k + j])
              for a, b, i, j in _cycle_moves(m, k)
              if mask[a, i] and mask[a, j] and mask[b, i] and mask[b, j]]
+    # the curvature of F along each move depends on qs alone
+    curvs = [qs[ai, ai] + qs[aj, aj] + qs[bi, bi] + qs[bj, bj]
+             + 2.0 * (-qs[ai, aj] - qs[ai, bi] + qs[ai, bj]
+                      + qs[aj, bi] - qs[aj, bj] - qs[bi, bj])
+             for ai, aj, bi, bj in moves]
 
     def apply(ai, aj, bi, bj, theta):
         x[ai] += theta
@@ -386,15 +391,12 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
 
     for _ in range(400):
         drop = 0.0
-        for ai, aj, bi, bj in moves:
+        for (ai, aj, bi, bj), curv in zip(moves, curvs):
             lo = -min(x[ai], x[bj])
             hi = min(x[aj], x[bi])
             if hi - lo <= 0.0:
                 continue
             gd = grad[ai] - grad[aj] - grad[bi] + grad[bj]
-            curv = (qs[ai, ai] + qs[aj, aj] + qs[bi, bi] + qs[bj, bj]
-                    + 2.0 * (-qs[ai, aj] - qs[ai, bi] + qs[ai, bj]
-                             + qs[aj, bi] - qs[aj, bj] - qs[bi, bj]))
             candidates = [lo, hi]
             if curv > 0.0:
                 candidates.append(min(hi, max(lo, -gd / curv)))

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stepldp import cutmetric
 from stepldp.cutmetric import (
     DistanceEstimate,
     SignedStepFn,
@@ -20,6 +21,7 @@ from stepldp.graphon import (
     LabeledGraph,
     OverlapCoupling,
     PartWeights,
+    coupling_pieces,
     graph_to_graphon,
     make_step_graphon,
 )
@@ -213,6 +215,106 @@ class TestDistanceEstimate:
         flipped = est.transposed()
         assert flipped.upper == est.upper
         np.testing.assert_array_equal(flipped.witness.matrix, est.witness.matrix.T)
+
+
+def where_cut_norm(M):
+    """Reference: the enumeration with fresh subset rows and sign-test sums."""
+    m = M.shape[0]
+    total = 1 << m
+    best = 0.0
+    for start in range(0, total, cutmetric._ENUM_CHUNK):
+        masks = np.arange(start, min(start + cutmetric._ENUM_CHUNK, total), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1).astype(float)
+        t = bits @ M
+        pos = np.where(t > 0.0, t, 0.0).sum(axis=1)
+        neg = np.where(t < 0.0, t, 0.0).sum(axis=1)
+        best = max(best, max(float(pos.max()), float(-neg.min())))
+    return best
+
+
+def loop_coupling_pieces(c):
+    """Reference: positive cells, target part outer, source part inner."""
+    w, src, tgt = [], [], []
+    for i in range(c.shape[1]):
+        for a in range(c.shape[0]):
+            if float(c[a, i]) > 0.0:
+                w.append(float(c[a, i]))
+                src.append(a)
+                tgt.append(i)
+    return np.array(w), np.array(src, dtype=int), np.array(tgt, dtype=int)
+
+
+def _mass(rng, m):
+    w = rng.dirichlet(np.ones(m))
+    vals = rng.uniform(-1.0, 1.0, (m, m))
+    return np.outer(w, w) * ((vals + vals.T) / 2.0)
+
+
+class TestEnumerationKernel:
+    """``_enumerate_cut_norm`` against a brute-force loop and the old formula."""
+
+    def test_matches_double_loop(self):
+        rng = np.random.default_rng(41)
+        for m in range(1, 7):
+            for _ in range(3):
+                M = _mass(rng, m)
+                brute = max(abs(M[np.ix_(a, b)].sum())
+                            for a in itertools.product([False, True], repeat=m)
+                            for b in itertools.product([False, True], repeat=m))
+                assert abs(cutmetric._enumerate_cut_norm(M) - brute) <= 1e-15
+
+    def test_bit_identical_to_sign_test_formula(self):
+        rng = np.random.default_rng(42)
+        cases = [_mass(rng, m) for m in range(1, 17) for _ in range(2)]
+        cases += [np.zeros((m, m)) for m in (1, 5, 12)]
+        cases += [np.full((m, m), -0.0) for m in (1, 5, 12)]
+        mixed = _mass(rng, 9)
+        mixed[::2, ::3] = -0.0
+        mixed[::3, ::2] = 0.0
+        cases.append(np.minimum(mixed, mixed.T))
+        tied = _mass(rng, 8)
+        tied[4:] = tied[:4]
+        tied[:, 4:] = tied[:, :4]
+        cases.append(tied)
+        cases.append(np.ones((10, 10)))
+        for M in cases:
+            got = cutmetric._enumerate_cut_norm(M)
+            assert repr(got) == repr(where_cut_norm(M))
+        assert repr(cutmetric._enumerate_cut_norm(np.full((3, 3), -0.0))) == "0.0"
+
+    def test_subset_table_cache(self):
+        m = 17  # two chunks
+        assert cutmetric._enumerate_cut_norm(np.zeros((m, m))) == 0.0
+        assert cutmetric._enumerate_cut_norm(_mass(np.random.default_rng(43), 6)) > 0.0
+        table = cutmetric._subset_bits(6, 0, 64)
+        assert cutmetric._subset_bits(6, 0, 64) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert m not in cutmetric._FULL_SUBSET_BITS
+        for parts, cached in cutmetric._FULL_SUBSET_BITS.items():
+            assert cached.shape == (1 << parts, parts)
+            assert cached.shape[0] <= cutmetric._ENUM_CHUNK
+        # a partial range is never served from, nor stored in, the cache
+        part = cutmetric._subset_bits(6, 8, 16)
+        np.testing.assert_array_equal(part, table[8:16])
+        assert part.flags.writeable
+
+    def test_coupling_pieces_order(self):
+        rng = np.random.default_rng(44)
+        for m, k in [(1, 1), (2, 3), (4, 2), (5, 5)]:
+            c = rng.dirichlet(np.ones(m * k)).reshape(m, k)
+            zero = rng.random((m, k)) < 0.4
+            zero[0, 0] = False
+            c[zero] = 0.0
+            c /= c.sum()
+            coupling = OverlapCoupling(c, c.sum(axis=1), c.sum(axis=0))
+            got = coupling_pieces(coupling)
+            want = loop_coupling_pieces(coupling.matrix)
+            for g, x in zip(got, want):
+                assert g.dtype == x.dtype
+                np.testing.assert_array_equal(g, x)
+                assert g.tobytes() == x.tobytes()
 
 
 def _search_digest(results):

@@ -163,6 +163,23 @@ class TestExactEventLogprob:
         ev = EventSpec("ball", target=u, eta=10.0)
         assert abs(exact_event_logprob_block([4], [[0.3]], ev)) < 1e-12
 
+    def test_certain_event_logprob_is_zero(self):
+        # summing every mask (block) or every type count (wrandom) of a
+        # certain event rounded to 2.0e-16 and 2.2e-16 before the clamp
+        flat = make_step_graphon([1.0], [[0.5]])
+        ev = EventSpec("ball", target=flat, eta=10.0)
+        got = exact_event_logprob_block([5], [[0.5]], ev)
+        assert got <= 0.0
+        assert got == 0.0
+        cliques = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        ev = EventSpec("ball", target=cliques, eta=0.3)
+        got = exact_event_logprob_wrandom(4, cliques, ev)
+        assert got <= 0.0
+        assert got == 0.0
+        (pt,) = ldp_curve(WRandomFamily(cliques), ev, [4], method="exact")
+        assert pt["logprob"] == 0.0
+        assert math.copysign(1.0, pt["normalized"]) == 1.0
+
     def test_ball_enumeration_forced_pairs(self):
         # pairs at probability exactly 0 or 1 are factored out of the
         # enumeration; brute force over every pair must agree
