@@ -313,7 +313,6 @@ class TestEnumerationKernel:
             want = loop_coupling_pieces(coupling.matrix)
             for g, x in zip(got, want):
                 assert g.dtype == x.dtype
-                np.testing.assert_array_equal(g, x)
                 assert g.tobytes() == x.tobytes()
 
 
