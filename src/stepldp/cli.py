@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .graphon import graph_to_edgelist, load_graphon
+from .graphon import _check_prob_matrix, graph_to_edgelist, load_graphon
 from .cutmetric import aligned_cut_distance, cut_distance_search
-from .rates import _check_prob_matrix, rate_J, rate_R
+from .rates import rate_J, rate_R
 from .samplers import coupled_block_sample, sample_block, sample_wrandom
 from .ldplab import (
     BlockFamily,

@@ -26,6 +26,7 @@ from .cutmetric import (
     _coupling_search,
     _enumerate_cut_norm,
     _profile_cost,
+    _subset_bits,
 )
 
 # The sup term enumerates sign patterns (one per ordered colour pair) on top
@@ -104,9 +105,7 @@ def _sign_tables(k):
 
     Mask bits are read row-major; a set bit means -1.
     """
-    masks = np.arange(0, 1 << (k * k), 2, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(k * k, dtype=np.int64)[None, :]) & 1
-    return np.where(bits == 1, -1.0, 1.0).reshape(-1, k, k)
+    return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
 
 
 def _dk_sup_exact(w, va, vb, ca, cb, k):
@@ -251,11 +250,6 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     )
     start_cost = _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
     return _coupling_search(u, v, objective, start_cost, support_cap, restarts, seed)
-
-
-def gamma_forget(a: ColouredStepGraphon) -> StepGraphon:
-    """Drop the colouring, keeping the underlying graphon."""
-    return a.graphon
 
 
 def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:

@@ -220,6 +220,20 @@ def make_step_graphon(weights, values) -> StepGraphon:
     return StepGraphon(weights, values)
 
 
+def _check_prob_matrix(p, k=None):
+    """A symmetric matrix of probabilities as floats, optionally k x k."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("probability matrix must be square")
+    if k is not None and p.shape[0] != k:
+        raise ValueError("probability matrix must be %dx%d, got %r" % (k, k, p.shape))
+    if np.max(np.abs(p - p.T)) > 1e-12:
+        raise ValueError("probability matrix must be symmetric")
+    if float(p.min()) < 0.0 or float(p.max()) > 1.0:
+        raise ValueError("probabilities must lie in [0, 1]")
+    return p
+
+
 def graph_to_graphon(g: LabeledGraph) -> StepGraphon:
     """Embed a labeled graph: n equal parts, adjacency values, zero diagonal."""
     w = np.full(g.n, 1.0 / g.n)

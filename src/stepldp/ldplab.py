@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .graphon import LabeledGraph, StepGraphon, graph_to_graphon
-from .cutmetric import cut_distance_search
+from .cutmetric import _ENUM_CHUNK, _subset_bits, cut_distance_search
 from .rates import _simplex_grid, rel_entropy
 from .samplers import apportion_counts, sample_block, sample_wrandom
 
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
-_ENUM_CHUNK = 1 << 14
 _CONVOLVE_BUDGET = 50_000_000
 
 
@@ -114,9 +113,6 @@ class GnpFamily:
     def counts_for(self, n):
         return np.array([n], dtype=int), np.array([[float(self.p)]])
 
-    def label(self):
-        return "gnp"
-
 
 @dataclass(frozen=True)
 class BlockFamily:
@@ -129,18 +125,12 @@ class BlockFamily:
         pm = np.asarray(self.p, dtype=float)
         return apportion_counts(n, np.asarray(self.alpha, dtype=float)), pm
 
-    def label(self):
-        return "block"
-
 
 @dataclass(frozen=True)
 class WRandomFamily:
     """Step-graphon random graphs: vertex types drawn from the part weights."""
 
     u: StepGraphon
-
-    def label(self):
-        return "wrandom"
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +283,9 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
 
     total = -math.inf
     for start in range(0, 1 << f, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << f)
-        idx = np.arange(start, stop, dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(f)[None, :]) & 1
+        bits = _subset_bits(f, start, min(start + _ENUM_CHUNK, 1 << f))
         logp_masks = bits @ logq + (1 - bits) @ log1mq
-        for row in range(idx.size):
+        for row in range(bits.shape[0]):
             present = forced_on.copy()
             present[free_idx[bits[row] == 1]] = True
             if event.check_graph(LabeledGraph(n, pairs[present])):

@@ -21,11 +21,12 @@ from .graphon import (
     OverlapCoupling,
     PartWeights,
     StepGraphon,
+    _check_prob_matrix,
     make_step_graphon,
     overlay_partitions,
 )
 from .coloured import ColouredStepGraphon
-from .cutmetric import _cycle_moves
+from .cutmetric import _cycle_moves, _subset_bits
 
 DEFAULT_RATE_RESTARTS = 64
 
@@ -91,34 +92,24 @@ def rate_Ip(p: float, u: StepGraphon) -> float:
     return 0.5 * _weighted_entropy_sum(mass, _h_array(p, u.values))
 
 
-def _check_prob_matrix(p, k=None):
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("probability matrix must be square")
-    if k is not None and p.shape[0] != k:
-        raise ValueError("probability matrix must be %dx%d, got %r" % (k, k, p.shape))
-    if np.max(np.abs(p - p.T)) > 1e-12:
-        raise ValueError("probability matrix must be symmetric")
-    if float(p.min()) < 0.0 or float(p.max()) > 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    return p
-
-
-def _pairwise_entropy(p, values, ci, cj):
-    """h_{p[ci, cj]} applied cellwise, for colour vectors ci (rows), cj (cols)."""
+def _entropy_tensor(p, values):
+    """Q[(a,i),(b,j)] = h_{p[i,j]}(values[a,b]) as a flat (m k) x (m k) matrix."""
+    m = values.shape[0]
     k = p.shape[0]
-    out = np.empty_like(values)
+    q = np.empty((m, k, m, k))
     for i in range(k):
-        rows = ci == i
-        if not np.any(rows):
-            continue
         for j in range(k):
-            cols = cj == j
-            if not np.any(cols):
-                continue
-            block = (rows[:, None]) & (cols[None, :])
-            out[block] = _h_array(p[i, j], values[block])
-    return out
+            q[:, i, :, j] = _h_array(p[i, j], values)
+    return q.reshape(m * k, m * k)
+
+
+def _pairwise_entropy(p, values, colours):
+    """h_{p[colours[a], colours[b]]}(values[a, b]) cellwise, read off the tensor."""
+    m = values.shape[0]
+    k = p.shape[0]
+    a = np.arange(m)
+    q = _entropy_tensor(p, values).reshape(m, k, m, k)
+    return q[a[:, None], colours[:, None], a[None, :], colours[None, :]]
 
 
 def rate_Ik(p, a: ColouredStepGraphon) -> float:
@@ -131,7 +122,7 @@ def rate_Ik(p, a: ColouredStepGraphon) -> float:
     p = _check_prob_matrix(p, a.num_colours)
     w = a.graphon.parts.weights
     mass = w[:, None] * w[None, :]
-    h = _pairwise_entropy(p, a.graphon.values, a.colours, a.colours)
+    h = _pairwise_entropy(p, a.graphon.values, a.colours)
     return 0.5 * _weighted_entropy_sum(mass, h)
 
 
@@ -194,26 +185,19 @@ def block_entropy_objective(u: StepGraphon, beta, p) -> float:
     """
     beta = beta if isinstance(beta, PartWeights) else PartWeights(beta)
     p = _check_prob_matrix(p, beta.size)
-    w, src, tgt = overlay_partitions(u.parts, beta)
-    vals = u.values[np.ix_(src, src)]
-    h = _pairwise_entropy(p, vals, tgt, tgt)
-    mass = w[:, None] * w[None, :]
+    mass, h, _ = _overlay_entropy(u, beta, p)
     return 0.5 * _weighted_entropy_sum(mass, h)
+
+
+def _overlay_entropy(u: StepGraphon, beta: PartWeights, p):
+    """Cell masses, cell entropies and beta-block labels of u overlaid with beta."""
+    w, src, tgt = overlay_partitions(u.parts, beta)
+    mass = w[:, None] * w[None, :]
+    return mass, _pairwise_entropy(p, u.values[np.ix_(src, src)], tgt), tgt
 
 
 # ---------------------------------------------------------------------------
 # the J functional
-
-
-def _entropy_tensor(p, values):
-    """Q[(a,i),(b,j)] = h_{p[i,j]}(values[a,b]) as a flat (m k) x (m k) matrix."""
-    m = values.shape[0]
-    k = p.shape[0]
-    q = np.empty((m, k, m, k))
-    for i in range(k):
-        for j in range(k):
-            q[:, i, :, j] = _h_array(p[i, j], values)
-    return q.reshape(m * k, m * k)
 
 
 def _maximal_cliques(compatible):
@@ -252,8 +236,7 @@ def _hall_feasible(w, alpha, allowed):
         return False
     if np.any(live_cols & ~allowed.any(axis=0)):
         return False
-    for mask in range(1, 1 << k):
-        t = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+    for t in _subset_bits(k, 0, 1 << k)[1:] > 0.0:
         stuck = allowed[:, ~t].sum(axis=1) == 0
         if w[stuck & live_rows].sum() > alpha[t].sum() + tol:
             return False
@@ -416,23 +399,47 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
     return full.reshape(m, k), value
 
 
-def _compatible_supports(q_flat, allowed_cells, m, k):
-    """Maximal sets of allowed cells with no pairwise-infinite entropy entry."""
-    cells = allowed_cells
-    n = len(cells)
-    if n == 0:
-        return []
-    sub = q_flat[np.ix_(cells, cells)]
-    compatible = np.isfinite(sub)
-    if compatible.all():
-        return [list(range(n))]
-    return [sorted(cl) for cl in _maximal_cliques(compatible)]
-
-
 def _derived_rng(seed, *extra):
     """Deterministic generator from a seed plus distinguishing integers."""
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     return np.random.default_rng(base + list(extra))
+
+
+def _support_masks(q, allowed, seed=None):
+    """Maximal supports within ``allowed`` with no pairwise-infinite entry of q.
+
+    Up to SUPPORT_ENUM_LIMIT cells every maximal support is listed; beyond
+    it only the full allowed pattern, when it is compatible, or else the
+    greedy completions of 64 cell orders drawn from ``seed``.
+    """
+    cells = np.flatnonzero(allowed.reshape(-1))
+    if cells.size == 0:
+        return []
+    compatible = np.isfinite(q[np.ix_(cells, cells)])
+    if compatible.all():
+        supports = [list(range(cells.size))]
+    elif cells.size <= SUPPORT_ENUM_LIMIT:
+        supports = [sorted(cl) for cl in _maximal_cliques(compatible)]
+    else:
+        supports = []
+        seen = set()
+        rng = _derived_rng(seed, 0x5EED)
+        for _ in range(64):
+            order = rng.permutation(cells.size)
+            chosen = []
+            for v in order:
+                if all(compatible[v, c] for c in chosen):
+                    chosen.append(int(v))
+            key = frozenset(chosen)
+            if key not in seen:
+                seen.add(key)
+                supports.append(sorted(chosen))
+    masks = []
+    for sup in supports:
+        mask = np.zeros(allowed.shape, dtype=bool)
+        mask.reshape(-1)[cells[sup]] = True
+        masks.append(mask)
+    return masks
 
 
 def _prepare_alpha(alpha):
@@ -471,38 +478,8 @@ def rate_J(alpha, p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> Ra
     live = (w[:, None] > 0.0) & (alpha_hat[None, :] > 0.0)
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
     allowed = live & self_ok
-    cells = np.flatnonzero(allowed.reshape(-1))
-
-    if cells.size <= SUPPORT_ENUM_LIMIT:
-        supports = _compatible_supports(q, cells.tolist(), m, k)
-    else:
-        # beyond the enumeration budget only the full allowed pattern is
-        # tried, plus greedy completions from random cell orders
-        sub = q[np.ix_(cells, cells)]
-        compatible = np.isfinite(sub)
-        if compatible.all():
-            supports = [list(range(cells.size))]
-        else:
-            supports = []
-            seen = set()
-            rng = _derived_rng(seed, 0x5EED)
-            for _ in range(64):
-                order = rng.permutation(cells.size)
-                chosen = []
-                for v in order:
-                    if all(compatible[v, c] for c in chosen):
-                        chosen.append(int(v))
-                key = frozenset(chosen)
-                if key not in seen:
-                    seen.add(key)
-                    supports.append(sorted(chosen))
-
-    feasible = []
-    for sup in supports:
-        mask = np.zeros((m, k), dtype=bool)
-        mask.reshape(-1)[cells[sup]] = True
-        if _hall_feasible(w, alpha_hat, mask):
-            feasible.append(mask)
+    feasible = [mask for mask in _support_masks(q, allowed, seed)
+                if _hall_feasible(w, alpha_hat, mask)]
     alpha_parts = PartWeights(alpha_hat)
     if not feasible:
         return RateReport(Inf, budget_used=0)
@@ -557,13 +534,10 @@ def _support_candidate_alphas(p, u):
     q = _entropy_tensor(p, u.values)
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
     allowed = (w[:, None] > 0.0) & self_ok
-    cells = np.flatnonzero(allowed.reshape(-1))
-    if cells.size == 0 or cells.size > SUPPORT_ENUM_LIMIT:
+    if np.count_nonzero(allowed) > SUPPORT_ENUM_LIMIT:
         return []
     out = []
-    for sup in _compatible_supports(q, cells.tolist(), m, k):
-        mask = np.zeros((m, k), dtype=bool)
-        mask.reshape(-1)[cells[sup]] = True
+    for mask in _support_masks(q, allowed):
         counts = mask.sum(axis=1)
         if np.any((counts == 0) & (w > 0.0)):
             continue
@@ -669,17 +643,12 @@ ReweightWitness = namedtuple("ReweightWitness", ["graphon", "epsilon", "bound"])
 def _partition_entropy_terms(u: StepGraphon, beta: PartWeights, p):
     """Per block pair (i, j): the integral of h_{p[i,j]}(u) over the block."""
     k = beta.size
-    w, src, tgt = overlay_partitions(u.parts, beta)
-    vals = u.values[np.ix_(src, src)]
-    mass = w[:, None] * w[None, :]
+    mass, h, tgt = _overlay_entropy(u, beta, p)
     out = np.zeros((k, k))
     for i in range(k):
-        rows = tgt == i
         for j in range(k):
-            cols = tgt == j
-            block_mass = mass[np.ix_(rows, cols)]
-            h = _h_array(p[i, j], vals[np.ix_(rows, cols)])
-            out[i, j] = _weighted_entropy_sum(block_mass, h)
+            block = np.ix_(tgt == i, tgt == j)
+            out[i, j] = _weighted_entropy_sum(mass[block], h[block])
     return out
 
 
@@ -737,10 +706,7 @@ def reweight_witness(gamma, kappa, p, u: StepGraphon) -> ReweightWitness:
     factor = np.outer(kw, kw) / np.outer(np.where(gw > 0.0, gw, 1.0),
                                          np.where(gw > 0.0, gw, 1.0))
     live = np.outer(kw, kw) > 0.0
-    if np.any(live & np.isinf(terms)):
-        expected = Inf
-    else:
-        expected = 0.5 * float(np.where(live, factor * np.where(np.isinf(terms), 0.0, terms), 0.0).sum())
+    expected = 0.5 * _weighted_entropy_sum(np.where(live, factor, 0.0), terms)
     actual = block_entropy_objective(v, kp, p)
     if math.isfinite(expected) != math.isfinite(actual) or (
         math.isfinite(expected) and abs(expected - actual) > 1e-8 * (1.0 + abs(expected))

@@ -11,8 +11,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .graphon import LabeledGraph, StepGraphon
-from .rates import _check_prob_matrix
+from .graphon import LabeledGraph, StepGraphon, _check_prob_matrix
 
 __all__ = [
     "apportion_counts",

@@ -12,7 +12,6 @@ from stepldp.coloured import (
     dk_distance_search,
     dk_norm,
     gamma_block,
-    gamma_forget,
 )
 from stepldp.cutmetric import (
     SignedStepFn,
@@ -156,11 +155,6 @@ class TestDkSearch:
 
 
 class TestGammaMaps:
-    def test_forget(self):
-        rng = np.random.default_rng(2)
-        a = random_coloured(rng)
-        assert gamma_forget(a) is a.graphon
-
     def test_block_frozen_example(self):
         u = make_step_graphon([0.5, 0.5], [[0.3, 0.9], [0.9, 0.7]])
         a = ColouredStepGraphon(u, [0, 1], num_colours=2)
@@ -190,7 +184,7 @@ class TestGammaMaps:
             b = random_coloured(rng, max_parts=3, k=k)
             d = dk_norm(a, b)
             zero = np.zeros((k, k))
-            assert aligned_cut_distance(gamma_forget(a), gamma_forget(b)) <= d + 1e-12
+            assert aligned_cut_distance(a.graphon, b.graphon) <= d + 1e-12
             for i in range(k):
                 for j in range(i, k):
                     lhs = aligned_cut_distance(gamma_block(a, i, j, zero),

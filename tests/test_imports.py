@@ -1,10 +1,13 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports or defines privately is used.
 
-The package has no linter configuration, so this test keeps dead imports
-out: it parses each module of ``stepldp`` (the package ``__init__`` is a
-re-export list and is skipped) and fails on any imported name that the
-module never references.  A name counts as referenced when it appears as an
-identifier anywhere in the module or is listed in its ``__all__``.
+The package has no linter configuration, so these tests keep dead code
+out.  The import check parses each module of ``stepldp`` (the package
+``__init__`` is a re-export list and is skipped) and fails on any imported
+name that the module never references.  A name counts as referenced when it
+appears as an identifier anywhere in the module or is listed in its
+``__all__``.  The private-name check fails on any module-level ``def``,
+``class`` or assignment named with one leading underscore that no other
+top-level statement of the package reads, by name or as an attribute.
 """
 
 import ast
@@ -15,7 +18,8 @@ import pytest
 import stepldp
 
 PACKAGE_DIR = pathlib.Path(stepldp.__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -68,3 +72,70 @@ def test_checker_flags_dead_names():
         "    return np.zeros(x) + xml.dom.Node\n"
     )
     assert unused_imports(source) == [("os", 1), ("inf", 4), ("LabeledGraph", 5)]
+
+
+def defined_privates(node):
+    """Names with one leading underscore that a top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(node):
+    """Identifiers a statement reads, as plain names or as attributes."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unreferenced_privates(sources):
+    """(module, name, line) of each private name only its own statement reads."""
+    statements = [(module, node) for module, text in sources.items()
+                  for node in ast.parse(text).body]
+    reads = [read_names(node) for _, node in statements]
+    out = []
+    for s, (module, node) in enumerate(statements):
+        for name in defined_privates(node):
+            if not any(name in r for t, r in enumerate(reads) if t != s):
+                out.append((module, name, node.lineno))
+    return out
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unreferenced_privates(sources) == []
+
+
+def test_private_checker_flags_dead_names():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_DEAD = 2\n"
+            "__version__ = '1'\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Helper:\n"
+            "    pass\n"
+            "def _local():\n"
+            "    return 0\n"
+            "_ALIAS = _local\n"
+        ),
+        "b.py": (
+            "from .a import _USED, _DEAD\n"
+            "import a\n"
+            "def f():\n"
+            "    return _USED + a._Helper\n"
+        ),
+    }
+    assert unreferenced_privates(sources) == [
+        ("a.py", "_DEAD", 2), ("a.py", "_recursive", 4), ("a.py", "_ALIAS", 10)]
