@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .ldplab import (
     EventSpec,
     GnpFamily,
     WRandomFamily,
+    check_method,
     gnp_density_rate,
     ldp_curve,
 )
@@ -46,6 +48,16 @@ class CliError(Exception):
 # small grammars shared by several subcommands
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError("cannot read %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise CliError("%s: not valid JSON (%s)" % (path, exc))
+
+
 def parse_prob_matrix(text):
     """Probability matrix grammar: identityK | scalar | rows | @file.json.
 
@@ -55,13 +67,7 @@ def parse_prob_matrix(text):
     """
     text = text.strip()
     if text.startswith("@"):
-        try:
-            with open(text[1:]) as fh:
-                rows = json.load(fh)
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (text[1:], exc))
-        except json.JSONDecodeError as exc:
-            raise CliError("%s: not valid JSON (%s)" % (text[1:], exc))
+        rows = _read_json(text[1:])
     elif text.startswith("identity"):
         try:
             k = int(text[len("identity"):])
@@ -70,14 +76,9 @@ def parse_prob_matrix(text):
         if k < 1:
             raise CliError("identity size must be positive")
         rows = np.eye(k).tolist()
-    elif ";" in text or "," in text:
-        try:
-            rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
-        except ValueError:
-            raise CliError("bad probability matrix %r" % text)
     else:
         try:
-            rows = [[float(text)]]
+            rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
         except ValueError:
             raise CliError("bad probability matrix %r" % text)
     try:
@@ -111,6 +112,16 @@ def parse_counts(text):
     return np.asarray(c, dtype=int)
 
 
+def parse_graphon(path):
+    """A step graphon JSON file."""
+    try:
+        return load_graphon(path)
+    except OSError as exc:
+        raise CliError("cannot read %s: %s" % (path, exc))
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def parse_model(text):
     """Model grammar: gnp:p | block:alpha:p | wrandom:file.json."""
     head, _, rest = text.partition(":")
@@ -136,13 +147,7 @@ def parse_model(text):
     if head == "wrandom":
         if not rest:
             raise CliError("wrandom needs a graphon JSON file")
-        try:
-            u = load_graphon(rest)
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (rest, exc))
-        except ValueError as exc:
-            raise CliError(str(exc))
-        return WRandomFamily(u)
+        return WRandomFamily(parse_graphon(rest))
     raise CliError("unknown model %r (expected gnp:, block:, or wrandom:)" % text)
 
 
@@ -178,94 +183,129 @@ def parse_event(text):
     head, _, rest = text.partition(":")
     if head in ("density-ge", "density-le"):
         try:
-            r = float(rest)
+            spec = {"r": float(rest)}
         except ValueError:
             raise CliError("%s needs a threshold, got %r" % (head, rest))
-        try:
-            return EventSpec(head, r=r)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    if head == "ball":
+    elif head == "ball":
         path, _, eta_text = rest.rpartition(":")
         if not path or not eta_text:
             raise CliError("ball event grammar is ball:<target.json>:<eta>")
+        spec = {"target": parse_graphon(path)}
         try:
-            target = load_graphon(path)
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (path, exc))
-        except ValueError as exc:
-            raise CliError(str(exc))
-        try:
-            eta = float(eta_text)
+            spec["eta"] = float(eta_text)
         except ValueError:
             raise CliError("bad ball radius %r" % eta_text)
+    else:
+        raise CliError("unknown event %r (expected density-ge:, density-le:, or ball:)" % text)
+    try:
+        return EventSpec(head, **spec)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
+def _integer(name, minimum):
+    """Parser of an integer flag that must be at least ``minimum`` (0 or 1).
+
+    It takes an int, an integral float or integer text; bools and fractions
+    are refused rather than rounded.
+    """
+    def parse(value):
         try:
-            return EventSpec("ball", target=target, eta=eta)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    raise CliError("unknown event %r (expected density-ge:, density-le:, or ball:)" % text)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            n = int(value)
+        except (TypeError, ValueError):
+            raise CliError("%s must be an integer" % name)
+        if n < minimum:
+            raise CliError("%s must be %s" % (name, "positive" if minimum else "nonnegative"))
+        return n
+    return parse
 
 
 def parse_seed(value):
     if value is None:
         return None
     try:
-        seed = int(value)
-    except (TypeError, ValueError):
+        return _integer("seed", 0)(value)
+    except CliError:
         raise CliError("seed must be a nonnegative integer, got %r" % (value,))
-    if seed < 0:
-        raise CliError("seed must be a nonnegative integer, got %r" % (value,))
-    return seed
+
+
+def _switch(name):
+    """Parser of an on/off flag: only true or false."""
+    def parse(value):
+        if not isinstance(value, bool):
+            raise CliError("%s must be true or false, got %r" % (name, value))
+        return value
+    return parse
 
 
 # ---------------------------------------------------------------------------
-# config resolution and output plumbing
+# the flag tables: each flag of each subcommand is declared once
 
 
-DEFAULTS = {
-    "sample": {"num-samples": 1, "out": None},
-    "distance": {"restarts": 64, "seed": 0, "exact": False, "out": None},
-    "rate": {"alpha": None, "budget": 64, "seed": 0, "out": None},
-    "coupling-demo": {"out": None},
-    "ldp-curve": {"method": "auto", "num-samples": 10000, "out": None},
-}
+class Flag(NamedTuple):
+    """One flag: argparse, --config merging and validation all read it.
 
-REQUIRED = {
-    "sample": ["model", "n", "seed"],
-    "distance": ["u", "v"],
-    "rate": ["p", "u"],
-    "coupling-demo": ["counts-a", "counts-b", "p", "seed"],
-    "ldp-curve": ["model", "event", "n", "seed"],
-}
+    ``parse`` checks and normalises the merged value, whether it came from
+    the command line or from the config file.  A text flag's parser gets
+    the value as text, and the resolved config echoes the value as given; a
+    scalar flag's parser gets the value itself, and the echo is the parsed
+    number or switch.  ``argparse_kw`` holds extra add_argument keywords.
+    """
+
+    name: str
+    help: str
+    parse: Callable
+    default: object = None
+    required: bool = False
+    scalar: bool = False
+    argparse_kw: dict = {}
 
 
-def resolve_config(command, args, flag_names):
-    """Merge defaults, the --config file, and explicit flags (flags win)."""
-    resolved = dict(DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (config_path, exc))
-        except json.JSONDecodeError as exc:
-            raise CliError("%s: not valid JSON (%s)" % (config_path, exc))
+_MODEL = Flag("model", "gnp:p | block:<alpha>:<p> | wrandom:<graphon.json>", parse_model,
+              required=True)
+_SEED = Flag("seed", "RNG seed (required)", parse_seed, required=True, scalar=True)
+_OUT = Flag("out", "directory for report.json and artifacts", str)
+_INT_ARG = {"type": int}
+
+
+def resolve_config(command, args):
+    """Merge defaults, the --config file, and explicit flags (flags win).
+
+    Returns the resolved config, echoed on stdout and in the report, and
+    the parsed value of every flag (None for a text flag with no value).
+    """
+    flags = COMMANDS[command].flags
+    resolved = {flag.name: flag.default for flag in flags}
+    if args.config:
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise CliError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key not in flag_names:
+            if key not in resolved:
                 raise CliError("config key %r is not a flag of %r" % (key, command))
             resolved[key] = value
-    for name in flag_names:
-        value = getattr(args, name.replace("-", "_"))
+    for flag in flags:
+        value = getattr(args, flag.name.replace("-", "_"))
         if value is not None:
-            resolved[name] = value
-    missing = [name for name in REQUIRED[command] if resolved.get(name) is None]
+            resolved[flag.name] = value
+    missing = [flag.name for flag in flags if flag.required and resolved[flag.name] is None]
     if missing:
         raise CliError("missing required flag(s): %s"
                        % ", ".join("--" + name for name in missing))
-    return resolved
+    values = {}
+    for flag in flags:
+        value = resolved[flag.name]
+        if flag.scalar:
+            values[flag.name] = resolved[flag.name] = flag.parse(value)
+        else:
+            values[flag.name] = None if value is None else flag.parse(str(value))
+    return resolved, values
+
+
+# ---------------------------------------------------------------------------
+# output plumbing
 
 
 def _json_value(x):
@@ -296,7 +336,14 @@ def emit_config(command, resolved, stream):
     stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def write_report(out_dir, command, resolved, body):
+def write_report(out_dir, command, resolved, body, files=()):
+    """Write report.json, and each (relative path, text) of ``files``, under out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files:
+        path = os.path.join(out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
     report = {
         "formatVersion": FORMAT_VERSION,
         "command": command,
@@ -308,36 +355,14 @@ def write_report(out_dir, command, resolved, body):
         fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def ensure_out(resolved):
-    out = resolved.get("out")
-    if out is None:
-        return None
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the resolved config and the parsed flag values
 
 
-def cmd_sample(args):
-    flags = ["model", "n", "num-samples", "seed", "out"]
-    resolved = resolve_config("sample", args, flags)
-    family = parse_model(str(resolved["model"]))
-    try:
-        n = int(resolved["n"])
-    except (TypeError, ValueError):
-        raise CliError("n must be an integer")
-    if n < 0:
-        raise CliError("n must be nonnegative")
-    count = int(resolved["num-samples"])
-    if count < 1:
-        raise CliError("num-samples must be positive")
-    seed = parse_seed(resolved["seed"])
-    resolved.update({"n": n, "num-samples": count, "seed": seed})
+def cmd_sample(resolved, values):
+    family, n, count, seed = (values[k] for k in ("model", "n", "num-samples", "seed"))
     emit_config("sample", resolved, sys.stdout)
 
-    out = ensure_out(resolved)
     records = []
     graphs = []
     for idx in range(count):
@@ -346,9 +371,8 @@ def cmd_sample(args):
             drawn = sample_wrandom(n, family.u, sample_seed)
             graph, counts = drawn.graph, drawn.counts
         else:
-            counts_vec, pmat = family.counts_for(n)
-            graph = sample_block(counts_vec, pmat, sample_seed)
-            counts = counts_vec
+            counts, pmat = family.counts_for(n)
+            graph = sample_block(counts, pmat, sample_seed)
         graphs.append(graph)
         records.append({
             "index": idx,
@@ -360,73 +384,40 @@ def cmd_sample(args):
         sys.stdout.write("sample %03d: n=%d edges=%d density=%.6f\n"
                          % (idx, graph.n, graph.edge_count(),
                             records[-1]["density"]))
-    if out:
-        sample_dir = os.path.join(out, "samples")
-        os.makedirs(sample_dir, exist_ok=True)
-        for idx, graph in enumerate(graphs):
-            with open(os.path.join(sample_dir, "sample_%03d.edges" % idx), "w") as fh:
-                fh.write(graph_to_edgelist(graph))
-        write_report(out, "sample", resolved, {"samples": records})
+    if values["out"]:
+        edges = (("samples/sample_%03d.edges" % idx, graph_to_edgelist(graph))
+                 for idx, graph in enumerate(graphs))
+        write_report(values["out"], "sample", resolved, {"samples": records}, edges)
     return 0
 
 
-def cmd_distance(args):
-    flags = ["u", "v", "restarts", "seed", "exact", "out"]
-    resolved = resolve_config("distance", args, flags)
-    try:
-        u = load_graphon(str(resolved["u"]))
-        v = load_graphon(str(resolved["v"]))
-    except OSError as exc:
-        raise CliError("cannot read graphon: %s" % exc)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    seed = parse_seed(resolved["seed"])
-    restarts = int(resolved["restarts"])
-    if restarts < 1:
-        raise CliError("restarts must be positive")
-    resolved.update({"seed": seed, "restarts": restarts, "exact": bool(resolved["exact"])})
+def cmd_distance(resolved, values):
+    u, v = values["u"], values["v"]
     emit_config("distance", resolved, sys.stdout)
 
-    if resolved["exact"]:
+    if values["exact"]:
         value = aligned_cut_distance(u, v)
         body = {"mode": "aligned", "upper": value}
         sys.stdout.write("aligned cut norm: %.12g\n" % value)
     else:
-        est = cut_distance_search(u, v, restarts=restarts, seed=seed)
-        body = {"mode": "search", "upper": est.upper,
-                "restartsUsed": est.restarts_used,
-                "witness": _jsonable(est.to_json()["witness"])}
+        est = cut_distance_search(u, v, restarts=values["restarts"], seed=values["seed"])
+        body = {"mode": "search"}
+        body.update(est.to_json())
         sys.stdout.write("cut distance upper bound: %.12g (restarts %d)\n"
                          % (est.upper, est.restarts_used))
-    out = ensure_out(resolved)
-    if out:
-        write_report(out, "distance", resolved, body)
+    if values["out"]:
+        write_report(values["out"], "distance", resolved, body)
     return 0
 
 
-def cmd_rate(args):
-    flags = ["p", "u", "alpha", "budget", "seed", "out"]
-    resolved = resolve_config("rate", args, flags)
-    p = parse_prob_matrix(str(resolved["p"]))
-    try:
-        u = load_graphon(str(resolved["u"]))
-    except OSError as exc:
-        raise CliError("cannot read graphon: %s" % exc)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    seed = parse_seed(resolved["seed"])
-    budget = int(resolved["budget"])
-    if budget < 1:
-        raise CliError("budget must be positive")
-    alpha = None
-    if resolved["alpha"] is not None:
-        alpha = parse_weights(str(resolved["alpha"]))
-        if alpha.size != p.shape[0]:
-            raise CliError("alpha has %d blocks but p is %dx%d"
-                           % (alpha.size, p.shape[0], p.shape[0]))
-    resolved.update({"seed": seed, "budget": budget})
+def cmd_rate(resolved, values):
+    p, u, alpha = values["p"], values["u"], values["alpha"]
+    if alpha is not None and alpha.size != p.shape[0]:
+        raise CliError("alpha has %d blocks but p is %dx%d"
+                       % (alpha.size, p.shape[0], p.shape[0]))
     emit_config("rate", resolved, sys.stdout)
 
+    budget, seed = values["budget"], values["seed"]
     if alpha is not None:
         report = rate_J(alpha, p, u, budget=budget, seed=seed)
         kind = "J"
@@ -440,29 +431,22 @@ def cmd_rate(args):
     if kind == "R" and report.witness_alpha is not None:
         sys.stdout.write("witness alpha: %s\n"
                          % ",".join("%.12g" % x for x in report.witness_alpha.weights))
-    out = ensure_out(resolved)
-    if out:
-        write_report(out, "rate", resolved, body)
+    if values["out"]:
+        write_report(values["out"], "rate", resolved, body)
     return 0
 
 
-def cmd_coupling_demo(args):
-    flags = ["counts-a", "counts-b", "p", "seed", "out"]
-    resolved = resolve_config("coupling-demo", args, flags)
-    counts_a = parse_counts(str(resolved["counts-a"]))
-    counts_b = parse_counts(str(resolved["counts-b"]))
-    p = parse_prob_matrix(str(resolved["p"]))
+def cmd_coupling_demo(resolved, values):
+    counts_a, counts_b, p = values["counts-a"], values["counts-b"], values["p"]
     if counts_a.size != counts_b.size:
         raise CliError("count vectors must have the same number of blocks")
     if p.shape[0] != counts_a.size:
         raise CliError("p is %dx%d but there are %d blocks"
                        % (p.shape[0], p.shape[0], counts_a.size))
-    seed = parse_seed(resolved["seed"])
-    resolved.update({"seed": seed})
     emit_config("coupling-demo", resolved, sys.stdout)
 
     try:
-        pair = coupled_block_sample(counts_a, counts_b, p, seed)
+        pair = coupled_block_sample(counts_a, counts_b, p, values["seed"])
     except ValueError as exc:
         raise CliError(str(exc))
     sys.stdout.write("epsilon: %.12g\n" % pair.epsilon)
@@ -470,22 +454,17 @@ def cmd_coupling_demo(args):
     sys.stdout.write("aligned vertices: %d of %d and %d\n"
                      % (len(pair.aligned_a), pair.graph_a.n, pair.graph_b.n))
     sys.stdout.write("aligned subgraphs isomorphic: true\n")
-    out = ensure_out(resolved)
-    if out:
-        sample_dir = os.path.join(out, "samples")
-        os.makedirs(sample_dir, exist_ok=True)
-        with open(os.path.join(sample_dir, "graph_a.edges"), "w") as fh:
-            fh.write(graph_to_edgelist(pair.graph_a))
-        with open(os.path.join(sample_dir, "graph_b.edges"), "w") as fh:
-            fh.write(graph_to_edgelist(pair.graph_b))
-        write_report(out, "coupling-demo", resolved, {
+    if values["out"]:
+        edges = (("samples/%s.edges" % name, graph_to_edgelist(graph))
+                 for name, graph in (("graph_a", pair.graph_a), ("graph_b", pair.graph_b)))
+        write_report(values["out"], "coupling-demo", resolved, {
             "epsilon": pair.epsilon,
             "bound": pair.bound,
             "alignedA": [int(x) for x in pair.aligned_a],
             "alignedB": [int(x) for x in pair.aligned_b],
             "edgesA": pair.graph_a.edge_count(),
             "edgesB": pair.graph_b.edge_count(),
-        })
+        }, edges)
     return 0
 
 
@@ -506,28 +485,17 @@ def _predicted_rate(family, event, budget, seed):
     return None
 
 
-def cmd_ldp_curve(args):
-    flags = ["model", "event", "n", "method", "num-samples", "seed", "out"]
-    resolved = resolve_config("ldp-curve", args, flags)
-    family = parse_model(str(resolved["model"]))
-    event = parse_event(str(resolved["event"]))
-    sizes = parse_sizes(str(resolved["n"]))
-    method = str(resolved["method"])
-    if method not in ("auto", "exact", "enum", "tilted", "mc"):
-        raise CliError("method must be auto, exact, enum, tilted, or mc")
-    if method == "exact" and not event.is_density and not isinstance(family, WRandomFamily):
-        raise CliError("method exact covers density events only; "
-                       "use enum or mc for ball events")
-    num_samples = int(resolved["num-samples"])
-    if num_samples < 1:
-        raise CliError("num-samples must be positive")
-    seed = parse_seed(resolved["seed"])
-    resolved.update({"num-samples": num_samples, "seed": seed, "method": method})
+def cmd_ldp_curve(resolved, values):
+    family, event, method, seed = (values[k] for k in ("model", "event", "method", "seed"))
+    try:
+        check_method(family, event, method)
+    except ValueError as exc:
+        raise CliError(str(exc))
     emit_config("ldp-curve", resolved, sys.stdout)
 
     try:
-        points = ldp_curve(family, event, sizes, method=method,
-                           num_samples=num_samples, seed=seed)
+        points = ldp_curve(family, event, values["n"], method=method,
+                           num_samples=values["num-samples"], seed=seed)
     except ValueError as exc:
         raise CliError(str(exc))
     predicted = _predicted_rate(family, event, budget=16, seed=seed)
@@ -539,24 +507,80 @@ def cmd_ldp_curve(args):
     if predicted is not None:
         sys.stdout.write("predicted rate: %s\n"
                          % ("inf" if math.isinf(predicted) else "%.8g" % predicted))
-    out = ensure_out(resolved)
-    if out:
+    if values["out"]:
         csv_lines = ["n,speed,logprob,normalized,stderrLog,samples,hits,method"]
         for pt in points:
             csv_lines.append("%d,%d,%r,%r,%r,%d,%d,%s" % (
                 pt["n"], pt["speed"], pt["logprob"], pt["normalized"],
                 pt["stderrLog"], pt["samples"], pt["hits"], pt["method"]))
-        with open(os.path.join(out, "curve.csv"), "w") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-        write_report(out, "ldp-curve", resolved, {
+        write_report(values["out"], "ldp-curve", resolved, {
             "points": points,
             "predictedRate": predicted,
-        })
+        }, [("curve.csv", "\n".join(csv_lines) + "\n")])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    flags: tuple  # every flag but --config, in --help order
+
+
+COMMANDS = {
+    "sample": Command(cmd_sample, "draw graphs from a model", (
+        _MODEL,
+        Flag("n", "number of vertices", _integer("n", 0), required=True, scalar=True),
+        Flag("num-samples", "how many graphs to draw", _integer("num-samples", 1),
+             default=1, scalar=True, argparse_kw=_INT_ARG),
+        _SEED,
+        _OUT,
+    )),
+    "distance": Command(cmd_distance, "cut distance between two step graphons", (
+        Flag("u", "first graphon JSON file", parse_graphon, required=True),
+        Flag("v", "second graphon JSON file", parse_graphon, required=True),
+        Flag("restarts", "search restarts", _integer("restarts", 1), default=64,
+             scalar=True, argparse_kw=_INT_ARG),
+        Flag("seed", "search seed (default 0)", parse_seed, default=0, scalar=True),
+        Flag("exact", "aligned cut norm on the common refinement, no rearrangement search",
+             _switch("exact"), default=False, scalar=True,
+             argparse_kw={"action": "store_const", "const": True}),
+        _OUT,
+    )),
+    "rate": Command(cmd_rate, "entropy rate functionals J and R", (
+        Flag("p", "probability matrix (identityK | scalar | rows | @file)", parse_prob_matrix,
+             required=True),
+        Flag("u", "target graphon JSON file", parse_graphon, required=True),
+        Flag("alpha", "block fractions; if omitted, minimize over them", parse_weights),
+        Flag("budget", "optimizer restarts", _integer("budget", 1), default=64, scalar=True,
+             argparse_kw=_INT_ARG),
+        Flag("seed", "optimizer seed (default 0)", parse_seed, default=0, scalar=True),
+        _OUT,
+    )),
+    "coupling-demo": Command(cmd_coupling_demo, "coupled block samples sharing aligned coins", (
+        Flag("counts-a", "block counts of the first graph, e.g. 3,3", parse_counts,
+             required=True),
+        Flag("counts-b", "block counts of the second graph", parse_counts, required=True),
+        Flag("p", "probability matrix", parse_prob_matrix, required=True),
+        _SEED,
+        _OUT,
+    )),
+    "ldp-curve": Command(cmd_ldp_curve, "decay of -log P(event) across sizes", (
+        _MODEL,
+        Flag("event", "density-ge:r | density-le:r | ball:<target.json>:<eta>", parse_event,
+             required=True),
+        Flag("n", "sizes: single, comma list, or lo..hi doubling range", parse_sizes,
+             required=True),
+        Flag("method", "auto | exact | enum | tilted | mc", str, default="auto"),
+        Flag("num-samples", "samples per point for mc/tilted", _integer("num-samples", 1),
+             default=10000, scalar=True, argparse_kw=_INT_ARG),
+        _SEED,
+        _OUT,
+    )),
+}
 
 
 def build_parser():
@@ -566,56 +590,12 @@ def build_parser():
                     "entropy rate functions, and rare-event decay curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON file of flag defaults")
-        sp.add_argument("--out", help="directory for report.json and artifacts")
-
-    sp = sub.add_parser("sample", help="draw graphs from a model")
-    sp.add_argument("--model", help="gnp:p | block:<alpha>:<p> | wrandom:<graphon.json>")
-    sp.add_argument("--n", help="number of vertices")
-    sp.add_argument("--num-samples", type=int, help="how many graphs to draw")
-    sp.add_argument("--seed", help="RNG seed (required)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("distance", help="cut distance between two step graphons")
-    sp.add_argument("--u", help="first graphon JSON file")
-    sp.add_argument("--v", help="second graphon JSON file")
-    sp.add_argument("--restarts", type=int, help="search restarts")
-    sp.add_argument("--seed", help="search seed (default 0)")
-    sp.add_argument("--exact", action="store_const", const=True,
-                    help="aligned cut norm on the common refinement, no rearrangement search")
-    add_common(sp)
-    sp.set_defaults(func=cmd_distance)
-
-    sp = sub.add_parser("rate", help="entropy rate functionals J and R")
-    sp.add_argument("--p", help="probability matrix (identityK | scalar | rows | @file)")
-    sp.add_argument("--u", help="target graphon JSON file")
-    sp.add_argument("--alpha", help="block fractions; if omitted, minimize over them")
-    sp.add_argument("--budget", type=int, help="optimizer restarts")
-    sp.add_argument("--seed", help="optimizer seed (default 0)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_rate)
-
-    sp = sub.add_parser("coupling-demo", help="coupled block samples sharing aligned coins")
-    sp.add_argument("--counts-a", help="block counts of the first graph, e.g. 3,3")
-    sp.add_argument("--counts-b", help="block counts of the second graph")
-    sp.add_argument("--p", help="probability matrix")
-    sp.add_argument("--seed", help="RNG seed (required)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_coupling_demo)
-
-    sp = sub.add_parser("ldp-curve", help="decay of -log P(event) across sizes")
-    sp.add_argument("--model", help="gnp:p | block:<alpha>:<p> | wrandom:<graphon.json>")
-    sp.add_argument("--event", help="density-ge:r | density-le:r | ball:<target.json>:<eta>")
-    sp.add_argument("--n", help="sizes: single, comma list, or lo..hi doubling range")
-    sp.add_argument("--method", help="auto | exact | enum | tilted | mc")
-    sp.add_argument("--num-samples", type=int, help="samples per point for mc/tilted")
-    sp.add_argument("--seed", help="RNG seed (required)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_ldp_curve)
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            if flag is _OUT:  # --help lists --config just before --out
+                sp.add_argument("--config", help="JSON file of flag defaults")
+            sp.add_argument("--" + flag.name, help=flag.help, **flag.argparse_kw)
     return parser
 
 
@@ -626,7 +606,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        resolved, values = resolve_config(args.command, args)
+        return COMMANDS[args.command].run(resolved, values)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -30,6 +30,9 @@ _ENUM_CHUNK = 1 << 16
 
 DEFAULT_ALTERNATING_RESTARTS = 32
 DEFAULT_SEARCH_RESTARTS = 64
+_POLISH_TOL = 1e-12  # least improvement a cycle move must bring
+_POLISH_SWEEPS = 60
+_BIJECTION_VERTEX_LIMIT = 8  # of graph_cut_distance_exact's n! search
 
 
 class SignedStepFn:
@@ -193,8 +196,7 @@ def _coupled_difference(u: StepGraphon, v: StepGraphon, coupling: OverlapCouplin
     return SignedStepFn.difference(PartWeights(w), du, dv)
 
 
-def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling,
-                       restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0) -> float:
+def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
     """Cut norm of the difference after rearranging u along one coupling.
 
     Exact (hence a certified upper bound on the cut distance) while the
@@ -204,7 +206,7 @@ def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling
     diff = _coupled_difference(u, v, coupling)
     if diff.parts.size <= EXACT_PART_LIMIT:
         return cut_norm_exact(diff)
-    return cut_norm_alternating(diff, restarts=restarts, seed=seed)
+    return cut_norm_alternating(diff)
 
 
 def aligned_cut_distance(u: StepGraphon, v: StepGraphon) -> float:
@@ -325,7 +327,7 @@ def _support_key(c):
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-def _polish(c, objective, moves, support_cap, tol=1e-12, max_sweeps=60):
+def _polish(c, objective, moves, support_cap):
     """First-improvement sweeps over 2x2 cycle moves.
 
     Each accepted move walks along a transportation-polytope edge; candidate
@@ -335,7 +337,7 @@ def _polish(c, objective, moves, support_cap, tol=1e-12, max_sweeps=60):
     cut-norm regime.
     """
     best = objective(c)
-    for _ in range(max_sweeps):
+    for _ in range(_POLISH_SWEEPS):
         improved = False
         for a, b, i, j in moves:
             lo = -min(c[a, i], c[b, j])
@@ -354,7 +356,7 @@ def _polish(c, objective, moves, support_cap, tol=1e-12, max_sweeps=60):
                 if int(np.count_nonzero(cand)) > support_cap:
                     continue
                 val = objective(cand)
-                if val < best - tol:
+                if val < best - _POLISH_TOL:
                     c = cand
                     best = val
                     improved = True
@@ -431,7 +433,7 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
                             _profile_cost(u, v), support_cap, restarts, seed)
 
 
-def graph_cut_distance_exact(g, h, max_vertices=8) -> float:
+def graph_cut_distance_exact(g, h) -> float:
     """Smallest aligned cut norm over all vertex bijections of two graphs.
 
     Exhaustive over the n! relabelings (n at most 8), evaluating each
@@ -441,8 +443,9 @@ def graph_cut_distance_exact(g, h, max_vertices=8) -> float:
     if g.n != h.n:
         raise ValueError("graphs must have the same number of vertices")
     n = g.n
-    if n > max_vertices:
-        raise ValueError("exhaustive bijection search limited to %d vertices" % max_vertices)
+    if n > _BIJECTION_VERTEX_LIMIT:
+        raise ValueError("exhaustive bijection search limited to %d vertices"
+                         % _BIJECTION_VERTEX_LIMIT)
     import itertools
 
     A = g.adjacency()

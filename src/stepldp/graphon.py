@@ -206,11 +206,6 @@ class OverlapCoupling:
     def transpose(self):
         return OverlapCoupling(self.matrix.T, self.col_parts, self.row_parts)
 
-    def support(self):
-        """Sorted (row, col) cells carrying positive mass."""
-        rows, cols = np.nonzero(self.matrix > 0.0)
-        return sorted(zip(rows.tolist(), cols.tolist()))
-
     def __repr__(self):
         return "OverlapCoupling(%dx%d)" % self.matrix.shape
 

@@ -40,6 +40,7 @@ __all__ = [
     "mc_event_logprob",
     "tilted_density_logprob_block",
     "gnp_density_rate",
+    "check_method",
     "ldp_curve",
 ]
 
@@ -395,8 +396,7 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
         logw += e * math.log(prob / r) + (mult - e) * (
             math.log1p(-prob) - math.log1p(-r)
         )
-    dens = total / total_pairs
-    hit = (dens >= r) if event.kind == "density-ge" else (dens <= r)
+    hit = event.check_density(total / total_pairs)
     hits = int(hit.sum())
     if hits == 0:
         return _estimate(-math.inf, math.inf, num_samples, 0, "tilted")
@@ -451,6 +451,19 @@ def _curve_point(n, speed, est):
     }
 
 
+def check_method(family, event: EventSpec, method):
+    """Reject a method that ``ldp_curve`` cannot run on the family and event.
+
+    The exact law of a fixed block layout covers density events only; the
+    step-graphon law enumerates block counts, so it covers every event.
+    """
+    if method not in ("auto", "exact", "enum", "tilted", "mc"):
+        raise ValueError("method must be auto, exact, enum, tilted, or mc")
+    if method == "exact" and not event.is_density and not isinstance(family, WRandomFamily):
+        raise ValueError("method exact covers density events only; "
+                         "use enum or mc for ball events")
+
+
 def ldp_curve(family, event: EventSpec, n_values, method="auto",
               num_samples=10000, seed=0):
     """Sweep graph sizes and measure -log P(event) / speed at each size.
@@ -462,6 +475,7 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     that.  The speed is the squared vertex count.  Each point derives its
     own generator seed, so curves are reproducible end to end.
     """
+    check_method(family, event, method)
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     points = []
     for idx, n in enumerate(n_values):
@@ -495,10 +509,8 @@ def _block_point(counts, pmat, event, method, num_samples, seed):
         return _estimate(exact_event_logprob_block(counts, pmat, event), 0.0, 0, 0, "enum")
     if method == "tilted":
         return tilted_density_logprob_block(counts, pmat, event, num_samples, seed)
-    if method == "mc":
-        draw = lambda rng: sample_block(counts, pmat, rng)
-        return mc_event_logprob(draw, event, num_samples, seed)
-    raise ValueError("unknown method %r" % (method,))
+    draw = lambda rng: sample_block(counts, pmat, rng)
+    return mc_event_logprob(draw, event, num_samples, seed)
 
 
 def _wrandom_point(u, n, event, method, num_samples, seed):
@@ -506,12 +518,10 @@ def _wrandom_point(u, n, event, method, num_samples, seed):
         return _estimate(exact_event_logprob_wrandom(n, u, event), 0.0, 0, 0, "exact")
     if method == "tilted":
         raise ValueError("tilted sampling requires a fixed block layout")
-    if method in ("auto", "mc"):
-        if method == "auto" and event.is_density and _wrandom_exact_ok(u, n, event):
-            return _estimate(exact_event_logprob_wrandom(n, u, event), 0.0, 0, 0, "exact")
-        draw = lambda rng: sample_wrandom(n, u, rng).graph
-        return mc_event_logprob(draw, event, num_samples, seed)
-    raise ValueError("unknown method %r" % (method,))
+    if method == "auto" and event.is_density and _wrandom_exact_ok(u, n, event):
+        return _estimate(exact_event_logprob_wrandom(n, u, event), 0.0, 0, 0, "exact")
+    draw = lambda rng: sample_wrandom(n, u, rng).graph
+    return mc_event_logprob(draw, event, num_samples, seed)
 
 
 def _wrandom_exact_ok(u, n, event):

@@ -707,7 +707,10 @@ def reweight_witness(gamma, kappa, p, u: StepGraphon) -> ReweightWitness:
                                          np.where(gw > 0.0, gw, 1.0))
     live = np.outer(kw, kw) > 0.0
     expected = 0.5 * _weighted_entropy_sum(np.where(live, factor, 0.0), terms)
-    actual = block_entropy_objective(v, kp, p)
+    # V is built from the kappa-positive blocks only; reading it against the
+    # dead blocks too would charge the overlay's rounding slivers there
+    keep = kw > 0.0
+    actual = block_entropy_objective(v, kw[keep], p[np.ix_(keep, keep)])
     if math.isfinite(expected) != math.isfinite(actual) or (
         math.isfinite(expected) and abs(expected - actual) > 1e-8 * (1.0 + abs(expected))
     ):

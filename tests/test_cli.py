@@ -383,6 +383,56 @@ class TestConfigFile:
         assert rc == 2
         assert "jobs" in capsys.readouterr().err
 
+    def test_wrong_type_exits_2_naming_the_flag(self, tmp_path, capsys):
+        u = write_graphon(tmp_path / "u.json", [0.5, 0.5], [[0.9, 0.1], [0.1, 0.6]])
+        curve = {"model": "gnp:0.5", "event": "density-ge:0.8", "n": 6, "seed": 0}
+        cases = [
+            ("distance", {"u": u, "v": u, "restarts": "many"}, "restarts must be an integer"),
+            ("distance", {"u": u, "v": u, "restarts": None}, "restarts must be an integer"),
+            ("sample", {"model": "gnp:0.5", "n": 6, "seed": 0, "num-samples": "x"},
+             "num-samples must be an integer"),
+            ("ldp-curve", dict(curve, **{"num-samples": "x"}), "num-samples must be an integer"),
+            ("rate", {"p": "identity2", "u": u, "budget": "x"}, "budget must be an integer"),
+            ("distance", {"u": u, "v": u, "exact": "false"},
+             "exact must be true or false, got 'false'"),
+            ("sample", {"model": "gnp:0.5", "n": 6.5, "seed": 0}, "n must be an integer"),
+            ("sample", {"model": "gnp:0.5", "n": 6, "seed": True},
+             "seed must be a nonnegative integer, got True"),
+        ]
+        cfg = tmp_path / "cfg.json"
+        for command, values, message in cases:
+            cfg.write_text(json.dumps(values))
+            assert cli.main([command, "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % message
+
+    def test_accepted_values_keep_their_echo(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gnp:0.5", "n": "8", "num-samples": 2.0,
+                                   "seed": "2"}))
+        assert cli.main(["sample", "--config", str(cfg)]) == 0
+        resolved = first_line_config(capsys.readouterr().out)["resolvedConfig"]
+        assert (resolved["n"], resolved["num-samples"], resolved["seed"]) == (8, 2, 2)
+
+        # text flags echo the value as given
+        cfg.write_text(json.dumps({"model": "gnp:0.5", "event": "density-ge:0.8",
+                                   "n": 12, "seed": 0, "method": "exact"}))
+        assert cli.main(["ldp-curve", "--config", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        assert first_line_config(stdout)["resolvedConfig"]["n"] == 12
+        assert "n=12 " in stdout
+
+    def test_exact_takes_json_booleans(self, tmp_path, capsys):
+        u = write_graphon(tmp_path / "u.json", [0.5, 0.5], [[0.9, 0.1], [0.1, 0.6]])
+        cfg = tmp_path / "cfg.json"
+        for exact, mode in [(True, "aligned cut norm"), (False, "cut distance upper bound")]:
+            cfg.write_text(json.dumps({"u": u, "v": u, "exact": exact}))
+            assert cli.main(["distance", "--config", str(cfg)]) == 0
+            stdout = capsys.readouterr().out
+            assert first_line_config(stdout)["resolvedConfig"]["exact"] is exact
+            assert stdout.splitlines()[1].startswith(mode)
+
 
 class TestArgparseBehaviour:
     def test_unknown_flag_exits_2(self, capsys):

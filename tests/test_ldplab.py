@@ -12,6 +12,7 @@ from stepldp.ldplab import (
     GnpFamily,
     WRandomFamily,
     binomial_tail_logprob,
+    check_method,
     density_logprob_block,
     exact_event_logprob_block,
     exact_event_logprob_wrandom,
@@ -322,6 +323,18 @@ class TestLdpCurve:
         assert pts[0]["method"] == "enum"
         pts = ldp_curve(fam, ball, [30], method="auto", num_samples=200, seed=0)
         assert pts[0]["method"] == "mc"
+
+    def test_method_rules_checked_before_any_point(self):
+        ball = EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4)
+        density = EventSpec("density-ge", r=0.8)
+        block = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7)))
+        with pytest.raises(ValueError, match="method must be auto, exact, enum, tilted, or mc"):
+            ldp_curve(GnpFamily(0.5), density, [6], method="magic")
+        for fam in (GnpFamily(0.5), block):
+            with pytest.raises(ValueError, match="covers density events only"):
+                ldp_curve(fam, ball, [4], method="exact")
+        # the step-graphon law enumerates block counts, so exact covers balls
+        check_method(WRandomFamily(make_step_graphon([1.0], [[0.5]])), ball, "exact")
 
     def test_block_family(self):
         fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7)))

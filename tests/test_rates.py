@@ -383,6 +383,22 @@ class TestReweightWitness:
             assert wit.bound == 2.0 * wit.epsilon
             assert abs(wit.graphon.parts.total - 1.0) < 1e-9
 
+    def test_zero_weight_last_block(self):
+        # the overlay leaves a 5.55e-17 sliver of u's last part in the dead
+        # last block, where p is 0; the identity must hold on the live blocks
+        u = make_step_graphon([0.9102124855731659, 0.08978751442683416],
+                              [[0.509, 0.307], [0.307, 0.703]])
+        gamma = [0.4224833617041889, 0.5252428981861536, 0.0522737401096576, 0.0]
+        kappa = [0.5004043840609964, 0.32966221541227164, 0.1699334005267321, 0.0]
+        p = np.full((4, 4), 0.5)
+        p[3, 3] = 0.0
+        wit = reweight_witness(gamma, kappa, p, u)
+        assert wit.epsilon == pytest.approx(kappa[2] / gamma[2] - 1.0, rel=1e-12)
+        assert wit.bound == 2.0 * wit.epsilon
+        # the pulled-back cost equals the reweighted cost of u on gamma's blocks
+        cost = block_entropy_objective(wit.graphon, kappa[:3], p[:3, :3])
+        assert cost == pytest.approx(0.013573161231833936, rel=1e-8)
+
     def test_rejects_mass_on_vanishing_block(self):
         u = make_step_graphon([1.0], [[0.5]])
         with pytest.raises(ValueError):
@@ -424,7 +440,9 @@ class TestFrozenValues:
     matrices and the graphon values, so every 0 * inf cell and every
     infinite total is exercised.  The digests were recorded before the
     cell-entropy tables and the subset enumerations were merged, so they pin
-    those paths bit for bit.
+    those paths bit for bit.  The entropy digest was re-derived once, when
+    ``reweight_witness`` stopped failing on a zero-weight last block (two of
+    the 60 inputs); every other entry kept its bytes.
     """
 
     def test_entropy_functionals(self):
@@ -439,18 +457,12 @@ class TestFrozenValues:
             h.update(repr(block_entropy_objective(u, _weights(rng, k), p)).encode())
             gamma = _weights(rng, k)
             kappa = np.where(gamma > 0.0, rng.dirichlet(np.ones(k)), 0.0)
-            try:
-                wit = reweight_witness(gamma, kappa / kappa.sum(), p, u)
-            except RuntimeError as exc:
-                # a zero-weight last block can keep a rounding sliver of
-                # the overlay and trip the identity check; pin that too
-                h.update(str(exc).encode())
-                continue
+            wit = reweight_witness(gamma, kappa / kappa.sum(), p, u)
             h.update(repr((wit.epsilon, wit.bound)).encode())
             h.update(wit.graphon.parts.weights.tobytes())
             h.update(wit.graphon.values.tobytes())
         assert h.hexdigest() == (
-            "ed33239354bd58e176f161cf13da3d72ca7717dd1f7f38fb06ae6493c3c9d65d")
+            "5b9828f40760c42f79928cc4c026541ce3ff2f4d5b0846f4f55fd043fb32765c")
 
     def test_exact_enumeration(self):
         event = _EdgeCountMod3("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.0)
