@@ -24,15 +24,16 @@ import numpy as np
 from .graphon import _check_prob_matrix, graph_to_edgelist, load_graphon
 from .cutmetric import aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
-from .samplers import coupled_block_sample, sample_block, sample_wrandom
+from .samplers import coupled_block_sample
 from .ldplab import (
+    CURVE_COLUMNS,
     BlockFamily,
     EventSpec,
     GnpFamily,
     WRandomFamily,
     check_method,
-    gnp_density_rate,
     ldp_curve,
+    predicted_rate,
 )
 
 FORMAT_VERSION = 1
@@ -223,8 +224,6 @@ def _integer(name, minimum):
 
 
 def parse_seed(value):
-    if value is None:
-        return None
     try:
         return _integer("seed", 0)(value)
     except CliError:
@@ -366,13 +365,7 @@ def cmd_sample(resolved, values):
     records = []
     graphs = []
     for idx in range(count):
-        sample_seed = [seed, idx]
-        if isinstance(family, WRandomFamily):
-            drawn = sample_wrandom(n, family.u, sample_seed)
-            graph, counts = drawn.graph, drawn.counts
-        else:
-            counts, pmat = family.counts_for(n)
-            graph = sample_block(counts, pmat, sample_seed)
+        graph, counts = family.draw(n, [seed, idx])
         graphs.append(graph)
         records.append({
             "index": idx,
@@ -468,23 +461,6 @@ def cmd_coupling_demo(resolved, values):
     return 0
 
 
-def _predicted_rate(family, event, budget, seed):
-    """Model-predicted decay rate for the event, when one is computable."""
-    if event.is_density and isinstance(family, GnpFamily):
-        return gnp_density_rate(family.p, event.r, event.kind)
-    if event.kind == "ball":
-        if isinstance(family, GnpFamily):
-            rep = rate_J([1.0], np.array([[family.p]]), event.target,
-                         budget=budget, seed=seed)
-        elif isinstance(family, BlockFamily):
-            rep = rate_J(np.asarray(family.alpha), np.asarray(family.p),
-                         event.target, budget=budget, seed=seed)
-        else:
-            rep = rate_R(family.u.values, event.target, budget=budget, seed=seed)
-        return rep.value
-    return None
-
-
 def cmd_ldp_curve(resolved, values):
     family, event, method, seed = (values[k] for k in ("model", "event", "method", "seed"))
     try:
@@ -498,7 +474,7 @@ def cmd_ldp_curve(resolved, values):
                            num_samples=values["num-samples"], seed=seed)
     except ValueError as exc:
         raise CliError(str(exc))
-    predicted = _predicted_rate(family, event, budget=16, seed=seed)
+    predicted = predicted_rate(family, event, budget=16, seed=seed)
     for pt in points:
         sys.stdout.write(
             "n=%d speed=%d logprob=%.8g normalized=%.8g method=%s\n"
@@ -508,11 +484,9 @@ def cmd_ldp_curve(resolved, values):
         sys.stdout.write("predicted rate: %s\n"
                          % ("inf" if math.isinf(predicted) else "%.8g" % predicted))
     if values["out"]:
-        csv_lines = ["n,speed,logprob,normalized,stderrLog,samples,hits,method"]
-        for pt in points:
-            csv_lines.append("%d,%d,%r,%r,%r,%d,%d,%s" % (
-                pt["n"], pt["speed"], pt["logprob"], pt["normalized"],
-                pt["stderrLog"], pt["samples"], pt["hits"], pt["method"]))
+        # str of a float is its repr, so the floats round-trip
+        csv_lines = [",".join(CURVE_COLUMNS)]
+        csv_lines += [",".join(str(pt[key]) for key in CURVE_COLUMNS) for pt in points]
         write_report(values["out"], "ldp-curve", resolved, {
             "points": points,
             "predictedRate": predicted,

@@ -229,35 +229,12 @@ def overlay_coupling(u: StepGraphon, v: StepGraphon) -> OverlapCoupling:
 # coupling search
 
 
-def _northwest_fill(rows, cols):
-    """Classic northwest-corner vertex of the transportation polytope."""
-    c = np.zeros((rows.size, cols.size))
-    rr = rows.copy()
-    cc = cols.copy()
-    i = j = 0
-    while i < rows.size and j < cols.size:
-        d = min(rr[i], cc[j])
-        c[i, j] = d
-        rr[i] -= d
-        cc[j] -= d
-        if rr[i] == 0.0 and i < rows.size - 1:
-            i += 1
-        elif cc[j] == 0.0 and j < cols.size - 1:
-            j += 1
-        elif rr[i] == 0.0 and cc[j] == 0.0:
-            break
-        elif rr[i] == 0.0:
-            j += 1
-        else:
-            i += 1
-    return c
-
-
 def _greedy_fill(rows, cols, order):
     """Greedy fill along a cell priority order, then repair any drift.
 
     Every prefix respects the marginals, so the result is feasible up to
-    float drift, which lands in the final visited cells.
+    float drift, which lands in the final visited cells.  The row-major
+    order gives the classic northwest-corner vertex.
     """
     m, k = rows.size, cols.size
     c = np.zeros((m, k))
@@ -392,7 +369,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
         if r == 0:
             c0 = _greedy_fill(rows, cols, np.argsort(start_cost, axis=None, kind="stable"))
         elif r == 1:
-            c0 = _northwest_fill(rows, cols)
+            c0 = _greedy_fill(rows, cols, np.arange(m * k))
         elif r == 2 and m * k <= support_cap:
             c0 = np.outer(rows, cols)
         else:

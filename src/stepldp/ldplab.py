@@ -25,7 +25,7 @@ from scipy.special import gammaln, logsumexp
 
 from .graphon import LabeledGraph, StepGraphon, graph_to_graphon
 from .cutmetric import _ENUM_CHUNK, _subset_bits, cut_distance_search
-from .rates import _simplex_grid, rel_entropy
+from .rates import _seed_list, _simplex_grid, rate_J, rate_R, rel_entropy
 from .samplers import apportion_counts, sample_block, sample_wrandom
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "mc_event_logprob",
     "tilted_density_logprob_block",
     "gnp_density_rate",
+    "predicted_rate",
     "check_method",
     "ldp_curve",
 ]
@@ -105,33 +106,54 @@ class EventSpec:
 # families of graph laws, one per size n
 
 
+class _BlockLayout:
+    """A fixed block layout per n: the block-model law, whose rate is J."""
+
+    def counts_for(self, n):
+        alpha, p = self.layout()
+        return apportion_counts(n, alpha), p
+
+    def draw(self, n, seed):
+        """One n-vertex sample and its block counts."""
+        counts, p = self.counts_for(n)
+        return sample_block(counts, p, seed), counts
+
+
 @dataclass(frozen=True)
-class GnpFamily:
+class GnpFamily(_BlockLayout):
     """Erdos-Renyi: every pair is an edge with the same probability."""
 
     p: float
 
-    def counts_for(self, n):
-        return np.array([n], dtype=int), np.array([[float(self.p)]])
+    def layout(self):
+        """Block ratios and block probability matrix: one block."""
+        return np.array([1.0]), np.array([[float(self.p)]])
 
 
 @dataclass(frozen=True)
-class BlockFamily:
+class BlockFamily(_BlockLayout):
     """Block models with counts apportioned from fixed block fractions."""
 
     alpha: tuple
     p: tuple  # nested tuple, symmetric
 
-    def counts_for(self, n):
-        pm = np.asarray(self.p, dtype=float)
-        return apportion_counts(n, np.asarray(self.alpha, dtype=float)), pm
+    def layout(self):
+        """Block ratios and block probability matrix."""
+        return np.asarray(self.alpha, dtype=float), np.asarray(self.p, dtype=float)
 
 
 @dataclass(frozen=True)
 class WRandomFamily:
-    """Step-graphon random graphs: vertex types drawn from the part weights."""
+    """Step-graphon random graphs: vertex types drawn from the part weights.
+
+    Its law mixes block laws over the type counts, and its rate is R.
+    """
 
     u: StepGraphon
+
+    def draw(self, n, seed):
+        """One n-vertex sample and its per-part vertex counts."""
+        return sample_wrandom(n, self.u, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -430,36 +452,55 @@ def gnp_density_rate(p, r, kind="density-ge"):
     return 0.5 * rel_entropy(p, r)
 
 
+def predicted_rate(family, event: EventSpec, budget, seed):
+    """The rate a curve's normalized values approach, or None if unknown.
+
+    A density event has a closed form under G(n, p) only.  A ball event
+    gets J of its target at the family's block layout, or R, the infimum of
+    J over block ratios, when vertex types are random.
+    """
+    if event.is_density:
+        if isinstance(family, GnpFamily):
+            return gnp_density_rate(family.p, event.r, event.kind)
+        return None
+    if isinstance(family, WRandomFamily):
+        return rate_R(family.u.values, event.target, budget=budget, seed=seed).value
+    alpha, p = family.layout()
+    return rate_J(alpha, p, event.target, budget=budget, seed=seed).value
+
+
+# ---------------------------------------------------------------------------
+# the size sweep
+
+# auto enumerates a ball event on a block layout up to 2^16 edge subsets
+AUTO_ENUM_FREE_PAIRS = 16
+
+# the keys of a curve point, in the order of the curve.csv columns
+CURVE_COLUMNS = ("n", "speed", "logprob", "normalized", "stderrLog", "samples", "hits",
+                 "method")
+
+
 def _free_pair_count(counts, p):
     a = np.asarray(counts, dtype=int)
     return sum(mult for prob, mult in _pair_classes(a, p) if 0.0 < prob < 1.0)
 
 
-def _curve_point(n, speed, est):
-    logprob = est["logprob"]
-    # 0.0 - x, unlike -x, maps logprob 0 to +0.0
-    normalized = (0.0 - logprob / speed) if speed > 0 else math.nan
-    return {
-        "n": int(n),
-        "speed": int(speed),
-        "logprob": logprob,
-        "normalized": normalized,
-        "stderrLog": est["stderrLog"],
-        "samples": est["samples"],
-        "hits": est["hits"],
-        "method": est["method"],
-    }
-
-
 def check_method(family, event: EventSpec, method):
     """Reject a method that ``ldp_curve`` cannot run on the family and event.
 
-    The exact law of a fixed block layout covers density events only; the
-    step-graphon law enumerates block counts, so it covers every event.
+    Tilted sampling reweights the coins of one block layout, so it needs a
+    fixed layout and a density event.  The exact law of a fixed block
+    layout covers density events only; the step-graphon law enumerates
+    block counts, so it covers every event.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
-    if method == "exact" and not event.is_density and not isinstance(family, WRandomFamily):
+    random_types = isinstance(family, WRandomFamily)
+    if method == "tilted" and random_types:
+        raise ValueError("tilted sampling requires a fixed block layout")
+    if method == "tilted" and not event.is_density:
+        raise ValueError("tilted sampling handles density events only")
+    if method == "exact" and not event.is_density and not random_types:
         raise ValueError("method exact covers density events only; "
                          "use enum or mc for ball events")
 
@@ -473,58 +514,42 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     the budget, falling back to tilted importance sampling; ball events
     enumerate edge subsets while they fit and switch to Monte Carlo above
     that.  The speed is the squared vertex count.  Each point derives its
-    own generator seed, so curves are reproducible end to end.
+    own generator seed, so curves are reproducible end to end.  A point is
+    a dict with the keys ``CURVE_COLUMNS``.
     """
     check_method(family, event, method)
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    base = _seed_list(seed)
     points = []
     for idx, n in enumerate(n_values):
         n = int(n)
-        point_seed = base + [idx]
-        if isinstance(family, WRandomFamily):
-            est = _wrandom_point(family.u, n, event, method, num_samples, point_seed)
-            speed = n * n
-        else:
-            counts, pmat = family.counts_for(n)
-            est = _block_point(counts, pmat, event, method, num_samples, point_seed)
-            speed = int(counts.sum()) ** 2
-        points.append(_curve_point(n, speed, est))
+        est = _point(family, n, event, method, num_samples, base + [idx])
+        # 0.0 - x, unlike -x, maps logprob 0 to +0.0
+        normalized = (0.0 - est["logprob"] / (n * n)) if n > 0 else math.nan
+        points.append(dict(est, n=n, speed=n * n, normalized=normalized))
     return points
 
 
-def _block_point(counts, pmat, event, method, num_samples, seed):
-    if method == "auto":
-        if event.is_density:
+def _point(family, n, event, method, num_samples, seed):
+    """Estimate of log P(event) at size n by a method check_method allows."""
+    if isinstance(family, WRandomFamily):
+        if method == "auto":
+            # the exact law sums one block law per composition of n
+            m = family.u.parts.size
+            affordable = n <= 40 and math.comb(n + m - 1, m - 1) <= 3000
+            method = "exact" if event.is_density and affordable else "mc"
+        if method != "mc":
+            return _estimate(exact_event_logprob_wrandom(n, family.u, event), 0.0, 0, 0, "exact")
+    else:
+        counts, p = family.counts_for(n)
+        if method == "auto" and event.is_density:
             try:
-                return _estimate(density_logprob_block(counts, pmat, event), 0.0, 0, 0, "exact")
+                return _estimate(density_logprob_block(counts, p, event), 0.0, 0, 0, "exact")
             except ValueError:
-                return tilted_density_logprob_block(counts, pmat, event, num_samples, seed)
-        if _free_pair_count(counts, pmat) <= 16:
-            return _estimate(exact_event_logprob_block(counts, pmat, event), 0.0, 0, 0, "enum")
-        draw = lambda rng: sample_block(counts, pmat, rng)
-        return mc_event_logprob(draw, event, num_samples, seed)
-    if method == "exact":
-        return _estimate(density_logprob_block(counts, pmat, event), 0.0, 0, 0, "exact")
-    if method == "enum":
-        return _estimate(exact_event_logprob_block(counts, pmat, event), 0.0, 0, 0, "enum")
-    if method == "tilted":
-        return tilted_density_logprob_block(counts, pmat, event, num_samples, seed)
-    draw = lambda rng: sample_block(counts, pmat, rng)
-    return mc_event_logprob(draw, event, num_samples, seed)
-
-
-def _wrandom_point(u, n, event, method, num_samples, seed):
-    if method in ("exact", "enum"):
-        return _estimate(exact_event_logprob_wrandom(n, u, event), 0.0, 0, 0, "exact")
-    if method == "tilted":
-        raise ValueError("tilted sampling requires a fixed block layout")
-    if method == "auto" and event.is_density and _wrandom_exact_ok(u, n, event):
-        return _estimate(exact_event_logprob_wrandom(n, u, event), 0.0, 0, 0, "exact")
-    draw = lambda rng: sample_wrandom(n, u, rng).graph
-    return mc_event_logprob(draw, event, num_samples, seed)
-
-
-def _wrandom_exact_ok(u, n, event):
-    m = u.parts.size
-    mixture_terms = math.comb(n + m - 1, m - 1)
-    return mixture_terms <= 3000 and n <= 40
+                method = "tilted"
+        elif method == "auto":
+            method = "enum" if _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS else "mc"
+        if method in ("exact", "enum"):
+            return _estimate(exact_event_logprob_block(counts, p, event), 0.0, 0, 0, method)
+        if method == "tilted":
+            return tilted_density_logprob_block(counts, p, event, num_samples, seed)
+    return mc_event_logprob(lambda rng: family.draw(n, rng)[0], event, num_samples, seed)

@@ -399,10 +399,14 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
     return full.reshape(m, k), value
 
 
+def _seed_list(seed):
+    """A seed (an integer or a list of them) as a list to extend."""
+    return list(seed) if isinstance(seed, (list, tuple)) else [seed]
+
+
 def _derived_rng(seed, *extra):
     """Deterministic generator from a seed plus distinguishing integers."""
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return np.random.default_rng(base + list(extra))
+    return np.random.default_rng(_seed_list(seed) + list(extra))
 
 
 def _support_masks(q, allowed, seed=None):
@@ -564,20 +568,12 @@ def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateRepor
     resolution = _SIMPLEX_GRID if k <= 3 else 8
     probe_budget = 4
 
-    candidates = []
-    seen = set()
-    for comp in _simplex_grid(k, resolution):
-        alpha = tuple(x / resolution for x in comp)
-        if alpha not in seen:
-            seen.add(alpha)
-            candidates.append(alpha)
-    for alpha in _support_candidate_alphas(p, u):
-        if alpha not in seen:
-            seen.add(alpha)
-            candidates.append(alpha)
+    grid = [tuple(x / resolution for x in comp) for comp in _simplex_grid(k, resolution)]
+    # first occurrences, in order: a candidate's index seeds its probe
+    candidates = list(dict.fromkeys(grid + _support_candidate_alphas(p, u)))
 
     evaluations = 0
-    seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    seed_base = _seed_list(seed)
 
     def probe(alpha, idx, restarts):
         nonlocal evaluations

@@ -71,11 +71,9 @@ class TestParseHelpers:
 
     def test_seed(self):
         assert cli.parse_seed("17") == 17
-        assert cli.parse_seed(None) is None
-        with pytest.raises(cli.CliError):
-            cli.parse_seed("-1")
-        with pytest.raises(cli.CliError):
-            cli.parse_seed("x")
+        for bad in (None, "-1", "x"):
+            with pytest.raises(cli.CliError):
+                cli.parse_seed(bad)
 
 
 class TestSampleCommand:
@@ -349,6 +347,20 @@ class TestLdpCurveCommand:
         assert rc == 0
         assert "method=exact" in capsys.readouterr().out
 
+    def test_tilted_rules_exit_before_the_config_line(self, tmp_path, capsys):
+        target = write_graphon(tmp_path / "t.json", [0.5, 0.5],
+                               [[1.0, 0.0], [0.0, 1.0]])
+        # tilted sampling needs a fixed block layout and a density event
+        cases = [("wrandom:%s" % target, "density-ge:0.8",
+                  "tilted sampling requires a fixed block layout"),
+                 ("gnp:0.5", "ball:%s:0.3" % target,
+                  "tilted sampling handles density events only")]
+        for model, event, message in cases:
+            rc = cli.main(["ldp-curve", "--model", model, "--event", event, "--n", "6",
+                           "--method", "tilted", "--seed", "0"])
+            assert rc == 2
+            assert capsys.readouterr() == ("", "error: %s\n" % message)
+
 
 class TestConfigFile:
     def test_merge_and_precedence(self, tmp_path, capsys):
@@ -398,6 +410,10 @@ class TestConfigFile:
             ("sample", {"model": "gnp:0.5", "n": 6.5, "seed": 0}, "n must be an integer"),
             ("sample", {"model": "gnp:0.5", "n": 6, "seed": True},
              "seed must be a nonnegative integer, got True"),
+            ("distance", {"u": u, "v": u, "seed": None},
+             "seed must be a nonnegative integer, got None"),
+            ("rate", {"p": "identity2", "u": u, "seed": None},
+             "seed must be a nonnegative integer, got None"),
         ]
         cfg = tmp_path / "cfg.json"
         for command, values, message in cases:

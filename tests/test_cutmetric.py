@@ -143,6 +143,12 @@ class TestCutDistanceSearch:
         est = cut_distance_search(u, v, restarts=32, seed=0)
         assert est.upper <= vertex_best + 1e-12
 
+    def test_row_major_fill_is_the_northwest_corner(self):
+        # the search's second start: fill cells in row-major order
+        c = cutmetric._greedy_fill(np.array([0.5, 0.5]), np.array([0.3, 0.7]), np.arange(4))
+        np.testing.assert_allclose(c, [[0.3, 0.2], [0.0, 0.5]], rtol=0, atol=1e-15)
+        assert c[1, 0] == 0.0
+
     def test_upper_is_witnessed(self):
         u = make_step_graphon([0.4, 0.6], [[0.9, 0.2], [0.2, 0.5]])
         v = make_step_graphon([0.5, 0.5], [[0.1, 0.7], [0.7, 0.2]])

@@ -334,7 +334,14 @@ class TestLdpCurve:
             with pytest.raises(ValueError, match="covers density events only"):
                 ldp_curve(fam, ball, [4], method="exact")
         # the step-graphon law enumerates block counts, so exact covers balls
-        check_method(WRandomFamily(make_step_graphon([1.0], [[0.5]])), ball, "exact")
+        wrandom = WRandomFamily(make_step_graphon([1.0], [[0.5]]))
+        check_method(wrandom, ball, "exact")
+        with pytest.raises(ValueError, match="tilted sampling requires a fixed block layout"):
+            check_method(wrandom, density, "tilted")
+        for fam in (GnpFamily(0.5), block):
+            check_method(fam, density, "tilted")
+            with pytest.raises(ValueError, match="tilted sampling handles density events only"):
+                check_method(fam, ball, "tilted")
 
     def test_block_family(self):
         fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7)))
