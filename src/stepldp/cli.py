@@ -507,7 +507,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "sample": Command(cmd_sample, "draw graphs from a model", (
         _MODEL,
-        Flag("n", "number of vertices", _integer("n", 0), required=True, scalar=True),
+        Flag("n", "number of vertices", _integer("n", 1), required=True, scalar=True),
         Flag("num-samples", "how many graphs to draw", _integer("num-samples", 1),
              default=1, scalar=True, argparse_kw=_INT_ARG),
         _SEED,

@@ -1,9 +1,12 @@
 """Measuring rare-event probabilities of block-model and step-graphon graphs.
 
 The harness computes log probabilities of graph events three ways: exactly
-(binomial/convolution closed forms for edge-density events, full enumeration
-over edge subsets for general events at tiny sizes), by exponentially tilted
-importance sampling (density events at scale), and by plain Monte Carlo.
+(edge-density events by binomial tails, or by one exponentially shifted FFT
+convolution of the pair classes while a layout has fewer than
+``FFT_LENGTH_CAP`` = 2^21 free pairs, i.e. up to n = 2048 when every pair
+is free; general events by enumerating edge subsets at tiny sizes), by
+exponentially tilted importance sampling (density events past the cap), and
+by plain Monte Carlo.
 ``ldp_curve`` sweeps the graph size and reports the decay of
 -log P(event) against the speed n^2, which is the quantity the rate
 functions predict.
@@ -16,6 +19,7 @@ probabilities are lower bounds on the true ball probability (a graph only
 counts once the search proves it within eta).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,13 +44,17 @@ __all__ = [
     "mc_event_logprob",
     "tilted_density_logprob_block",
     "gnp_density_rate",
+    "block_density_rate",
     "predicted_rate",
     "check_method",
     "ldp_curve",
 ]
 
 ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
-_CONVOLVE_BUDGET = 50_000_000
+# the FFT of an exact multi-class density law is at most this long, so a
+# layout has at most 2^21 - 1 free pairs (n = 2048 when every pair is free)
+# and each transform array stays near 16 MB
+FFT_LENGTH_CAP = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +165,32 @@ class WRandomFamily:
 
 
 # ---------------------------------------------------------------------------
-# exact density laws via binomial tails and log-space convolution
+# exact density laws via binomial tails and one exponentially shifted FFT
 
 
-def _binomial_logpmf(m, p):
-    """Vector of log P(Bin(m, p) = k) for k = 0..m, exact at p in {0, 1}."""
+def _log_mgf(p, theta):
+    """log(1 - p + p e^theta), the log moment generating function of one coin.
+
+    It is exactly 0 at theta = 0, so untilted laws keep their bits.
+    """
+    if theta == 0.0:
+        return 0.0
+    a, b = math.log1p(-p), math.log(p) + theta
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _tilted_prob(p, theta):
+    """The coin p tilted by theta: p e^theta / (1 - p + p e^theta)."""
+    return p if theta == 0.0 else math.exp(math.log(p) + theta - _log_mgf(p, theta))
+
+
+def _binomial_logpmf(m, p, theta=0.0):
+    """Vector of log P(Bin(m, p) = k) for k = 0..m, exact at p in {0, 1}.
+
+    A nonzero theta gives the law of the tilted coin ``_tilted_prob(p,
+    theta)``, with its log probabilities formed from log p + theta and the
+    log moment generating function rather than from the rounded coin.
+    """
     k = np.arange(m + 1)
     if p <= 0.0:
         out = np.full(m + 1, -np.inf)
@@ -171,9 +200,10 @@ def _binomial_logpmf(m, p):
         out = np.full(m + 1, -np.inf)
         out[m] = 0.0
         return out
+    lm = _log_mgf(p, theta)
     return (
         gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-        + k * math.log(p) + (m - k) * math.log1p(-p)
+        + k * (math.log(p) + theta - lm) + (m - k) * (math.log1p(-p) - lm)
     )
 
 
@@ -188,17 +218,6 @@ def binomial_tail_logprob(m, p, k_min):
     if np.all(np.isneginf(tail)):
         return -math.inf
     return float(logsumexp(tail))
-
-
-def _log_convolve(la, lb):
-    """Log-space convolution of two log-mass vectors."""
-    out = np.full(la.size + lb.size - 1, -np.inf)
-    for i in range(la.size):
-        if np.isneginf(la[i]):
-            continue
-        seg = out[i : i + lb.size]
-        np.logaddexp(seg, la[i] + lb, out=seg)
-    return out
 
 
 def _pair_classes(counts, p):
@@ -221,55 +240,138 @@ def _pair_classes(counts, p):
     return sorted(classes.items())
 
 
-def _edge_count_logdist(classes):
-    """Log distribution of the total edge count across independent classes."""
-    dist = np.zeros(1)
-    cost = 0
-    for prob, mult in classes:
-        cost += dist.size * (mult + 1)
-        if cost > _CONVOLVE_BUDGET:
-            raise ValueError("edge-count distribution too large to convolve exactly")
-        dist = _log_convolve(dist, _binomial_logpmf(mult, prob))
-    return dist
+def _density_window(counts, p, event: EventSpec):
+    """The free pair classes of a block layout and a density event's window.
 
-
-def density_logprob_block(counts, p, event: EventSpec):
-    """Exact log probability of a density event under a block model.
-
-    The edge count is a sum of independent binomials (one per distinct pair
-    probability); its distribution is convolved exactly in log space and the
-    tail is summed over precisely the counts whose float density passes the
-    event's comparison.
+    Returns ``(free, window)``: ``free`` lists (prob, mult) for the pair
+    classes strictly between 0 and 1, and ``window`` is the range [lo, hi]
+    of free edge counts S whose graph density passes the event (pairs at
+    probability 1 add to every count), or None when no count passes.  The
+    window holds exactly the counts e (forced included) with
+    ``event.check_density(e / total_pairs)``.
     """
     if not event.is_density:
-        raise ValueError("density_logprob_block needs a density event")
+        raise ValueError("edge-count laws need a density event")
     a = np.asarray(counts, dtype=int)
     n = int(a.sum())
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0:
         raise ValueError("density events need at least two vertices")
     classes = _pair_classes(a, np.asarray(p, dtype=float))
-    if len(classes) == 1:
-        # single probability: plain binomial tail, no convolution
-        prob, mult = classes[0]
-        passing = [
-            e for e in range(mult + 1) if event.check_density(e / total_pairs)
-        ]
-        if not passing:
-            return -math.inf
-        # density is monotone in e, so the passing set is a contiguous range
-        logpmf = _binomial_logpmf(mult, prob)
-        return float(logsumexp(logpmf[passing]))
-    dist = _edge_count_logdist(classes)
-    keep = [
-        e for e in range(dist.size) if event.check_density(e / total_pairs)
-    ]
-    if not keep:
+    forced_on = sum(mult for prob, mult in classes if prob >= 1.0)
+    free = [(prob, mult) for prob, mult in classes if 0.0 < prob < 1.0]
+    span = sum(mult for _, mult in free)
+
+    def passes(s):
+        return event.check_density((forced_on + s) / total_pairs)
+
+    # the float density is monotone in the count, so the passing counts are
+    # a suffix (>=) or a prefix (<=), and bisection finds where it begins
+    if event.kind == "density-ge":
+        lo, hi = bisect.bisect_left(range(span + 1), True, key=passes), span
+    else:
+        lo, hi = 0, bisect.bisect_left(range(span + 1), True, key=lambda s: not passes(s)) - 1
+    return free, ((lo, hi) if lo <= hi else None)
+
+
+def _closed_form_logprob(free, window):
+    """log P(S in window) when it needs no convolution, else None.
+
+    Empty and full windows are impossible and certain events; a window
+    that is only S = 0 or only S = span fixes every free pair.
+    """
+    if window is None:
         return -math.inf
-    vals = dist[keep]
-    if np.all(np.isneginf(vals)):
-        return -math.inf
-    return float(logsumexp(vals))
+    lo, hi = window
+    span = sum(mult for _, mult in free)
+    if lo == 0 and hi == span:
+        return 0.0
+    if hi == 0:
+        return float(sum(mult * math.log1p(-prob) for prob, mult in free))
+    if lo == span:
+        return float(sum(mult * math.log(prob) for prob, mult in free))
+    return None
+
+
+def _window_tilt(free, lo, hi):
+    """The common theta that moves the mean of S to the point of [lo, hi] nearest it.
+
+    ``free`` lists (prob, weight) pairs, S = sum_c weight_c * Bernoulli
+    coins, and 0 <= lo <= hi <= the total weight.  Theta is 0 when the
+    untilted mean lies in the window; otherwise the tilted mean sum_c
+    weight_c rho_c(theta), which increases in theta, meets the nearer end
+    by bisection.  At theta = +-B, with B 40 past the largest |logit prob|,
+    every tilted coin is within e^-40 of 1 or 0, so [-B, B] brackets every
+    integer end strictly inside (0, total) below 2^53.
+    """
+    mean = sum(prob * w for prob, w in free)
+    if lo <= mean <= hi:
+        return 0.0
+    target = lo if mean < lo else hi
+    bound = max(abs(math.log(prob) - math.log1p(-prob)) for prob, _ in free) + 40.0
+    below, above = -bound, bound
+    for _ in range(100):
+        mid = 0.5 * (below + above)
+        if sum(w * _tilted_prob(prob, mid) for prob, w in free) < target:
+            below = mid
+        else:
+            above = mid
+    return 0.5 * (below + above)
+
+
+def _fft_window_logprob(free, lo, hi):
+    """log P(lo <= S <= hi) for S a sum of independent binomials, by one FFT.
+
+    Every class is tilted by the common theta of ``_window_tilt``, so the
+    tilted law of S puts its mass at the window's edge, where the answer
+    lives, instead of underflowing there.  The tilted laws are multiplied
+    as ``rfft`` spectra and inverted once, and the window maps back by
+    log P(S = s) = log P_theta(S = s) - theta s + sum_c mult_c log M_c(theta).
+    The identity holds for every theta; theta only decides which masses
+    the transform's rounding spares.
+    """
+    span = sum(mult for _, mult in free)
+    # the least 2^a 3^b 5^c above span: a fast length, at most 25 % longer
+    length = min(
+        (1 << (span // (3**b * 5**c)).bit_length()) * 3**b * 5**c
+        for b in range(14) for c in range(10)
+    )
+    if length > FFT_LENGTH_CAP:
+        raise ValueError(
+            "exact density law: %d free pairs exceed the FFT cap of %d; use tilted or mc"
+            % (span, FFT_LENGTH_CAP - 1)
+        )
+    theta = _window_tilt(free, lo, hi)
+    spec = np.ones(length // 2 + 1, dtype=complex)
+    for prob, mult in free:
+        spec *= np.fft.rfft(np.exp(_binomial_logpmf(mult, prob, theta)), length)
+    law = np.maximum(np.fft.irfft(spec, length)[lo : hi + 1], 0.0)
+    # anchor the shift at the window's heavy edge, so no weight exceeds 1
+    anchor = lo if theta > 0.0 else hi
+    mass = float(law @ np.exp(-theta * np.arange(lo - anchor, hi - anchor + 1)))
+    log_norm = sum(mult * _log_mgf(prob, theta) for prob, mult in free)
+    # a window holding nearly all the mass can round just above 0
+    return min(math.log(mass) - theta * anchor + log_norm, 0.0)
+
+
+def density_logprob_block(counts, p, event: EventSpec):
+    """Exact log probability of a density event under a block model.
+
+    The edge count is a sum of independent binomials, one per distinct
+    pair probability, and the event holds on a range of counts: precisely
+    those whose float density passes the event's comparison.  One free
+    class is a binomial tail; more are convolved by ``_fft_window_logprob``,
+    which refuses layouts of ``FFT_LENGTH_CAP`` or more free pairs.
+    """
+    free, window = _density_window(counts, p, event)
+    closed = _closed_form_logprob(free, window)
+    if closed is not None:
+        return closed
+    lo, hi = window
+    if len(free) == 1:
+        prob, mult = free[0]
+        return float(logsumexp(_binomial_logpmf(mult, prob)[lo : hi + 1]))
+    return _fft_window_logprob(free, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -381,44 +483,33 @@ def mc_event_logprob(draw, event: EventSpec, num_samples, seed):
 def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed):
     """Importance sampling of a density event by tilting the edge coins.
 
-    Every undetermined pair class is re-weighted to succeed with the target
-    density r, which makes the event typical under the proposal; the
-    estimator averages the likelihood ratios over proposal samples that hit.
-    Only the per-class edge counts matter, so they are drawn directly as
-    binomials (the likelihood ratio is a function of those counts alone,
-    making this estimator identical in law to tilting individual edges).
-    Returns the log estimate with a log-scale delta-method standard error.
+    Every undetermined pair class is tilted by one common theta, the one
+    the exact law uses: it moves the mean edge count to the nearest passing
+    count, which makes the event typical under the proposal and is the
+    asymptotically efficient choice (Sadowsky & Bucklew 1990).  The
+    estimator averages the likelihood ratios over proposal samples that hit;
+    the ratio of a sample with S free edges is
+    exp(-theta S) prod_c M_c(theta)^mult_c.  Only the per-class edge counts
+    matter, so they are drawn directly as binomials (identical in law to
+    tilting individual edges).  Events whose exact law is a closed form are
+    returned exactly.  Returns the log estimate with a log-scale
+    delta-method standard error.
     """
-    if not event.is_density:
-        raise ValueError("tilted sampling handles density events only")
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    a = np.asarray(counts, dtype=int)
-    n = int(a.sum())
-    total_pairs = n * (n - 1) // 2
-    if total_pairs == 0:
-        raise ValueError("density events need at least two vertices")
-    r = float(event.r)
-    classes = _pair_classes(a, np.asarray(p, dtype=float))
-    forced_on = sum(mult for prob, mult in classes if prob >= 1.0)
-    free = [(prob, mult) for prob, mult in classes if 0.0 < prob < 1.0]
-
-    if not free or r <= 0.0 or r >= 1.0:
-        # the edge count distribution is degenerate or the tilt target sits
-        # on the boundary; fall back to the exact closed form
-        val = density_logprob_block(a, p, event)
-        return _estimate(val, 0.0, 0, 0, "exact")
+    free, window = _density_window(counts, p, event)
+    closed = _closed_form_logprob(free, window)
+    if closed is not None:
+        return _estimate(closed, 0.0, 0, 0, "exact")
+    lo, hi = window
+    theta = _window_tilt(free, lo, hi)
 
     rng = np.random.default_rng(seed)
-    logw = np.zeros(num_samples)
-    total = np.full(num_samples, forced_on, dtype=np.int64)
+    total = np.zeros(num_samples, dtype=np.int64)
     for prob, mult in free:
-        e = rng.binomial(mult, r, size=num_samples)
-        total += e
-        logw += e * math.log(prob / r) + (mult - e) * (
-            math.log1p(-prob) - math.log1p(-r)
-        )
-    hit = event.check_density(total / total_pairs)
+        total += rng.binomial(mult, _tilted_prob(prob, theta), size=num_samples)
+    logw = sum(mult * _log_mgf(prob, theta) for prob, mult in free) - theta * total
+    hit = (total >= lo) & (total <= hi)
     hits = int(hit.sum())
     if hits == 0:
         return _estimate(-math.inf, math.inf, num_samples, 0, "tilted")
@@ -452,20 +543,55 @@ def gnp_density_rate(p, r, kind="density-ge"):
     return 0.5 * rel_entropy(p, r)
 
 
+def block_density_rate(alpha, p, r, kind="density-ge"):
+    """Limiting normalized decay rate of a density event at block ratios alpha.
+
+    The cheapest graphons in the event are constant on each block pair and
+    tilt every pair probability by one common theta, which sets the mean
+    density to r: the rate is 1/2 sum_ij alpha_i alpha_j h_p_ij(rho_ij(theta)).
+    Zero when the event is typical, inf when no graphon supported on p
+    reaches r; one pair probability is ``gnp_density_rate``.
+    """
+    if kind not in ("density-ge", "density-le"):
+        raise ValueError("rate predictions cover density events only")
+    probs, cls = np.unique(np.asarray(p, dtype=float), return_inverse=True)
+    a = np.asarray(alpha, dtype=float)
+    a = a / a.sum()
+    w = np.bincount(cls.ravel(), weights=np.outer(a, a).ravel(), minlength=probs.size)
+    classes = [(float(q), float(wc)) for q, wc in zip(probs, w) if wc > 0.0]
+    if len(classes) == 1:
+        return gnp_density_rate(classes[0][0], r, kind)
+    forced_on = sum(wc for q, wc in classes if q >= 1.0)
+    free = [(q, wc) for q, wc in classes if 0.0 < q < 1.0]
+    reach = sum(wc for _, wc in free)
+    lo, hi = (r - forced_on, reach) if kind == "density-ge" else (0.0, r - forced_on)
+    if lo > reach or hi < 0.0:
+        return math.inf
+    if lo >= reach:  # every free pair is an edge
+        rho = [1.0] * len(free)
+    elif hi <= 0.0:  # no free pair is an edge
+        rho = [0.0] * len(free)
+    else:
+        theta = _window_tilt(free, max(lo, 0.0), min(hi, reach))
+        rho = [_tilted_prob(q, theta) for q, _ in free]
+    return 0.5 * sum(wc * rel_entropy(q, x) for (q, wc), x in zip(free, rho))
+
+
 def predicted_rate(family, event: EventSpec, budget, seed):
     """The rate a curve's normalized values approach, or None if unknown.
 
-    A density event has a closed form under G(n, p) only.  A ball event
-    gets J of its target at the family's block layout, or R, the infimum of
-    J over block ratios, when vertex types are random.
+    A density event at a fixed block layout gets ``block_density_rate``;
+    under random vertex types it has none here.  A ball event gets J of its
+    target at the family's block layout, or R, the infimum of J over block
+    ratios, when vertex types are random.
     """
-    if event.is_density:
-        if isinstance(family, GnpFamily):
-            return gnp_density_rate(family.p, event.r, event.kind)
-        return None
     if isinstance(family, WRandomFamily):
+        if event.is_density:
+            return None
         return rate_R(family.u.values, event.target, budget=budget, seed=seed).value
     alpha, p = family.layout()
+    if event.is_density:
+        return block_density_rate(alpha, p, event.r, event.kind)
     return rate_J(alpha, p, event.target, budget=budget, seed=seed).value
 
 
@@ -510,8 +636,8 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     """Sweep graph sizes and measure -log P(event) / speed at each size.
 
     ``method`` is "auto", "exact", "enum", "tilted", or "mc".  Auto picks
-    the exact closed form for density events whenever the convolution fits
-    the budget, falling back to tilted importance sampling; ball events
+    the exact law for density events whenever its FFT fits
+    ``FFT_LENGTH_CAP``, falling back to tilted importance sampling; ball events
     enumerate edge subsets while they fit and switch to Monte Carlo above
     that.  The speed is the squared vertex count.  Each point derives its
     own generator seed, so curves are reproducible end to end.  A point is

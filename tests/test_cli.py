@@ -11,7 +11,7 @@ from stepldp.graphon import (
     graphon_to_json,
     make_step_graphon,
 )
-from stepldp.ldplab import gnp_density_rate
+from stepldp.ldplab import block_density_rate, gnp_density_rate
 
 
 def write_graphon(path, weights, values):
@@ -123,6 +123,12 @@ class TestSampleCommand:
         for p in sorted((tmp_path / "o").rglob("*")):
             if p.is_file():
                 assert p.read_bytes() == snap[p.name]
+
+    def test_zero_vertices_exit_before_the_config_line(self, capsys):
+        for model in ["gnp:0.4", "block:1,1:0.9,0.1;0.1,0.6"]:
+            rc = cli.main(["sample", "--model", model, "--n", "0", "--seed", "5"])
+            assert rc == 2
+            assert capsys.readouterr() == ("", "error: n must be positive\n")
 
     def test_seed_required(self, capsys):
         rc = cli.main(["sample", "--model", "gnp:0.5", "--n", "5"])
@@ -285,6 +291,28 @@ class TestLdpCurveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["predictedRate"] == gnp_density_rate(0.5, 0.8)
         assert len(report["points"]) == 2
+
+    def test_block_density_curve_predicts_its_rate(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["ldp-curve", "--model", "block:1,1:0.7,0.1;0.1,0.7",
+                       "--event", "density-ge:0.55", "--n", "20,120",
+                       "--method", "auto", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("method=exact") == 2
+        report = json.loads((out / "report.json").read_text())
+        want = block_density_rate([0.5, 0.5], [[0.7, 0.1], [0.1, 0.7]], 0.55)
+        assert report["predictedRate"] == want
+        assert "predicted rate: %.8g\n" % want in stdout
+
+    def test_exact_past_the_fft_cap_exits_2(self, capsys):
+        rc = cli.main(["ldp-curve", "--model", "block:1,1:0.7,0.1;0.1,0.7",
+                       "--event", "density-ge:0.55", "--n", "2050",
+                       "--method", "exact", "--seed", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact density law: 2100225 free pairs exceed the FFT cap")
+        assert "use tilted or mc" in err
 
     def test_impossible_event_writes_inf(self, tmp_path, capsys):
         out = tmp_path / "o"

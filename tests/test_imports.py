@@ -11,7 +11,10 @@ top-level statement of the package reads, by name or as an attribute.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,20 @@ def unused_imports(source):
     tree = ast.parse(source)
     used = referenced_names(tree)
     return [(name, line) for name, line in imported_names(tree) if name not in used]
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    # every process pays the package import; these three cost about as much
+    # as numpy itself, and the library needs none of them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, stepldp; print(' '.join(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_package_modules_found():

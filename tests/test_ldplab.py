@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from stepldp.graphon import LabeledGraph, make_step_graphon
+from scipy import optimize
+from scipy.special import logsumexp
+
 from stepldp.ldplab import (
+    FFT_LENGTH_CAP,
     BlockFamily,
     EventSpec,
     GnpFamily,
     WRandomFamily,
+    _binomial_logpmf,
+    _pair_classes,
     binomial_tail_logprob,
+    block_density_rate,
     check_method,
     density_logprob_block,
     exact_event_logprob_block,
@@ -19,10 +26,11 @@ from stepldp.ldplab import (
     gnp_density_rate,
     ldp_curve,
     mc_event_logprob,
+    predicted_rate,
     tilted_density_logprob_block,
 )
 from stepldp.rates import rel_entropy
-from stepldp.samplers import sample_block
+from stepldp.samplers import apportion_counts, sample_block
 
 
 def frac_binomial_tail(m, p_frac, k_min):
@@ -51,6 +59,43 @@ def brute_density_logprob(counts, p, event):
         pr = np.prod(np.where(b == 1, probs, 1 - probs))
         total += pr
     return math.log(total) if total > 0 else -math.inf
+
+
+def log_convolve(la, lb):
+    """Log-space convolution of two log-mass vectors."""
+    out = np.full(la.size + lb.size - 1, -np.inf)
+    for i in range(la.size):
+        if np.isneginf(la[i]):
+            continue
+        seg = out[i : i + lb.size]
+        np.logaddexp(seg, la[i] + lb, out=seg)
+    return out
+
+
+def convolution_logprob(counts, p, event):
+    """A density event's log probability by direct log-space convolution.
+
+    Every pair class's binomial law is convolved in, forced classes too, in
+    O(N^2) for N pairs, and the passing counts are found one at a time.
+    """
+    counts = np.asarray(counts, dtype=int)
+    n = int(counts.sum())
+    total_pairs = n * (n - 1) // 2
+    dist = np.zeros(1)
+    for prob, mult in _pair_classes(counts, np.asarray(p, dtype=float)):
+        dist = log_convolve(dist, _binomial_logpmf(mult, prob))
+    keep = [e for e in range(dist.size) if event.check_density(e / total_pairs)]
+    if not keep or np.all(np.isneginf(dist[keep])):
+        return -math.inf
+    return float(logsumexp(dist[keep]))
+
+
+def close_to_oracle(got, want):
+    """Agreement to 1e-10 relative; near 0 the oracle's own log-space
+    rounding (up to 1.3e-13 on near-certain events) sets a 1e-12 floor."""
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= 1e-10 * abs(want) + 1e-12
 
 
 class TestEventSpec:
@@ -148,6 +193,96 @@ class TestDensityLogprobBlock:
                 assert got == -math.inf
             else:
                 assert abs(got - math.log(want_mass)) < 1e-12
+
+
+class TestFftDensityLaw:
+    def random_layout(self, rng):
+        k = int(rng.integers(2, 5))
+        counts = rng.integers(0, 10, size=k)
+        counts[0] += 2
+        p = rng.uniform(0.02, 0.98, (k, k))
+        p = (p + p.T) / 2
+        if rng.random() < 0.4:  # force a class to 0 or 1
+            i, j = rng.integers(0, k, 2)
+            p[i, j] = p[j, i] = float(rng.integers(0, 2))
+        return counts, p
+
+    def test_matches_log_space_convolution(self):
+        rng = np.random.default_rng(8)
+        seen = {"density-ge": 0, "density-le": 0, "forced": 0, "typical": 0,
+                "atypical": 0}
+        for _ in range(250):
+            counts, p = self.random_layout(rng)
+            kind = "density-ge" if rng.random() < 0.5 else "density-le"
+            ev = EventSpec(kind, r=float(rng.random()))
+            got = density_logprob_block(counts, p, ev)
+            want = convolution_logprob(counts, p, ev)
+            assert close_to_oracle(got, want), (counts, p, ev, got, want)
+            assert got <= 0.0
+            seen[kind] += 1
+            seen["forced"] += bool(np.any((p == 0.0) | (p == 1.0)))
+            seen["typical" if want > math.log(0.5) else "atypical"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_certain_and_impossible_events(self):
+        p = np.array([[0.6, 0.0], [0.0, 0.3]])
+        for kind, r in [("density-ge", 0.0), ("density-le", 1.0)]:
+            assert density_logprob_block([3, 4], p, EventSpec(kind, r=r)) == 0.0
+        # the 12 cross pairs never appear, so at most 9 of 21 pairs are edges
+        impossible = EventSpec("density-ge", r=10 / 21)
+        assert density_logprob_block([3, 4], p, impossible) == -math.inf
+        assert convolution_logprob([3, 4], p, impossible) == -math.inf
+        assert density_logprob_block([3, 4], p, EventSpec("density-ge", r=9 / 21)) \
+            == 3 * math.log(0.6) + 6 * math.log(0.3)
+
+    def test_windows_at_no_free_edge_and_every_free_edge(self):
+        # 3 forced pairs inside block 0, 9 cross pairs at 0.3, 3 at 0.5
+        p = np.array([[1.0, 0.3], [0.3, 0.5]])
+        counts = [3, 3]
+        for ev, want in [(EventSpec("density-le", r=3 / 15),
+                          9 * math.log1p(-0.3) + 3 * math.log1p(-0.5)),
+                         (EventSpec("density-ge", r=1.0),
+                          9 * math.log(0.3) + 3 * math.log(0.5))]:
+            got = density_logprob_block(counts, p, ev)
+            assert got == want
+            assert close_to_oracle(got, convolution_logprob(counts, p, ev))
+
+    def test_typical_side_thresholds(self):
+        # the mean density 0.3399 already passes, so the law is convolved
+        # untilted
+        p = np.array([[0.7, 0.2, 0.4], [0.2, 0.6, 0.1], [0.4, 0.1, 0.5]])
+        counts = [6, 7, 5]
+        for kind, r in [("density-ge", 0.2), ("density-ge", 0.33),
+                        ("density-le", 0.35), ("density-le", 0.5)]:
+            ev = EventSpec(kind, r=r)
+            got = density_logprob_block(counts, p, ev)
+            want = convolution_logprob(counts, p, ev)
+            assert math.log(0.5) < want < 0.0
+            assert close_to_oracle(got, want), (kind, r, got, want)
+
+    def test_larger_layout(self):
+        # 2,016 pairs in six classes, deep in both tails
+        p = np.array([[0.6, 0.1, 0.2], [0.1, 0.5, 0.15], [0.2, 0.15, 0.55]])
+        for ev in (EventSpec("density-ge", r=0.5), EventSpec("density-le", r=0.15)):
+            got = density_logprob_block([21, 21, 22], p, ev)
+            want = convolution_logprob([21, 21, 22], p, ev)
+            assert want < -100.0
+            assert close_to_oracle(got, want), (ev, got, want)
+
+    def test_fft_cap(self):
+        fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.1), (0.1, 0.7)))
+        ev = EventSpec("density-ge", r=0.55)
+        # 2050 vertices have 2,100,225 free pairs, past the 2^21 - 1 the cap admits
+        assert 2050 * 2049 // 2 >= FFT_LENGTH_CAP > 2048 * 2047 // 2
+        with pytest.raises(ValueError, match="FFT cap"):
+            density_logprob_block(fam.counts_for(2050)[0], np.asarray(fam.p), ev)
+        with pytest.raises(ValueError, match="FFT cap"):
+            ldp_curve(fam, ev, [2050], method="exact")
+        (pt,) = ldp_curve(fam, ev, [2050], method="auto", num_samples=50, seed=0)
+        assert pt["method"] == "tilted" and pt["samples"] == 50
+        # one pair probability is a binomial tail at any size
+        (pt,) = ldp_curve(GnpFamily(0.5), ev, [2050], method="auto")
+        assert pt["method"] == "exact"
 
 
 class TestExactEventLogprob:
@@ -270,6 +405,19 @@ class TestTilted:
         z = abs(est["logprob"] - exact) / est["stderrLog"]
         assert z < 3.5, (est, exact)
 
+    def test_common_tilt_on_heterogeneous_blocks(self):
+        # tilting every class to the threshold density r was off by 15 nats
+        # at n=20 and 1,600 at n=120 here; the common theta is unbiased
+        p = np.array([[0.7, 0.1], [0.1, 0.7]])
+        ev = EventSpec("density-ge", r=0.55)
+        for n in (20, 120):
+            counts = np.array([n // 2, n // 2])
+            exact = density_logprob_block(counts, p, ev)
+            est = tilted_density_logprob_block(counts, p, ev, num_samples=20000, seed=11)
+            assert est["method"] == "tilted"
+            z = abs(est["logprob"] - exact) / est["stderrLog"]
+            assert z < 3.0, (n, est, exact)
+
     def test_degenerate_threshold_falls_back_exact(self):
         p = np.array([[0.5]])
         ev = EventSpec("density-ge", r=1.0)
@@ -290,6 +438,62 @@ class TestGnpDensityRate:
         assert gnp_density_rate(0.5, 0.3) == 0.0
         assert gnp_density_rate(0.5, 0.7, kind="density-le") == 0.0
         assert gnp_density_rate(0.5, 0.5) == 0.0
+
+
+class TestBlockDensityRate:
+    def test_one_pair_probability_is_gnp(self):
+        for alpha, p in [([1.0], [[0.4]]), ([0.3, 0.7], [[0.4, 0.4], [0.4, 0.4]])]:
+            for kind, r in [("density-ge", 0.7), ("density-le", 0.1), ("density-ge", 0.2)]:
+                assert block_density_rate(alpha, p, r, kind) == gnp_density_rate(0.4, r, kind)
+
+    def test_typical_boundary_and_unreachable(self):
+        p = [[0.7, 0.0], [0.0, 0.7]]
+        assert block_density_rate([0.5, 0.5], p, 0.3) == 0.0
+        assert block_density_rate([0.5, 0.5], p, 0.4, "density-le") == 0.0
+        # density 0.5 needs every within-block pair; the cross half is empty
+        assert abs(block_density_rate([0.5, 0.5], p, 0.5) + 0.25 * math.log(0.7)) < 1e-16
+        assert block_density_rate([0.5, 0.5], p, 0.51) == math.inf
+        with pytest.raises(ValueError):
+            block_density_rate([0.5, 0.5], p, 0.5, "ball")
+
+    def test_minimizes_entropy_at_the_threshold_density(self):
+        # the rate is min 1/2 sum_ij a_i a_j h_p_ij(rho_ij) over cell
+        # densities rho with mean density r, found here by SLSQP
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            alpha = rng.dirichlet(np.ones(3))
+            p = rng.uniform(0.05, 0.95, (3, 3))
+            p = (p + p.T) / 2
+            w = np.outer(alpha, alpha).ravel()
+            mean = float(w @ p.ravel())
+            for kind, r in [("density-ge", mean + 0.1), ("density-le", mean - 0.1)]:
+                def cost(rho):
+                    return 0.5 * sum(wc * rel_entropy(q, x)
+                                     for wc, q, x in zip(w, p.ravel(), rho))
+                res = optimize.minimize(
+                    cost, np.full(9, r), method="SLSQP", bounds=[(1e-9, 1 - 1e-9)] * 9,
+                    constraints=[{"type": "eq", "fun": lambda rho: w @ rho - r}],
+                    options={"ftol": 1e-14, "maxiter": 500})
+                assert res.success
+                got = block_density_rate(alpha, p, r, kind)
+                assert abs(got - res.fun) < 1e-9 * res.fun, (kind, got, res.fun)
+
+    def test_irrational_block_ratios(self):
+        # block ratios 1/sqrt(2) and 1 - 1/sqrt(2): the apportioned exact
+        # curve approaches the predicted rate (gaps 3.7 %, 0.86 %, 0.18 %)
+        a = 1.0 / math.sqrt(2.0)
+        fam = BlockFamily(alpha=(a, 1.0 - a), p=((0.7, 0.1), (0.1, 0.7)))
+        ev = EventSpec("density-ge", r=0.55)
+        rate = predicted_rate(fam, ev, budget=1, seed=0)
+        assert rate == block_density_rate(np.array([a, 1.0 - a]), fam.p, 0.55)
+        gaps = []
+        for n in (100, 400, 800):
+            counts = apportion_counts(n, np.array([a, 1.0 - a]))
+            assert counts[0] * counts[1] > 0
+            normalized = -density_logprob_block(counts, np.asarray(fam.p), ev) / n ** 2
+            gaps.append(abs(normalized - rate) / rate)
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 0.005, gaps
 
 
 class TestLdpCurve:
