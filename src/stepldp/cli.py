@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphon import _check_prob_matrix, graph_to_edgelist, load_graphon
-from .cutmetric import aligned_cut_distance, cut_distance_search
+from .graphon import _check_prob_matrix, graph_to_edgelist, load_graphon, overlay_partitions
+from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
 from .samplers import coupled_block_sample
 from .ldplab import (
@@ -386,6 +386,12 @@ def cmd_sample(resolved, values):
 
 def cmd_distance(resolved, values):
     u, v = values["u"], values["v"]
+    if values["exact"]:
+        pieces = overlay_partitions(u.parts, v.parts)[0].size
+        if pieces > EXACT_PART_LIMIT:
+            raise CliError("--exact enumerates at most %d parts of the common refinement, "
+                           "got %d; drop --exact to search couplings instead"
+                           % (EXACT_PART_LIMIT, pieces))
     emit_config("distance", resolved, sys.stdout)
 
     if values["exact"]:
@@ -464,7 +470,7 @@ def cmd_coupling_demo(resolved, values):
 def cmd_ldp_curve(resolved, values):
     family, event, method, seed = (values[k] for k in ("model", "event", "method", "seed"))
     try:
-        check_method(family, event, method)
+        check_method(family, event, method, values["n"])
     except ValueError as exc:
         raise CliError(str(exc))
     emit_config("ldp-curve", resolved, sys.stdout)

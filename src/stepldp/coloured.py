@@ -15,7 +15,6 @@ import numpy as np
 from .graphon import (
     PartWeights,
     StepGraphon,
-    coupling_pieces,
     make_step_graphon,
     overlay_partitions,
 )
@@ -229,25 +228,13 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     u, v = a.graphon, b.graphon
     m, nb = u.parts.size, v.parts.size
 
-    def objective(coupling):
-        w, src, tgt = coupling_pieces(coupling)
-        return _dk_value(
-            w,
-            u.values[np.ix_(src, src)],
-            v.values[np.ix_(tgt, tgt)],
-            a.colours[src],
-            b.colours[tgt],
-            k,
-            restarts=8,
-            seed=0,
-        )
+    def objective(w, src, tgt):
+        return _dk_value(w, u.values[np.ix_(src, src)], v.values[np.ix_(tgt, tgt)],
+                         a.colours[src], b.colours[tgt], k, restarts=8, seed=0)
 
-    support_cap = min(
-        DK_EXACT_PART_LIMIT,
-        max(_DK_ENUM_BUDGET - k * k, 8),
-        m * nb if m * nb > 0 else 1,
-        max(m + nb + 2, 12),
-    )
+    # every part list is nonempty, so m * nb >= 1
+    support_cap = min(DK_EXACT_PART_LIMIT, max(_DK_ENUM_BUDGET - k * k, 8), m * nb,
+                      max(m + nb + 2, 12))
     start_cost = _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
     return _coupling_search(u, v, objective, start_cost, support_cap, restarts, seed)
 

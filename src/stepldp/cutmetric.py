@@ -17,8 +17,10 @@ from .graphon import (
     OverlapCoupling,
     PartWeights,
     StepGraphon,
+    _matrix_pieces,
     common_refinement,
     coupling_pieces,
+    overlay_partitions,
 )
 
 # Exact subset enumeration is used up to this many parts; past it the
@@ -184,16 +186,14 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     return best
 
 
-def _coupled_difference(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> SignedStepFn:
-    """The step function u^coupling - v on the coupled refinement of v's parts."""
-    if not coupling.row_parts.approx_equal(u.parts):
-        raise ValueError("coupling row marginals do not match the first graphon")
-    if not coupling.col_parts.approx_equal(v.parts):
-        raise ValueError("coupling column marginals do not match the second graphon")
-    w, src, tgt = coupling_pieces(coupling)
-    du = u.values[np.ix_(src, src)]
-    dv = v.values[np.ix_(tgt, tgt)]
-    return SignedStepFn.difference(PartWeights(w), du, dv)
+def _coupled_cut_norm(u: StepGraphon, v: StepGraphon, w, src, tgt) -> float:
+    """``cut_distance_upper`` on the pieces (w, src, tgt) of a trusted coupling."""
+    parts = PartWeights(w)
+    diff = u.values[np.ix_(src, src)] - v.values[np.ix_(tgt, tgt)]
+    if parts.size > EXACT_PART_LIMIT:
+        return cut_norm_alternating(SignedStepFn(parts, diff))
+    w = parts.weights
+    return _enumerate_cut_norm((w[:, None] * w[None, :]) * diff)
 
 
 def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
@@ -201,12 +201,14 @@ def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling
 
     Exact (hence a certified upper bound on the cut distance) while the
     coupled refinement has at most 22 pieces; beyond that the alternating
-    heuristic evaluates the same objective best-effort.
+    heuristic evaluates the same objective best-effort.  The marginals are
+    checked here; the coupling search calls the kernel past these checks.
     """
-    diff = _coupled_difference(u, v, coupling)
-    if diff.parts.size <= EXACT_PART_LIMIT:
-        return cut_norm_exact(diff)
-    return cut_norm_alternating(diff)
+    if not coupling.row_parts.approx_equal(u.parts):
+        raise ValueError("coupling row marginals do not match the first graphon")
+    if not coupling.col_parts.approx_equal(v.parts):
+        raise ValueError("coupling column marginals do not match the second graphon")
+    return _coupled_cut_norm(u, v, *coupling_pieces(coupling))
 
 
 def aligned_cut_distance(u: StepGraphon, v: StepGraphon) -> float:
@@ -217,8 +219,6 @@ def aligned_cut_distance(u: StepGraphon, v: StepGraphon) -> float:
 
 def overlay_coupling(u: StepGraphon, v: StepGraphon) -> OverlapCoupling:
     """The coupling realizing the identity map between the two part lists."""
-    from .graphon import overlay_partitions
-
     w, iu, iv = overlay_partitions(u.parts, v.parts)
     c = np.zeros((u.parts.size, v.parts.size))
     np.add.at(c, (iu, iv), w)
@@ -351,14 +351,16 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
     northwest corner, the independent product when its support fits
     ``support_cap``, then random greedy vertices from ``[seed, r]``.  Each
     start is polished; ties prefer the lexicographically smallest support,
-    and the search stops early once the objective reaches zero.
+    and the search stops early once the objective reaches zero.  Starts and
+    moves keep the marginals, so candidates go unvalidated: the objective
+    gets their pieces ``(w, src, tgt)``, and only the witness is checked.
     """
     rows = u.parts.weights
     cols = v.parts.weights
     m, k = rows.size, cols.size
 
     def evaluate(c):
-        return objective(OverlapCoupling(c, u.parts, v.parts))
+        return objective(*_matrix_pieces(c))
 
     moves = _cycle_moves(m, k)
     best_val = None
@@ -406,7 +408,7 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     m, k = u.parts.size, v.parts.size
     # keep every evaluated coupling inside the exact cut-norm regime
     support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
-    return _coupling_search(u, v, lambda coupling: cut_distance_upper(u, v, coupling),
+    return _coupling_search(u, v, functools.partial(_coupled_cut_norm, u, v),
                             _profile_cost(u, v), support_cap, restarts, seed)
 
 

@@ -306,7 +306,11 @@ def coupling_pieces(coupling: OverlapCoupling):
     target part then source part: the refinement of the target partition on
     which a pulled-back graphon lives.
     """
-    c = coupling.matrix
+    return _matrix_pieces(coupling.matrix)
+
+
+def _matrix_pieces(c):
+    """``coupling_pieces`` of a bare coupling matrix, trusted to be feasible."""
     tgt, src = np.nonzero(c.T > 0.0)
     return c[src, tgt], src, tgt
 

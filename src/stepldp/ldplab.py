@@ -319,6 +319,21 @@ def _window_tilt(free, lo, hi):
     return 0.5 * (below + above)
 
 
+def _pairs_past_fft_cap(counts, p, event: EventSpec):
+    """The free pair count when ``density_logprob_block`` refuses a layout, else 0.
+
+    The transform is longer than ``FFT_LENGTH_CAP`` = 2^21 exactly when
+    2^21 or more pairs are free, since its length is the least 2^a 3^b 5^c
+    above that count.  Closed forms and a single free class need no
+    transform, so only a convolution of two or more classes counts.
+    """
+    span = _free_pair_count(counts, p)
+    if span < FFT_LENGTH_CAP:
+        return 0
+    free, window = _density_window(counts, p, event)
+    return span if len(free) > 1 and _closed_form_logprob(free, window) is None else 0
+
+
 def _fft_window_logprob(free, lo, hi):
     """log P(lo <= S <= hi) for S a sum of independent binomials, by one FFT.
 
@@ -611,13 +626,15 @@ def _free_pair_count(counts, p):
     return sum(mult for prob, mult in _pair_classes(a, p) if 0.0 < prob < 1.0)
 
 
-def check_method(family, event: EventSpec, method):
-    """Reject a method that ``ldp_curve`` cannot run on the family and event.
+def check_method(family, event: EventSpec, method, n_values=()):
+    """Reject a method that ``ldp_curve`` cannot run on the family, event and sizes.
 
     Tilted sampling reweights the coins of one block layout, so it needs a
     fixed layout and a density event.  The exact law of a fixed block
-    layout covers density events only; the step-graphon law enumerates
-    block counts, so it covers every event.
+    layout covers density events only (enum reads the same law for them),
+    at sizes whose transform fits ``FFT_LENGTH_CAP``; the step-graphon law
+    enumerates block counts, so it covers every event.  A density needs at
+    least two vertices.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
@@ -629,6 +646,15 @@ def check_method(family, event: EventSpec, method):
     if method == "exact" and not event.is_density and not random_types:
         raise ValueError("method exact covers density events only; "
                          "use enum or mc for ball events")
+    if event.is_density and any(n < 2 for n in n_values):
+        raise ValueError("density events need at least two vertices, got n=%d"
+                         % min(n_values))
+    if method in ("exact", "enum") and event.is_density and not random_types:
+        for n in n_values:
+            span = _pairs_past_fft_cap(*family.counts_for(n), event)
+            if span:
+                raise ValueError("exact density law: %d free pairs exceed the FFT cap of %d "
+                                 "at n=%d; use tilted or mc" % (span, FFT_LENGTH_CAP - 1, n))
 
 
 def ldp_curve(family, event: EventSpec, n_values, method="auto",
@@ -643,11 +669,11 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     own generator seed, so curves are reproducible end to end.  A point is
     a dict with the keys ``CURVE_COLUMNS``.
     """
-    check_method(family, event, method)
+    n_values = [int(n) for n in n_values]
+    check_method(family, event, method, n_values)
     base = _seed_list(seed)
     points = []
     for idx, n in enumerate(n_values):
-        n = int(n)
         est = _point(family, n, event, method, num_samples, base + [idx])
         # 0.0 - x, unlike -x, maps logprob 0 to +0.0
         normalized = (0.0 - est["logprob"] / (n * n)) if n > 0 else math.nan
@@ -668,10 +694,7 @@ def _point(family, n, event, method, num_samples, seed):
     else:
         counts, p = family.counts_for(n)
         if method == "auto" and event.is_density:
-            try:
-                return _estimate(density_logprob_block(counts, p, event), 0.0, 0, 0, "exact")
-            except ValueError:
-                method = "tilted"
+            method = "tilted" if _pairs_past_fft_cap(counts, p, event) else "exact"
         elif method == "auto":
             method = "enum" if _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS else "mc"
         if method in ("exact", "enum"):

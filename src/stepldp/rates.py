@@ -170,7 +170,12 @@ def coupling_entropy_objective(coupling: OverlapCoupling, p, u: StepGraphon) -> 
         raise ValueError("probability matrix does not match coupling columns")
     if u.parts.size != m:
         raise ValueError("graphon parts do not match coupling rows")
-    q = _entropy_tensor(p, u.values)
+    return _coupling_cost(c, _entropy_tensor(p, u.values))
+
+
+def _coupling_cost(c, q):
+    """F(C) for a coupling matrix against its entropy tensor, unvalidated."""
+    m, k = c.shape
     mass = np.einsum("ai,bj->aibj", c, c).reshape(m * k, m * k)
     return 0.5 * _weighted_entropy_sum(mass, q)
 
@@ -473,20 +478,28 @@ def rate_J(alpha, p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> Ra
     if budget < 1:
         raise ValueError("budget must be at least 1")
     alpha_hat = _prepare_alpha(alpha)
-    k = alpha_hat.size
-    p = _check_prob_matrix(p, k)
-    w = u.parts.weights
-    m = w.size
-    q = _entropy_tensor(p, u.values)
+    p = _check_prob_matrix(p, alpha_hat.size)
+    value, c, used = _search_J(u.parts.weights, alpha_hat, _entropy_tensor(p, u.values),
+                               budget, seed)
+    if c is None:
+        return RateReport(Inf, budget_used=0)
+    return RateReport(value, OverlapCoupling(c, u.parts, PartWeights(alpha_hat)), budget_used=used)
 
+
+def _search_J(w, alpha_hat, q, budget, seed):
+    """Both phases of ``rate_J`` on checked inputs and their entropy tensor.
+
+    Returns (value, coupling matrix, restarts used); the matrix is None, and
+    the value +infinity, when no support is feasible.
+    """
+    m, k = w.size, alpha_hat.size
     live = (w[:, None] > 0.0) & (alpha_hat[None, :] > 0.0)
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
     allowed = live & self_ok
     feasible = [mask for mask in _support_masks(q, allowed, seed)
                 if _hall_feasible(w, alpha_hat, mask)]
-    alpha_parts = PartWeights(alpha_hat)
     if not feasible:
-        return RateReport(Inf, budget_used=0)
+        return Inf, None, 0
 
     best_val = None
     best_c = None
@@ -503,9 +516,9 @@ def rate_J(alpha, p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> Ra
             best_val, best_c, best_support = val, c, key
         if best_val <= 0.0:
             break
-    witness = OverlapCoupling(best_c, u.parts, alpha_parts)
-    value = coupling_entropy_objective(witness, p, u)
-    return RateReport(value, witness_coupling=witness, budget_used=used)
+    # scrubbed as OverlapCoupling stores it, so the value is the witness's
+    best_c = np.maximum(best_c, 0.0)
+    return _coupling_cost(best_c, q), best_c, used
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +536,17 @@ def _simplex_grid(k, resolution):
     return out
 
 
-def _support_candidate_alphas(p, u):
+def _support_candidate_alphas(q, w, k):
     """Block fractions forced by rigid compatible supports.
 
     When 0/1 entries of p make the support pattern rigid (each part has few
     compatible columns), the only alphas with finite J may form a measure
     zero set that no grid hits; splitting each part's mass equally across
     its compatible columns in every maximal support recovers exactly those
-    candidates for the rigid cases.
+    candidates for the rigid cases.  q is the entropy tensor of k blocks
+    against a graphon with part weights w.
     """
-    k = p.shape[0]
-    w = u.parts.weights
     m = w.size
-    q = _entropy_tensor(p, u.values)
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
     allowed = (w[:, None] > 0.0) & self_ok
     if np.count_nonzero(allowed) > SUPPORT_ENUM_LIMIT:
@@ -560,17 +571,20 @@ def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateRepor
     is refined by deterministic pairwise mass transfers, and the winner is
     re-evaluated with the full budget.  The reported value is the smallest
     objective seen anywhere, so it never increases with a larger budget.
+    p is checked and its entropy tensor built once; every probe reuses it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     p = _check_prob_matrix(p)
     k = p.shape[0]
+    w = u.parts.weights
+    q = _entropy_tensor(p, u.values)
     resolution = _SIMPLEX_GRID if k <= 3 else 8
     probe_budget = 4
 
     grid = [tuple(x / resolution for x in comp) for comp in _simplex_grid(k, resolution)]
     # first occurrences, in order: a candidate's index seeds its probe
-    candidates = list(dict.fromkeys(grid + _support_candidate_alphas(p, u)))
+    candidates = list(dict.fromkeys(grid + _support_candidate_alphas(q, w, k)))
 
     evaluations = 0
     seed_base = _seed_list(seed)
@@ -578,53 +592,44 @@ def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateRepor
     def probe(alpha, idx, restarts):
         nonlocal evaluations
         evaluations += restarts
-        rep = rate_J(alpha, p, u, budget=restarts, seed=seed_base + [idx])
-        return rep
+        value, c, _ = _search_J(w, _prepare_alpha(alpha), q, restarts, seed_base + [idx])
+        return value, alpha, c
 
-    best_alpha = None
-    best_rep = None
-    for idx, alpha in enumerate(candidates):
-        rep = probe(alpha, idx, probe_budget)
-        if best_rep is None or rep.value < best_rep.value:
-            best_alpha, best_rep = alpha, rep
-
-    if best_rep is not None and math.isfinite(best_rep.value):
-        # deterministic local refinement by pairwise transfers
-        step = 1.0 / (2 * resolution)
-        alpha = np.asarray(best_alpha, dtype=float)
-        for round_no in range(6):
-            improved = False
-            for i in range(k):
-                for j in range(k):
-                    if i == j or alpha[j] < step - 1e-15:
-                        continue
-                    cand = alpha.copy()
-                    cand[i] += step
-                    cand[j] -= step
-                    if cand[j] < 0.0:
-                        continue
-                    rep = probe(tuple(cand.tolist()), len(candidates) + round_no * k * k + i * k + j,
-                                probe_budget)
-                    if rep.value < best_rep.value - 1e-12:
-                        best_alpha, best_rep = tuple(cand.tolist()), rep
-                        alpha = cand
-                        improved = True
-            if not improved:
-                step /= 2.0
-
-    if best_rep is None or not math.isfinite(best_rep.value):
+    # (value, alpha, coupling matrix); the first of equal values wins
+    best = min((probe(alpha, idx, probe_budget) for idx, alpha in enumerate(candidates)),
+               key=lambda got: got[0])
+    if not math.isfinite(best[0]):
         return RateReport(Inf, budget_used=evaluations)
 
-    final = rate_J(best_alpha, p, u, budget=budget, seed=seed_base + [0x0F1A])
-    evaluations += budget
-    if final.value <= best_rep.value:
-        chosen, chosen_alpha = final, best_alpha
-    else:
-        chosen, chosen_alpha = best_rep, best_alpha
+    # deterministic local refinement by pairwise transfers
+    step = 1.0 / (2 * resolution)
+    alpha = np.asarray(best[1], dtype=float)
+    for round_no in range(6):
+        improved = False
+        for i in range(k):
+            for j in range(k):
+                if i == j or alpha[j] < step - 1e-15:
+                    continue
+                cand = alpha.copy()
+                cand[i] += step
+                cand[j] -= step
+                if cand[j] < 0.0:
+                    continue
+                got = probe(tuple(cand.tolist()), len(candidates) + round_no * k * k + i * k + j,
+                            probe_budget)
+                if got[0] < best[0] - 1e-12:
+                    best = got
+                    alpha = cand
+                    improved = True
+        if not improved:
+            step /= 2.0
+
+    final = probe(best[1], 0x0F1A, budget)
+    value, alpha, c = final if final[0] <= best[0] else best
     return RateReport(
-        chosen.value,
-        witness_coupling=chosen.witness_coupling,
-        witness_alpha=PartWeights(np.asarray(chosen_alpha, dtype=float)),
+        value,
+        witness_coupling=OverlapCoupling(c, u.parts, PartWeights(_prepare_alpha(alpha))),
+        witness_alpha=PartWeights(np.asarray(alpha, dtype=float)),
         budget_used=evaluations,
     )
 

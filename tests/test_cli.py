@@ -198,6 +198,24 @@ class TestDistanceCommand:
         assert "synthetic failure" in capsys.readouterr().err
 
 
+    def test_exact_past_the_part_limit_exits_2(self, tmp_path, capsys):
+        # two 12-part graphons with interleaved cuts refine into 23 parts
+        rng = np.random.default_rng(5)
+        paths = []
+        for name in ("a", "b"):
+            vals = rng.uniform(0.0, 1.0, (12, 12))
+            paths.append(write_graphon(tmp_path / ("%s.json" % name),
+                                       rng.dirichlet(np.ones(12)), (vals + vals.T) / 2.0))
+        rc = cli.main(["distance", "--u", paths[0], "--v", paths[1], "--exact"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 22 parts of the common refinement, got 23" in captured.err
+        assert "drop --exact to search couplings" in captured.err
+        # the search mode handles the same pair
+        assert cli.main(["distance", "--u", paths[0], "--v", paths[1], "--restarts", "1"]) == 0
+
+
 class TestRateCommand:
     def test_rate_J_two_clique(self, tmp_path, capsys):
         u = write_graphon(tmp_path / "u.json", [0.5, 0.5],
@@ -313,6 +331,32 @@ class TestLdpCurveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: exact density law: 2100225 free pairs exceed the FFT cap")
         assert "use tilted or mc" in err
+
+    def test_exact_checks_every_size_before_the_config_line(self, capsys):
+        # n=4 fits the FFT cap and n=2050 does not: nothing is computed or printed
+        for method in ("exact", "enum"):
+            rc = cli.main(["ldp-curve", "--model", "block:1,1:0.7,0.1;0.1,0.7",
+                           "--event", "density-ge:0.55", "--n", "4,2050",
+                           "--method", method, "--seed", "0"])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "exceed the FFT cap of 2097151 at n=2050" in captured.err
+            assert "use tilted or mc" in captured.err
+
+    def test_density_sizes_below_two_exit_before_the_config_line(self, tmp_path, capsys):
+        u = write_graphon(tmp_path / "u.json", [0.5, 0.5], [[0.7, 0.1], [0.1, 0.7]])
+        models = ["gnp:0.5", "block:1,1:0.7,0.1;0.1,0.7", "wrandom:%s" % u]
+        for model in models:
+            for method in ("auto", "exact", "enum", "tilted", "mc"):
+                rc = cli.main(["ldp-curve", "--model", model, "--event", "density-ge:0.6",
+                               "--n", "1,4", "--method", method, "--num-samples", "20",
+                               "--seed", "0"])
+                assert rc == 2, (model, method)
+                captured = capsys.readouterr()
+                assert captured.out == "", (model, method)
+                if not (model.startswith("wrandom") and method == "tilted"):
+                    assert "at least two vertices, got n=1" in captured.err
 
     def test_impossible_event_writes_inf(self, tmp_path, capsys):
         out = tmp_path / "o"

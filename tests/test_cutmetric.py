@@ -421,3 +421,38 @@ class TestFrozenSearch:
             results.append((graph_cut_distance_exact(g, h), None, None))
         assert _search_digest(results) == (
             "0d112ea6da5eece0726451d8bb737740c035a482a93c023fc20da19041d58145")
+
+
+class TestFrozenReroutedPaths:
+    """Digests of two search paths that no other digest reaches.
+
+    A 30-vertex graph against a 2-part target starts every restart above
+    EXACT_PART_LIMIT pieces, so each evaluation takes the alternating
+    heuristic; and 0/1 entries of p make ``rate_R`` probe block fractions read
+    off rigid supports, off the simplex grid.  The digests were recorded
+    before the searches stopped building validated types per candidate.
+    """
+
+    def test_cut_distance_search_past_exact_limit(self):
+        rng = np.random.default_rng(35)
+        g = LabeledGraph(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
+                              if rng.random() < 0.4])
+        target = make_step_graphon([0.4, 0.6], [[0.7, 0.2], [0.2, 0.5]])
+        est = cut_distance_search(graph_to_graphon(g), target, restarts=4, seed=1)
+        assert np.count_nonzero(est.witness.matrix) > cutmetric.EXACT_PART_LIMIT
+        results = [(est.upper, est.witness.matrix, est.restarts_used)]
+        assert _search_digest(results) == (
+            "658906cfb49cbccbec617fb7c02f250e9f0acce82a7da91942892dbb62c17ba5")
+
+    def test_rate_R_support_candidates(self):
+        p = [[1.0, 0.0, 0.4], [0.0, 1.0, 0.7], [0.4, 0.7, 0.0]]
+        u = make_step_graphon([0.37, 0.29, 0.34], [[1.0, 0.0, 0.4],
+                                                   [0.0, 1.0, 0.6],
+                                                   [0.4, 0.6, 0.0]])
+        rep = rate_R(p, u, budget=6, seed=2)
+        # the winning fractions are a rigid-support candidate, not a grid point
+        np.testing.assert_array_equal(rep.witness_alpha.weights, [0.37, 0.29, 0.34])
+        results = [(rep.value, rep.witness_coupling.matrix, rep.budget_used),
+                   (None, rep.witness_alpha.weights, None)]
+        assert _search_digest(results) == (
+            "08f2e1acb6d81964e8fd7fa81bc30baaafa54b68ff11250c96b80ea6730c61c8")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stepldp import ldplab
 from stepldp.graphon import LabeledGraph, make_step_graphon
 from scipy import optimize
 from scipy.special import logsumexp
@@ -283,6 +284,34 @@ class TestFftDensityLaw:
         # one pair probability is a binomial tail at any size
         (pt,) = ldp_curve(GnpFamily(0.5), ev, [2050], method="auto")
         assert pt["method"] == "exact"
+
+
+    def test_fft_cap_counts_only_convolutions(self):
+        fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.1), (0.1, 0.7)))
+        p = np.asarray(fam.p)
+        counts = fam.counts_for(2050)[0]
+        ev = EventSpec("density-ge", r=0.55)
+        assert ldplab._pairs_past_fft_cap(counts, p, ev) == 2050 * 2049 // 2
+        assert ldplab._pairs_past_fft_cap(fam.counts_for(2048)[0], p, ev) == 0
+        # a certain event is a closed form past the cap, so exact still runs
+        certain = EventSpec("density-ge", r=0.0)
+        assert ldplab._pairs_past_fft_cap(counts, p, certain) == 0
+        (pt,) = ldp_curve(fam, certain, [2050], method="exact")
+        assert pt["logprob"] == 0.0 and pt["method"] == "exact"
+        # the sizes are checked before any point is computed
+        with pytest.raises(ValueError, match="at n=2050"):
+            check_method(fam, ev, "exact", [4, 2050])
+        check_method(fam, ev, "tilted", [4, 2050])
+
+    def test_density_sizes_below_two_are_rejected(self):
+        ev = EventSpec("density-le", r=0.5)
+        fams = (GnpFamily(0.5), WRandomFamily(make_step_graphon([1.0], [[0.5]])))
+        for fam in fams:
+            for method in ("auto", "exact", "mc"):
+                with pytest.raises(ValueError, match="at least two vertices, got n=1"):
+                    ldp_curve(fam, ev, [4, 1], method=method, num_samples=5)
+        ball = EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4)
+        check_method(GnpFamily(0.5), ball, "mc", [1])
 
 
 class TestExactEventLogprob:
