@@ -23,7 +23,7 @@ from .cutmetric import (
     DEFAULT_SEARCH_RESTARTS,
     DistanceEstimate,
     _coupling_search,
-    _enumerate_cut_norm,
+    _objective_value,
     _profile_cost,
     _subset_bits,
 )
@@ -107,26 +107,6 @@ def _sign_tables(k):
     return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
 
 
-def _dk_sup_exact(w, va, vb, ca, cb, k):
-    """Exact sup term by enumerating colour-pair signs and part subsets.
-
-    For a fixed assignment of signs to ordered colour pairs the objective is
-    a plain bilinear cut problem, solved by subset enumeration; maximizing
-    over sign assignments recovers the sum of absolute values.  Negating
-    every sign yields the same enumeration value, so the first sign is
-    pinned, halving the pattern count.
-    """
-    mass = w[:, None] * w[None, :]
-    sig = _sign_tables(k)
-    sig_a = sig[:, ca[:, None], ca[None, :]]
-    sig_b = sig[:, cb[:, None], cb[None, :]]
-    best = 0.0
-    for sa, sb in zip(sig_a, sig_b):
-        h = mass * (sa * va - sb * vb)
-        best = max(best, _enumerate_cut_norm(h))
-    return best
-
-
 def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
     """Monotone lower bound on the sup term for large refinements.
 
@@ -175,15 +155,27 @@ def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
     return best
 
 
-def _dk_value(w, va, vb, ca, cb, k, restarts, seed):
+def _dk_stack(w, va, vb, ca, cb, k, restarts, seed):
+    """The coloured objective on one refinement, as a kernel stack.
+
+    In the exact regime the sup term is the largest cut norm over the
+    sign-pattern kernels: for a fixed assignment of signs to ordered colour
+    pairs the objective is a plain bilinear cut problem, and maximizing over
+    sign assignments recovers the sum of absolute values.  Negating every
+    sign yields the same cut norm, so the first sign is pinned, halving the
+    pattern count.  The stack is (symmetric difference, kernels); past the
+    exact regime it is (alternating sup + symmetric difference, None).
+    """
     w = np.asarray(w, dtype=float)
     second = _class_symmetric_difference(w, ca, cb, k)
     m = w.size
     if m <= DK_EXACT_PART_LIMIT and k * k + m <= _DK_ENUM_BUDGET:
-        sup = _dk_sup_exact(w, va, vb, ca, cb, k)
-    else:
-        sup = _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed)
-    return sup + second
+        sig = _sign_tables(k)
+        mass = w[:, None] * w[None, :]
+        sig_a = sig[:, ca[:, None], ca[None, :]]
+        sig_b = sig[:, cb[:, None], cb[None, :]]
+        return second, mass * (sig_a * va - sig_b * vb)
+    return _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed) + second, None
 
 
 def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon,
@@ -202,7 +194,8 @@ def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon,
             "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
         )
     parts, va, vb, ca, cb = coloured_refinement(a, b)
-    return _dk_value(parts.weights, va, vb, ca, cb, a.num_colours, restarts, seed)
+    return _objective_value(_dk_stack(parts.weights, va, vb, ca, cb, a.num_colours,
+                                      restarts, seed))
 
 
 def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
@@ -214,9 +207,16 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     colours travelling along with their parts.  Starts include a greedy
     matching that prefers parts with similar value profiles *and* equal
     colours (a mismatched unit of mass costs 2 in the symmetric-difference
-    term).  The value is an upper bound on the coloured cut distance,
-    witnessed by the returned coupling; deterministic given the seed, and
-    never worse under a larger restart budget.
+    term).  Deterministic given the seed, and never worse under a larger
+    restart budget.
+
+    Up to 3 colours the support cap keeps every evaluated coupling in the
+    exact regime (k^2 + pieces <= 22), so the value is the exact discrepancy
+    of the returned coupling and an upper bound on the coloured cut
+    distance.  From 4 colours on, couplings with more than 22 - k^2 pieces
+    are evaluated by the alternating heuristic alone, a lower bound on that
+    coupling's discrepancy, so the value is then neither exact nor a
+    certified upper bound.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -228,15 +228,15 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     u, v = a.graphon, b.graphon
     m, nb = u.parts.size, v.parts.size
 
-    def objective(w, src, tgt):
-        return _dk_value(w, u.values[np.ix_(src, src)], v.values[np.ix_(tgt, tgt)],
+    def stack(w, src, tgt):
+        return _dk_stack(w, u.values[src[:, None], src], v.values[tgt[:, None], tgt],
                          a.colours[src], b.colours[tgt], k, restarts=8, seed=0)
 
     # every part list is nonempty, so m * nb >= 1
     support_cap = min(DK_EXACT_PART_LIMIT, max(_DK_ENUM_BUDGET - k * k, 8), m * nb,
                       max(m + nb + 2, 12))
     start_cost = _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
-    return _coupling_search(u, v, objective, start_cost, support_cap, restarts, seed)
+    return _coupling_search(u, v, stack, start_cost, support_cap, restarts, seed)
 
 
 def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:

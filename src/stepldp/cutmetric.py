@@ -18,6 +18,7 @@ from .graphon import (
     PartWeights,
     StepGraphon,
     _matrix_pieces,
+    _normalized,
     common_refinement,
     coupling_pieces,
     overlay_partitions,
@@ -34,6 +35,7 @@ DEFAULT_ALTERNATING_RESTARTS = 32
 DEFAULT_SEARCH_RESTARTS = 64
 _POLISH_TOL = 1e-12  # least improvement a cycle move must bring
 _POLISH_SWEEPS = 60
+_CUT_POOL_SIZE = 32  # recent best cuts a coupling search bounds candidates with
 _BIJECTION_VERTEX_LIMIT = 8  # of graph_cut_distance_exact's n! search
 
 
@@ -67,15 +69,23 @@ class SignedStepFn:
 
 
 class DistanceEstimate:
-    """An upper bound on a cut distance plus the coupling that witnesses it."""
+    """A coupling search's best value plus the coupling that witnesses it.
 
-    def __init__(self, upper, witness, restarts_used):
+    ``evaluations`` counts the objective values the search computed (memo
+    hits excluded) and ``pruned`` the candidates a certified lower bound
+    rejected without one; neither is part of the JSON form.
+    """
+
+    def __init__(self, upper, witness, restarts_used, evaluations=0, pruned=0):
         self.upper = float(upper)
         self.witness = witness
         self.restarts_used = int(restarts_used)
+        self.evaluations = int(evaluations)
+        self.pruned = int(pruned)
 
     def transposed(self):
-        return DistanceEstimate(self.upper, self.witness.transpose(), self.restarts_used)
+        return DistanceEstimate(self.upper, self.witness.transpose(), self.restarts_used,
+                                self.evaluations, self.pruned)
 
     def to_json(self) -> dict:
         return {
@@ -114,28 +124,64 @@ def _subset_bits(m, start, stop):
 def _best_cut(t):
     """Largest |sum over A x B| given t[A, j] = sum_{i in A} M[i, j].
 
-    For each subset A the best B takes every positive (or every negative)
-    column sum, so only one side is enumerated.  numpy does not fix which
-    zero ``maximum``/``minimum`` return for a -0.0 entry; the sign of a zero
+    Returns the value and the index of a row A attaining it.  For each
+    subset A the best B takes every positive (or every negative) column sum,
+    so only one side is enumerated.  numpy does not fix which zero
+    ``maximum``/``minimum`` return for a -0.0 entry; the sign of a zero
     changes no nonzero row sum, and the final ``+ 0.0`` returns 0.0 for the
     zero function.
     """
     buf = np.maximum(t, 0.0)
-    pos = float(buf.sum(axis=1).max())
+    sums = buf.sum(axis=1)
+    top = int(sums.argmax())
+    pos = float(sums[top])
     np.minimum(t, 0.0, out=buf)
-    neg = float(buf.sum(axis=1).min())
-    return max(pos, -neg) + 0.0
+    sums = buf.sum(axis=1)
+    low = int(sums.argmin())
+    neg = float(sums[low])
+    if -neg > pos:
+        return -neg + 0.0, low
+    return pos + 0.0, top
+
+
+def _enumerate_cut(M):
+    """Exact max over subset pairs of |sum over A x B| for a mass matrix.
+
+    Returns the value and a row set A attaining it, as a boolean vector.
+    """
+    m = M.shape[0]
+    total = 1 << m
+    best, arg = 0.0, None
+    for start in range(0, total, _ENUM_CHUNK):
+        bits = _subset_bits(m, start, min(start + _ENUM_CHUNK, total))
+        val, row = _best_cut(bits @ M)
+        if arg is None or val > best:
+            best, arg = val, bits[row] > 0.0
+    return best, arg
 
 
 def _enumerate_cut_norm(M):
-    """Exact max over subset pairs of |sum over A x B| for a mass matrix."""
-    m = M.shape[0]
-    total = 1 << m
-    best = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        bits = _subset_bits(m, start, min(start + _ENUM_CHUNK, total))
-        best = max(best, _best_cut(bits @ M))
-    return best
+    """The value of ``_enumerate_cut``."""
+    return _enumerate_cut(M)[0]
+
+
+def _stack_value(const, H):
+    """Exact const + max_p ||H[p]||_cut of a kernel stack H of shape (P, n, n).
+
+    Returns the value and the (kernel index, row set) of a maximizing cut.
+    """
+    best, arg = 0.0, None
+    for p in range(H.shape[0]):
+        val, row = _enumerate_cut(H[p])
+        if arg is None or val > best:
+            best, arg = val, (p, row)
+    return best + const, arg
+
+
+def _objective_value(stack):
+    """Value of an objective stack ``(const, H)``; with H None, const is it."""
+    const, H = stack
+    return const if H is None else _stack_value(const, H)[0]
 
 
 def cut_norm_exact(f: SignedStepFn) -> float:
@@ -186,14 +232,17 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     return best
 
 
-def _coupled_cut_norm(u: StepGraphon, v: StepGraphon, w, src, tgt) -> float:
-    """``cut_distance_upper`` on the pieces (w, src, tgt) of a trusted coupling."""
-    parts = PartWeights(w)
-    diff = u.values[np.ix_(src, src)] - v.values[np.ix_(tgt, tgt)]
-    if parts.size > EXACT_PART_LIMIT:
-        return cut_norm_alternating(SignedStepFn(parts, diff))
-    w = parts.weights
-    return _enumerate_cut_norm((w[:, None] * w[None, :]) * diff)
+def _cut_stack(u: StepGraphon, v: StepGraphon, w, src, tgt):
+    """The cut objective on the pieces (w, src, tgt) of a trusted coupling.
+
+    Up to EXACT_PART_LIMIT pieces this is the one-kernel stack (0.0, [M]) of
+    the difference's mass matrix; past it, (alternating value, None).
+    """
+    diff = u.values[src[:, None], src] - v.values[tgt[:, None], tgt]
+    if w.size > EXACT_PART_LIMIT:
+        return cut_norm_alternating(SignedStepFn(PartWeights(w), diff)), None
+    w = _normalized(w, float(w.sum()))
+    return 0.0, ((w[:, None] * w[None, :]) * diff)[None]
 
 
 def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
@@ -208,7 +257,7 @@ def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling
         raise ValueError("coupling row marginals do not match the first graphon")
     if not coupling.col_parts.approx_equal(v.parts):
         raise ValueError("coupling column marginals do not match the second graphon")
-    return _coupled_cut_norm(u, v, *coupling_pieces(coupling))
+    return _objective_value(_cut_stack(u, v, *coupling_pieces(coupling)))
 
 
 def aligned_cut_distance(u: StepGraphon, v: StepGraphon) -> float:
@@ -304,14 +353,109 @@ def _support_key(c):
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
+class _SearchObjective:
+    """Objective values of one coupling search's candidates.
+
+    ``stack(w, src, tgt)`` gives the objective on a candidate's pieces as a
+    kernel stack ``(const, H)`` whose exact value is const + max_p of the cut
+    norm of H[p], or as ``(value, None)`` past the exact regime.  Values are
+    memoized by the coupling's bytes.  The maximizing row set A of every
+    exact enumeration joins a first-in first-out pool of recent best cuts,
+    kept as indicators on the m x k coupling-cell grid (with its kernel
+    index), so any later candidate, in any restart, can read it as a cut of
+    its own pieces.
+    """
+
+    def __init__(self, stack, m, k):
+        self.stack = stack
+        self.memo = {}
+        self.cols = k
+        self.pool = np.zeros((_CUT_POOL_SIZE, m * k))
+        self.pool_kernel = np.zeros(_CUT_POOL_SIZE, dtype=np.intp)
+        self.pooled = 0
+        self.evaluations = 0
+        self.pruned = 0
+
+    def __call__(self, c, threshold=None):
+        """Objective value of coupling c, or None when its value is certified
+        to be at least ``threshold`` (so no caller testing ``< threshold``
+        could take it); exact stacks are bounded before they are enumerated.
+        """
+        key = c.tobytes()
+        val = self.memo.get(key)
+        if val is not None:
+            return val
+        w, src, tgt = _matrix_pieces(c)
+        const, H = self.stack(w, src, tgt)
+        if H is None:
+            val = const
+        else:
+            if threshold is not None and self.pooled:
+                bound, margin = self.bound(const, H, src, tgt)
+                if bound - margin >= threshold:
+                    self.pruned += 1
+                    return None
+            val, (p, row) = _stack_value(const, H)
+            slot = self.pooled % _CUT_POOL_SIZE
+            self.pool[slot] = 0.0
+            self.pool[slot, src[row] * self.cols + tgt[row]] = 1.0
+            self.pool_kernel[slot] = p
+            self.pooled += 1
+        self.evaluations += 1
+        self.memo[key] = val
+        return val
+
+    def bound(self, const, H, src, tgt):
+        """Lower bound from the pooled cuts, and its rounding margin.
+
+        Each pooled row set A, read on these pieces, gets its best B for
+        either sign, then one alternating step (the best A' for that B);
+        every value is |H[p](A', B)| of a real cut, so their maximum plus
+        const bounds the exact value from below, up to the margin.
+        """
+        used = min(self.pooled, _CUT_POOL_SIZE)
+        x = self.pool[:used].take(src * self.cols + tgt, axis=1)
+        kernel = np.concatenate([self.pool_kernel[:used]] * 2)
+        entry = np.arange(2 * used)
+        # column sums of each pooled A under its own kernel
+        t = np.matmul(x, H)[kernel[:used], entry[:used]]
+        # B = the positive (then the negative) columns; row sums over B
+        b = np.concatenate([t > 0.0, t < 0.0]).astype(float)
+        s = np.matmul(b, H.transpose(0, 2, 1))[kernel, entry]
+        s[used:] *= -1.0
+        # the best A' for each B, which does at least as well as A itself
+        found = float(np.maximum(s, 0.0).sum(axis=1).max())
+        bound = found + const
+        # Rounding margin.  Let S be the largest sum of |entries| of a kernel,
+        # n the piece count and u = 2^-53.  Each row value, in the
+        # enumeration or here, nests two sums of at most n terms (a matrix
+        # product, then a row sum) in any order, so it lies within
+        # gamma_2n * S of the real value of its cut, gamma_2n = 2nu / (1 -
+        # 2nu) (Higham, Accuracy and Stability, 2002, sec. 3.1).  So the
+        # enumerated sup is >= N - gamma S and ``found`` <= N + gamma S,
+        # where N <= S is the real maximum.  Adding const >= 0, and forming
+        # ``bound - margin`` round by u each, and a skip test ``bound -
+        # margin >= t`` that passes implies t <= bound; so it leaves the
+        # enumerated value >= t + margin - 2 gamma S - 2u (S + const) -
+        # u bound (all up to O(u^2 S)).  The margin (4n + 4) u (S + const +
+        # bound) exceeds that loss with room for its own rounding, so the
+        # enumeration of a skipped candidate would not come out below t.
+        scale = float(np.abs(H).sum(axis=(1, 2)).max()) + abs(const) + abs(bound)
+        return bound, (2 * src.size + 2) * np.finfo(float).eps * scale
+
+
 def _polish(c, objective, moves, support_cap):
     """First-improvement sweeps over 2x2 cycle moves.
 
     Each accepted move walks along a transportation-polytope edge; candidate
-    stops are the two endpoints and their midpoints, evaluated through the
-    full objective.  Candidates that would spread mass over more cells than
-    ``support_cap`` are skipped so every evaluation stays in the exact
-    cut-norm regime.
+    stops are the two endpoints and their midpoints, accepted when their
+    objective value lies ``_POLISH_TOL`` below the current best.  The
+    objective may decline a candidate whose certified lower bound already
+    rules that out, which changes no accepted move.  Candidates that would
+    spread mass over more cells than ``support_cap`` are skipped.  The cap
+    keeps every cut-search candidate exact; coloured searches from 4 colours
+    on still evaluate some candidates by a heuristic (see
+    ``dk_distance_search``), so their polish compares heuristic values.
     """
     best = objective(c)
     for _ in range(_POLISH_SWEEPS):
@@ -332,8 +476,8 @@ def _polish(c, objective, moves, support_cap):
                 np.maximum(cand, 0.0, out=cand)
                 if int(np.count_nonzero(cand)) > support_cap:
                     continue
-                val = objective(cand)
-                if val < best - _POLISH_TOL:
+                val = objective(cand, best - _POLISH_TOL)
+                if val is not None and val < best - _POLISH_TOL:
                     c = cand
                     best = val
                     improved = True
@@ -343,25 +487,23 @@ def _polish(c, objective, moves, support_cap):
     return c, best
 
 
-def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
+def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
                      support_cap, restarts, seed) -> DistanceEstimate:
-    """Multi-start cycle-move search for the coupling minimizing ``objective``.
+    """Multi-start cycle-move search for the coupling minimizing an objective.
 
     Starts: a greedy fill along ``start_cost`` (cheapest cells first), the
     northwest corner, the independent product when its support fits
     ``support_cap``, then random greedy vertices from ``[seed, r]``.  Each
     start is polished; ties prefer the lexicographically smallest support,
     and the search stops early once the objective reaches zero.  Starts and
-    moves keep the marginals, so candidates go unvalidated: the objective
-    gets their pieces ``(w, src, tgt)``, and only the witness is checked.
+    moves keep the marginals, so candidates go unvalidated: ``stack`` gets
+    their pieces ``(w, src, tgt)`` and returns the objective as a kernel
+    stack (see ``_SearchObjective``), and only the witness is checked.
     """
     rows = u.parts.weights
     cols = v.parts.weights
     m, k = rows.size, cols.size
-
-    def evaluate(c):
-        return objective(*_matrix_pieces(c))
-
+    objective = _SearchObjective(stack, m, k)
     moves = _cycle_moves(m, k)
     best_val = None
     best_c = None
@@ -376,7 +518,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
             c0 = np.outer(rows, cols)
         else:
             c0 = _greedy_fill(rows, cols, np.random.default_rng([seed, r]).permutation(m * k))
-        c, val = _polish(c0, evaluate, moves, support_cap)
+        c, val = _polish(c0, objective, moves, support_cap)
         used = r + 1
         key = _support_key(c)
         if best_val is None or val < best_val or (val == best_val and key < best_support):
@@ -384,7 +526,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
         if best_val == 0.0:
             break
     witness = OverlapCoupling(best_c, u.parts, v.parts)
-    return DistanceEstimate(best_val, witness, used)
+    return DistanceEstimate(best_val, witness, used, objective.evaluations, objective.pruned)
 
 
 def cut_distance_search(u: StepGraphon, v: StepGraphon,
@@ -394,12 +536,16 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     Multi-start local search over the transportation polytope of the two
     part-weight vectors: deterministic starts (profile-matching greedy,
     northwest corner, independent product) plus random greedy vertices, each
-    polished by cycle moves accepted when the evaluated cut norm drops.  The
-    reported value is always an upper bound witnessed by the returned
-    coupling; ties prefer the lexicographically smallest support.  Results
-    are deterministic given the seed, identical under swapping u and v (the
-    pair is canonically oriented internally), and never worsen as the
-    restart budget grows.
+    polished by cycle moves accepted when the evaluated cut norm drops.  A
+    candidate move is first bounded from below by recent best cuts, and it
+    is enumerated only when that bound leaves room for an improvement.  The
+    reported value is the cut norm of the returned coupling, so an upper
+    bound on the distance, whenever the witness has at most
+    EXACT_PART_LIMIT pieces; past that (only a start can be that large) it
+    is the alternating heuristic's value.  Ties prefer the
+    lexicographically smallest support.  Results are deterministic given
+    the seed, identical under swapping u and v (the pair is canonically
+    oriented internally), and never worsen as the restart budget grows.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -408,7 +554,7 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     m, k = u.parts.size, v.parts.size
     # keep every evaluated coupling inside the exact cut-norm regime
     support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
-    return _coupling_search(u, v, functools.partial(_coupled_cut_norm, u, v),
+    return _coupling_search(u, v, functools.partial(_cut_stack, u, v),
                             _profile_cost(u, v), support_cap, restarts, seed)
 
 
@@ -434,7 +580,7 @@ def graph_cut_distance_exact(g, h) -> float:
     best = np.inf
     for perm in itertools.permutations(range(n)):
         pi = np.asarray(perm)
-        val = _best_cut(bits @ ((A - B[np.ix_(pi, pi)]) * scale))
+        val = _best_cut(bits @ ((A - B[np.ix_(pi, pi)]) * scale))[0]
         if val < best:
             best = val
             if best == 0.0:

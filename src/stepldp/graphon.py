@@ -22,6 +22,11 @@ MARGINAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
+def _normalized(w, total):
+    """w rescaled by its 1-norm ``total`` unless that is within NORMALIZATION_TOL of one."""
+    return w / total if abs(total - 1.0) > NORMALIZATION_TOL else w
+
+
 class PartWeights:
     """Nonnegative part masses normalized to total one.
 
@@ -43,8 +48,7 @@ class PartWeights:
         total = float(w.sum())
         if total <= 0.0:
             raise ValueError("part weights must not all be zero")
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            w = w / total
+        w = _normalized(w, total)
         w.flags.writeable = False
         self.weights = w
         self.total = total

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -21,11 +22,13 @@ from stepldp.graphon import (
     LabeledGraph,
     OverlapCoupling,
     PartWeights,
+    _matrix_pieces,
     coupling_pieces,
     graph_to_graphon,
     make_step_graphon,
 )
 from stepldp.rates import rate_J, rate_R
+from stepldp.samplers import sample_block
 
 
 def brute_cut_norm(f: SignedStepFn) -> float:
@@ -456,3 +459,227 @@ class TestFrozenReroutedPaths:
                    (None, rep.witness_alpha.weights, None)]
         assert _search_digest(results) == (
             "08f2e1acb6d81964e8fd7fa81bc30baaafa54b68ff11250c96b80ea6730c61c8")
+
+
+def oracle_polish(c, objective, moves, support_cap):
+    """``_polish`` as it was before candidates were bounded: every candidate
+    within the support cap is evaluated in full, through the search's own
+    objective stack but past its memo and its pool of cuts."""
+    def evaluate(c):
+        return cutmetric._objective_value(objective.stack(*_matrix_pieces(c)))
+
+    best = evaluate(c)
+    for _ in range(cutmetric._POLISH_SWEEPS):
+        improved = False
+        for a, b, i, j in moves:
+            lo = -min(c[a, i], c[b, j])
+            hi = min(c[a, j], c[b, i])
+            if hi - lo <= 0.0:
+                continue
+            for theta in (hi, lo, hi / 2.0, lo / 2.0):
+                if theta == 0.0:
+                    continue
+                cand = c.copy()
+                cand[a, i] += theta
+                cand[a, j] -= theta
+                cand[b, i] -= theta
+                cand[b, j] += theta
+                np.maximum(cand, 0.0, out=cand)
+                if int(np.count_nonzero(cand)) > support_cap:
+                    continue
+                val = evaluate(cand)
+                if val < best - cutmetric._POLISH_TOL:
+                    c = cand
+                    best = val
+                    improved = True
+                    break
+        if not improved:
+            break
+    return c, best
+
+
+def _oracle_pairs():
+    """Seeded search inputs: (kind, a, b, restarts, seed).
+
+    Plain pairs of random graphons, pairs with a zero-weight part, pairs with
+    a one-part side, pairs with values and weights rounded to tenths (many
+    tied candidate values), small graphs against a two-part target, and
+    coloured pairs with 1 to 4 colours.
+    """
+    rng = np.random.default_rng(37)
+    pairs = []
+    for m, k in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 2)]:
+        pairs.append(("plain", _random_graphon(rng, m), _random_graphon(rng, k), 4, m + k))
+    for m, k in [(3, 2), (2, 3), (3, 3), (4, 2)]:
+        w = rng.dirichlet(np.ones(m))
+        w[int(rng.integers(m))] = 0.0
+        vals = rng.uniform(0.0, 1.0, (m, m))
+        zero = make_step_graphon(w / w.sum(), (vals + vals.T) / 2.0)
+        pairs.append(("plain", zero, _random_graphon(rng, k), 4, 1))
+    for m in (1, 2, 3, 4):
+        pairs.append(("plain", _random_graphon(rng, 1), _random_graphon(rng, m), 3, m))
+    for m, k in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2), (4, 4)]:
+        def rounded(n):
+            w = rng.integers(1, 5, n).astype(float)
+            vals = np.round(rng.uniform(0.0, 1.0, (n, n)), 1)
+            return make_step_graphon(w / w.sum(), np.maximum(vals, vals.T))
+        pairs.append(("plain", rounded(m), rounded(k), 4, 2))
+    two = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    for n in (4, 5, 6):
+        for s in range(2):
+            g = sample_block([n], [[0.4]], 10 * n + s)
+            pairs.append(("plain", graph_to_graphon(g), two, 6, s))
+    layouts = [([0, 0], [0, 0, 0], 1), ([0, 1], [1, 0], 2), ([0, 1, 1], [1, 0], 2),
+               ([0, 0, 1], [0, 1, 1], 2), ([1, 0, 1], [0, 1, 0, 1], 2),
+               ([0], [1, 0], 2), ([0, 1, 2], [2, 1, 0], 3), ([0, 1, 2], [0, 2], 3),
+               ([0, 1], [1, 0, 1], 3)]
+    for trial, (ca, cb, k) in enumerate(layouts):
+        a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=k)
+        b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=k)
+        pairs.append(("coloured", a, b, 3, trial))
+    for trial, (ca, cb) in enumerate([([0, 1, 2, 3], [3, 2, 1, 0]),
+                                      ([0, 1, 2, 3], [0, 1, 1, 3, 2]),
+                                      ([0, 0, 2, 3], [1, 2, 3, 3])]):
+        a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=4)
+        b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=4)
+        pairs.append(("coloured", a, b, 3, trial))
+    return pairs
+
+
+def _run(kind, a, b, restarts, seed):
+    search = cut_distance_search if kind == "plain" else dk_distance_search
+    return search(a, b, restarts=restarts, seed=seed)
+
+
+class TestPrunedSearchOracle:
+    """Bounded searches against the unbounded polish, bit for bit.
+
+    Candidates are skipped only when a certified lower bound shows they
+    cannot improve, so every accepted move, and with it the value, the
+    witness and the restart count, must match the search that evaluates
+    every candidate.
+    """
+
+    def test_searches_match_the_unpruned_polish(self, monkeypatch):
+        pairs = _oracle_pairs()
+        assert len(pairs) >= 40
+        pruned = []
+        got = []
+        for case in pairs:
+            est = _run(*case)
+            pruned.append(est.pruned)
+            got.append((repr(est.upper), est.witness.matrix.tobytes(), est.restarts_used))
+        monkeypatch.setattr(cutmetric, "_polish", oracle_polish)
+        for case, mine in zip(pairs, got):
+            est = _run(*case)
+            assert est.pruned == 0
+            want = (repr(est.upper), est.witness.matrix.tobytes(), est.restarts_used)
+            assert mine == want
+        # the bound did skip candidates, in plain and in coloured searches,
+        # and never at 4 colours, where polish evaluates the heuristic
+        kinds = [case[0] for case in pairs]
+        assert sum(p for p, kind in zip(pruned, kinds) if kind == "plain") > 0
+        assert sum(p for p, kind in zip(pruned, kinds) if kind == "coloured") > 0
+        for case, p in zip(pairs, pruned):
+            if case[0] == "coloured" and case[1].num_colours == 4:
+                assert p == 0
+
+    def test_bound_never_exceeds_the_enumeration(self):
+        rng = np.random.default_rng(38)
+        m, k = 3, 4
+        tight = loose = 0
+        for trial in range(60):
+            kernels = int(rng.choice([1, 4]))
+            const = 0.0 if kernels == 1 else float(rng.uniform(0.0, 1.0))
+
+            def stack(w, src, tgt):
+                n = w.size
+                if trial % 3 == 0:  # dyadic entries: exact sums, many ties
+                    return const, rng.integers(-4, 5, (kernels, n, n)) / 64.0
+                return const, rng.uniform(-1.0, 1.0, (kernels, n, n)) * np.outer(w, w)
+
+            objective = cutmetric._SearchObjective(stack, m, k)
+            for _ in range(int(rng.integers(1, 40))):
+                c = rng.random((m, k)) * (rng.random((m, k)) < 0.7)
+                c[0, 0] += 0.1
+                objective(c / c.sum())
+            c = rng.random((m, k)) * (rng.random((m, k)) < 0.8)
+            c[1, 1] += 0.1
+            w, src, tgt = _matrix_pieces(c / c.sum())
+            const, H = stack(w, src, tgt)
+            exact = cutmetric._stack_value(const, H)[0]
+            bound, margin = objective.bound(const, H, src, tgt)
+            assert 0.0 <= margin < 1e-12
+            assert bound <= exact + margin
+            loose += bound < exact - margin
+            # once the candidate's own best cut is pooled the bound meets it
+            own = cutmetric._SearchObjective(lambda *pieces: (const, H), m, k)
+            assert own(c / c.sum()) == exact
+            bound, margin = own.bound(const, H, src, tgt)
+            assert abs(bound - exact) <= margin
+            tight += 1
+        assert loose > 0 and tight == 60
+
+    def test_one_part_target_repeats_come_from_the_memo(self):
+        u = _random_graphon(np.random.default_rng(39), 5)
+        v = make_step_graphon([1.0], [[0.5]])
+        est = cut_distance_search(u, v, restarts=16, seed=0)
+        # no cycle moves: each restart evaluates its start, and starts whose
+        # fill order leaves the same bytes are read from the memo
+        assert est.restarts_used == 16
+        assert 1 <= est.evaluations < 16 and est.pruned == 0
+        flipped = cut_distance_search(v, u, restarts=16, seed=0)
+        assert (flipped.evaluations, flipped.pruned) == (est.evaluations, 0)
+        assert set(est.to_json()) == {"upper", "witness", "restartsUsed"}
+
+
+_TWO_PART_TARGET = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+
+
+@functools.lru_cache(maxsize=4)
+def _graph_search(n, graph_seed):
+    g = sample_block([n], [[0.4]], graph_seed)
+    return cut_distance_search(graph_to_graphon(g), _TWO_PART_TARGET, restarts=16, seed=0)
+
+
+class TestFrozenBoundedSearch:
+    """Digests of searches whose candidates are mostly skipped by the bound.
+
+    Recorded before the searches bounded their candidates: G(n, 0.4) samples
+    against a two-part target (the G(12, 0.4) search took 33 s then), and a
+    4-colour coloured search, whose polish evaluates the alternating
+    heuristic and is never pruned.
+    """
+
+    def test_graph_against_two_part_target_n8(self):
+        results = []
+        for graph_seed in range(3):
+            est = _graph_search(8, graph_seed)
+            results.append((est.upper, est.witness.matrix, est.restarts_used))
+        assert _search_digest(results) == (
+            "7ae5a7cb1ec31b5e4653fa54e3321eec2e5965e5be7d79e684ca5d66119082c5")
+
+    def test_graph_against_two_part_target_n12(self):
+        est = _graph_search(12, 0)
+        results = [(est.upper, est.witness.matrix, est.restarts_used)]
+        assert _search_digest(results) == (
+            "f3751cbee3b8714316d954d0e9f636357bda5be7eb7ea7d4eff4f7d18295526f")
+
+    def test_graph_against_two_part_target_n12_evaluations(self):
+        est = _graph_search(12, 0)
+        assert est.evaluations < 200
+        assert est.pruned > 10 * est.evaluations
+
+    def test_dk_four_colours(self):
+        rng = np.random.default_rng(36)
+        results = []
+        for trial, (ca, cb) in enumerate([([0, 1, 2, 3], [3, 2, 1, 0]),
+                                          ([0, 1, 2, 3], [0, 0, 1, 2, 3]),
+                                          ([0, 1, 1, 2, 3], [3, 1, 2, 0])]):
+            a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=4)
+            b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=4)
+            est = dk_distance_search(a, b, restarts=4, seed=trial)
+            assert est.pruned == 0
+            results.append((est.upper, est.witness.matrix, est.restarts_used))
+        assert _search_digest(results) == (
+            "1fdde3af7a62dffd0ea7272d0eb0652fcac65134750777e9ea05b4b58a57e8b9")
