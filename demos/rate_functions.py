@@ -10,7 +10,8 @@ relative-entropy functional.  Three layers:
   rate_R(p, u)         cost minimized over alpha as well
 
 J and R report witnesses: the optimizing coupling, and the optimizing
-alpha.  A value of +infinity is a certificate (no compatible coupling
+alpha, which for R is the column sums of its coupling (R descends over
+couplings whose rows sum to u's part weights and whose columns are free).  A value of +infinity is a certificate (no compatible coupling
 exists), not a search failure.
 """
 

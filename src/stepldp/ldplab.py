@@ -598,12 +598,15 @@ def predicted_rate(family, event: EventSpec, budget, seed):
     A density event at a fixed block layout gets ``block_density_rate``;
     under random vertex types it has none here.  A ball event gets J of its
     target at the family's block layout, or R, the infimum of J over block
-    ratios, when vertex types are random.
+    ratios, when vertex types are random.  Those ratios range over the parts
+    of positive weight only: no vertex lands in a part of weight 0.
     """
     if isinstance(family, WRandomFamily):
         if event.is_density:
             return None
-        return rate_R(family.u.values, event.target, budget=budget, seed=seed).value
+        keep = family.u.parts.weights > 0.0
+        p = family.u.values[np.ix_(keep, keep)]
+        return rate_R(p, event.target, budget=budget, seed=seed).value
     alpha, p = family.layout()
     if event.is_density:
         return block_density_rate(alpha, p, event.r, event.kind)

@@ -36,8 +36,6 @@ CONVERGENCE_TOL = 1e-9
 # Exhaustive support-pattern enumeration up to this many coupling cells.
 SUPPORT_ENUM_LIMIT = 24
 
-_SIMPLEX_GRID = 20
-
 Inf = math.inf
 
 
@@ -333,58 +331,95 @@ def _transport_fill(w, alpha, allowed, rng=None):
     return c
 
 
-def _quadratic_descent(c, q, mask, rng, walk_steps):
-    """Minimize the entropy quadratic with exact line searches on cycle moves.
+def _cycle_directions(m, k):
+    """J's moves: the 2x2 cycles (a,i)+ (a,j)- (b,i)- (b,j)+, which keep both marginals."""
+    cells = [(a * k + i, a * k + j, b * k + i, b * k + j) for a, b, i, j in _cycle_moves(m, k)]
+    return np.array(cells, dtype=int).reshape(-1, 4), (1, -1, -1, 1)
 
-    Works in coordinates compressed to the support (the full matrix q holds
-    +inf outside it, which must never enter any product).  The objective is
-    F(x) = x^T Q_S x / 2; each 2x2 cycle move whose four cells lie in the
-    support is a line in the polytope along which F is an explicit
-    quadratic, so the one-dimensional minimum is solved in closed form.  A
-    short random walk first shakes the start; the gradient is maintained
-    incrementally.
+
+def _row_transfers(m, k):
+    """R's moves: mass from cell (a,j) to cell (a,i), which keeps the row sums only."""
+    cells = [(a * k + i, a * k + j) for a in range(m) for i in range(k) for j in range(i + 1, k)]
+    return np.array(cells, dtype=int).reshape(-1, 2), (1, -1)
+
+
+def _signed_sum(terms, signs):
+    """terms[0] +- terms[1] +- ... with the given signs, summed in order."""
+    total = terms[0] if signs[0] > 0 else -terms[0]
+    for term, s in zip(terms[1:], signs[1:]):
+        total = total + term if s > 0 else total - term
+    return total
+
+
+def _support_lines(q, mask, moves):
+    """The moves of ``moves`` that stay inside one support, as descent lines.
+
+    ``moves`` is ``(cells, signs)``: each row of ``cells`` lists the flat
+    cells a*k + i of one move, which adds theta to its plus cells (sign +1)
+    and takes it from its minus cells.  Returns the support's cells, its
+    block qs of q (q is +inf outside it), the signs, and per line its cells,
+    plus and minus positions in the support, its curvature and its column of
+    qs (the gradient's change per unit step), each summed in cell order.
+    """
+    cells, signs = moves
+    flat = mask.reshape(-1)
+    sup = np.flatnonzero(flat)
+    qs = q[np.ix_(sup, sup)]
+    inside = (np.cumsum(flat) - 1)[cells[flat[cells].all(axis=1)]]
+    width = len(signs)
+    diag = _signed_sum([qs[inside[:, s], inside[:, s]] for s in range(width)], [1] * width)
+    pairs = [(s, t) for s in range(width) for t in range(s + 1, width)]
+    off = _signed_sum([qs[inside[:, s], inside[:, t]] for s, t in pairs],
+                      [signs[s] * signs[t] for s, t in pairs])
+    steps = _signed_sum([qs[:, inside[:, s]] for s in range(width)], signs)
+    plus = [s for s in range(width) if signs[s] > 0]
+    minus = [s for s in range(width) if signs[s] < 0]
+    lines = list(zip(inside.tolist(), inside[:, plus].tolist(), inside[:, minus].tolist(),
+                     (diag + 2.0 * off).tolist(), steps.T.tolist()))
+    return sup, qs, signs, lines
+
+
+def _quadratic_descent(c, support, rng, walk_steps):
+    """Minimize the entropy quadratic with exact line searches.
+
+    Works in coordinates compressed to the support, whose lines come from
+    ``_support_lines``.  The objective is F(x) = x^T Q_S x / 2; along each
+    line it is an explicit quadratic, so the one-dimensional minimum is
+    solved in closed form.  A short random walk first shakes the start; the
+    gradient is maintained incrementally.
     """
     m, k = c.shape
-    sup = np.flatnonzero(mask.reshape(-1))
-    pos = {int(cell): t for t, cell in enumerate(sup)}
-    qs = q[np.ix_(sup, sup)]
+    sup, qs, signs, lines = support
     x = c.reshape(-1)[sup].copy()
-    grad = qs @ x
+    grad = (qs @ x).tolist()
+    x = x.tolist()
 
-    moves = [(pos[a * k + i], pos[a * k + j], pos[b * k + i], pos[b * k + j])
-             for a, b, i, j in _cycle_moves(m, k)
-             if mask[a, i] and mask[a, j] and mask[b, i] and mask[b, j]]
-    # the curvature of F along each move depends on qs alone
-    curvs = [qs[ai, ai] + qs[aj, aj] + qs[bi, bi] + qs[bj, bj]
-             + 2.0 * (-qs[ai, aj] - qs[ai, bi] + qs[ai, bj]
-                      + qs[aj, bi] - qs[aj, bj] - qs[bi, bj])
-             for ai, aj, bi, bj in moves]
+    def apply(plus, minus, step, theta):
+        for t in plus:
+            v = x[t] + theta
+            x[t] = v if v > 0.0 else 0.0
+        for t in minus:
+            v = x[t] - theta
+            x[t] = v if v > 0.0 else 0.0
+        grad[:] = [g + theta * d for g, d in zip(grad, step)]
 
-    def apply(ai, aj, bi, bj, theta):
-        x[ai] += theta
-        x[aj] -= theta
-        x[bi] -= theta
-        x[bj] += theta
-        np.maximum(x, 0.0, out=x)
-        grad[:] += theta * (qs[:, ai] - qs[:, aj] - qs[:, bi] + qs[:, bj])
-
-    if walk_steps and moves:
+    if walk_steps and lines:
         for _ in range(walk_steps):
-            ai, aj, bi, bj = moves[rng.integers(len(moves))]
-            lo = -min(x[ai], x[bj])
-            hi = min(x[aj], x[bi])
+            _, plus, minus, _, step = lines[rng.integers(len(lines))]
+            lo = -min([x[t] for t in plus])
+            hi = min([x[t] for t in minus])
             if hi - lo <= 0.0:
                 continue
-            apply(ai, aj, bi, bj, float(rng.uniform(lo, hi)))
+            apply(plus, minus, step, float(rng.uniform(lo, hi)))
 
     for _ in range(400):
         drop = 0.0
-        for (ai, aj, bi, bj), curv in zip(moves, curvs):
-            lo = -min(x[ai], x[bj])
-            hi = min(x[aj], x[bi])
+        for cell, plus, minus, curv, step in lines:
+            lo = -min([x[t] for t in plus])
+            hi = min([x[t] for t in minus])
             if hi - lo <= 0.0:
                 continue
-            gd = grad[ai] - grad[aj] - grad[bi] + grad[bj]
+            gd = _signed_sum([grad[t] for t in cell], signs)
             candidates = [lo, hi]
             if curv > 0.0:
                 candidates.append(min(hi, max(lo, -gd / curv)))
@@ -394,14 +429,50 @@ def _quadratic_descent(c, q, mask, rng, walk_steps):
                 if delta < best_delta:
                     best_theta, best_delta = theta, delta
             if best_delta < -1e-15:
-                apply(ai, aj, bi, bj, best_theta)
+                apply(plus, minus, step, best_theta)
                 drop += -best_delta
         if drop < CONVERGENCE_TOL:
             break
+    x = np.array(x)
     full = np.zeros(m * k)
     full[sup] = x
     value = 0.5 * float(x @ qs @ x)
     return full.reshape(m, k), value
+
+
+def _multistart_descent(q, feasible, moves, budget, seed, start):
+    """The best of ``budget`` descents, cycling over the feasible supports.
+
+    Start r draws from ``_derived_rng(seed, r)``: ``start(r, mask, rng)``
+    gives its coupling, and every start after the first takes 2(m + k)
+    random-walk moves before descending.  Ties in value go to the
+    lexicographically smaller support pattern, and the search stops once the
+    value is at most 0.
+    Returns (value, coupling matrix, starts used); the value is the cost of
+    the scrubbed matrix, as ``OverlapCoupling`` stores it.
+    """
+    best_val = None
+    best_c = None
+    best_support = None
+    used = 0
+    walk = sum(feasible[0].shape)
+    lines = {}  # each support's lines, built on its first start
+    for r in range(budget):
+        idx = r % len(feasible)
+        mask = feasible[idx]
+        if idx not in lines:
+            lines[idx] = _support_lines(q, mask, moves)
+        rng = _derived_rng(seed, r)
+        c, val = _quadratic_descent(start(r, mask, rng), lines[idx], rng,
+                                    walk_steps=0 if r == 0 else 2 * walk)
+        used = r + 1
+        key = tuple(map(tuple, (c > 0.0).tolist()))
+        if best_val is None or val < best_val or (val == best_val and key < best_support):
+            best_val, best_c, best_support = val, c, key
+        if best_val <= 0.0:
+            break
+    best_c = np.maximum(best_c, 0.0)
+    return _coupling_cost(best_c, q), best_c, used
 
 
 def _seed_list(seed):
@@ -493,36 +564,21 @@ def _search_J(w, alpha_hat, q, budget, seed):
     the value +infinity, when no support is feasible.
     """
     m, k = w.size, alpha_hat.size
-    live = (w[:, None] > 0.0) & (alpha_hat[None, :] > 0.0)
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
-    allowed = live & self_ok
+    allowed = (w[:, None] > 0.0) & (alpha_hat[None, :] > 0.0) & self_ok
     feasible = [mask for mask in _support_masks(q, allowed, seed)
                 if _hall_feasible(w, alpha_hat, mask)]
     if not feasible:
         return Inf, None, 0
 
-    best_val = None
-    best_c = None
-    best_support = None
-    used = 0
-    for r in range(budget):
-        mask = feasible[r % len(feasible)]
-        rng = _derived_rng(seed, r)
-        c0 = _transport_fill(w, alpha_hat, mask, rng=None if r == 0 else rng)
-        c, val = _quadratic_descent(c0, q, mask, rng, walk_steps=0 if r == 0 else 2 * (m + k))
-        used = r + 1
-        key = tuple(map(tuple, (c > 0.0).tolist()))
-        if best_val is None or val < best_val or (val == best_val and key < best_support):
-            best_val, best_c, best_support = val, c, key
-        if best_val <= 0.0:
-            break
-    # scrubbed as OverlapCoupling stores it, so the value is the witness's
-    best_c = np.maximum(best_c, 0.0)
-    return _coupling_cost(best_c, q), best_c, used
+    def start(r, mask, rng):
+        return _transport_fill(w, alpha_hat, mask, rng=None if r == 0 else rng)
+
+    return _multistart_descent(q, feasible, _cycle_directions(m, k), budget, seed, start)
 
 
 # ---------------------------------------------------------------------------
-# the R functional: minimize J over the block-fraction simplex
+# the R functional: one descent over row simplices
 
 
 def _simplex_grid(k, resolution):
@@ -536,102 +592,41 @@ def _simplex_grid(k, resolution):
     return out
 
 
-def _support_candidate_alphas(q, w, k):
-    """Block fractions forced by rigid compatible supports.
-
-    When 0/1 entries of p make the support pattern rigid (each part has few
-    compatible columns), the only alphas with finite J may form a measure
-    zero set that no grid hits; splitting each part's mass equally across
-    its compatible columns in every maximal support recovers exactly those
-    candidates for the rigid cases.  q is the entropy tensor of k blocks
-    against a graphon with part weights w.
-    """
-    m = w.size
-    self_ok = np.isfinite(np.diag(q)).reshape(m, k)
-    allowed = (w[:, None] > 0.0) & self_ok
-    if np.count_nonzero(allowed) > SUPPORT_ENUM_LIMIT:
-        return []
-    out = []
-    for mask in _support_masks(q, allowed):
-        counts = mask.sum(axis=1)
-        if np.any((counts == 0) & (w > 0.0)):
-            continue
-        c = np.where(mask, (w / np.maximum(counts, 1))[:, None], 0.0)
-        alpha = c.sum(axis=0)
-        if alpha.sum() > 0.0:
-            out.append(tuple((alpha / alpha.sum()).tolist()))
-    return out
-
-
 def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateReport:
     """Minimize the J functional over block fractions on the simplex.
 
-    A coarse simplex grid (plus candidate fractions read off rigid support
-    patterns) is scanned with a small fixed per-point budget, the best point
-    is refined by deterministic pairwise mass transfers, and the winner is
-    re-evaluated with the full budget.  The reported value is the smallest
-    objective seen anywhere, so it never increases with a larger budget.
-    p is checked and its entropy tensor built once; every probe reuses it.
+    R = inf over alpha of J(alpha) is one problem: minimize the J objective
+    over couplings whose rows sum to u's part weights and whose column sums
+    are free.  The feasible set is one simplex per part, and the witness
+    alpha is the column sums of the witness coupling.  Finiteness is
+    certified as in ``rate_J``: with free columns, a maximal compatible
+    support is feasible when every part of positive weight has a cell in
+    it, and when none is the value is +infinity, exactly.  A multi-start
+    descent then moves mass within rows: start 0 splits each row evenly over
+    its support cells, later starts split it at random.  ``budget`` counts
+    descent starts; values never increase as it grows.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     p = _check_prob_matrix(p)
-    k = p.shape[0]
     w = u.parts.weights
+    m, k = w.size, p.shape[0]
     q = _entropy_tensor(p, u.values)
-    resolution = _SIMPLEX_GRID if k <= 3 else 8
-    probe_budget = 4
+    allowed = (w[:, None] > 0.0) & np.isfinite(np.diag(q)).reshape(m, k)
+    feasible = [mask for mask in _support_masks(q, allowed, seed)
+                if mask.any(axis=1)[w > 0.0].all()]
+    if not feasible:
+        return RateReport(Inf, budget_used=0)
 
-    grid = [tuple(x / resolution for x in comp) for comp in _simplex_grid(k, resolution)]
-    # first occurrences, in order: a candidate's index seeds its probe
-    candidates = list(dict.fromkeys(grid + _support_candidate_alphas(q, w, k)))
+    def start(r, mask, rng):
+        share = mask if r == 0 else np.where(mask, rng.exponential(size=mask.shape), 0.0)
+        total = share.sum(axis=1, keepdims=True)
+        return w[:, None] * share / np.where(total > 0.0, total, 1.0)
 
-    evaluations = 0
-    seed_base = _seed_list(seed)
-
-    def probe(alpha, idx, restarts):
-        nonlocal evaluations
-        evaluations += restarts
-        value, c, _ = _search_J(w, _prepare_alpha(alpha), q, restarts, seed_base + [idx])
-        return value, alpha, c
-
-    # (value, alpha, coupling matrix); the first of equal values wins
-    best = min((probe(alpha, idx, probe_budget) for idx, alpha in enumerate(candidates)),
-               key=lambda got: got[0])
-    if not math.isfinite(best[0]):
-        return RateReport(Inf, budget_used=evaluations)
-
-    # deterministic local refinement by pairwise transfers
-    step = 1.0 / (2 * resolution)
-    alpha = np.asarray(best[1], dtype=float)
-    for round_no in range(6):
-        improved = False
-        for i in range(k):
-            for j in range(k):
-                if i == j or alpha[j] < step - 1e-15:
-                    continue
-                cand = alpha.copy()
-                cand[i] += step
-                cand[j] -= step
-                if cand[j] < 0.0:
-                    continue
-                got = probe(tuple(cand.tolist()), len(candidates) + round_no * k * k + i * k + j,
-                            probe_budget)
-                if got[0] < best[0] - 1e-12:
-                    best = got
-                    alpha = cand
-                    improved = True
-        if not improved:
-            step /= 2.0
-
-    final = probe(best[1], 0x0F1A, budget)
-    value, alpha, c = final if final[0] <= best[0] else best
-    return RateReport(
-        value,
-        witness_coupling=OverlapCoupling(c, u.parts, PartWeights(_prepare_alpha(alpha))),
-        witness_alpha=PartWeights(np.asarray(alpha, dtype=float)),
-        budget_used=evaluations,
-    )
+    value, c, used = _multistart_descent(q, feasible, _row_transfers(m, k), budget, seed, start)
+    alpha = PartWeights(c.sum(axis=0))
+    return RateReport(value, witness_coupling=OverlapCoupling(c, u.parts, alpha),
+                      witness_alpha=alpha, budget_used=used)
 
 
 # ---------------------------------------------------------------------------

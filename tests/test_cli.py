@@ -245,7 +245,8 @@ class TestRateCommand:
     def test_rate_R_reports_witness(self, tmp_path, capsys):
         u = write_graphon(tmp_path / "u.json", [0.5, 0.5],
                           [[1.0, 0.0], [0.0, 1.0]])
-        rc = cli.main(["rate", "--p", "identity2", "--u", u])
+        out = tmp_path / "o"
+        rc = cli.main(["rate", "--p", "identity2", "--u", u, "--out", str(out)])
         assert rc == 0
         stdout = capsys.readouterr().out
         assert stdout.splitlines()[1].startswith("R = ")
@@ -253,6 +254,10 @@ class TestRateCommand:
         assert witness.startswith("witness alpha:")
         parts = [float(x) for x in witness.split(":")[1].split(",")]
         assert abs(sum(parts) - 1.0) < 1e-9
+        # the witness fractions are the witness coupling's column sums
+        report = json.loads((out / "report.json").read_text())
+        cols = np.asarray(report["witnessCoupling"]).sum(axis=0)
+        assert np.abs(np.asarray(report["witnessAlpha"]) - cols).max() <= 1e-12
 
     def test_alpha_size_mismatch(self, tmp_path, capsys):
         u = write_graphon(tmp_path / "u.json", [1.0], [[0.5]])

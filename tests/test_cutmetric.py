@@ -412,8 +412,9 @@ class TestFrozenSearch:
         rep = rate_R([[0.6, 0.2], [0.2, 0.5]], u, budget=6, seed=1)
         results = [(rep.value, rep.witness_coupling.matrix, rep.budget_used),
                     (None, rep.witness_alpha.weights, None)]
+        # re-derived when R became one descent over row simplices
         assert _search_digest(results) == (
-            "2c25e6a3ff4f0f6017149ae8ca3dd912d085b9e9f018437b20f678262a99b879")
+            "735ccfe210eb6dfbc13fde9eea191ac70172040fd7f4a43712a04b65c7fee22b")
 
     def test_graph_cut_distance_exact(self):
         rng = np.random.default_rng(34)
@@ -431,9 +432,11 @@ class TestFrozenReroutedPaths:
 
     A 30-vertex graph against a 2-part target starts every restart above
     EXACT_PART_LIMIT pieces, so each evaluation takes the alternating
-    heuristic; and 0/1 entries of p make ``rate_R`` probe block fractions read
-    off rigid supports, off the simplex grid.  The digests were recorded
-    before the searches stopped building validated types per candidate.
+    heuristic; and 0/1 entries of p leave ``rate_R`` rigid supports, one
+    cell per part, on which every descent start is the forced coupling.  The
+    cut-search digest was recorded before the searches stopped building
+    validated types per candidate; the ``rate_R`` digest was re-derived when
+    R became one descent over row simplices.
     """
 
     def test_cut_distance_search_past_exact_limit(self):
@@ -453,12 +456,16 @@ class TestFrozenReroutedPaths:
                                                    [0.0, 1.0, 0.6],
                                                    [0.4, 0.6, 0.0]])
         rep = rate_R(p, u, budget=6, seed=2)
-        # the winning fractions are a rigid-support candidate, not a grid point
+        # each support gives every part one cell, so the witness is forced and
+        # its column sums, the witness fractions, are the part weights
+        c = rep.witness_coupling.matrix
+        assert np.all(np.count_nonzero(c, axis=1) == 1)
+        np.testing.assert_array_equal(rep.witness_alpha.weights, c.sum(axis=0))
         np.testing.assert_array_equal(rep.witness_alpha.weights, [0.37, 0.29, 0.34])
         results = [(rep.value, rep.witness_coupling.matrix, rep.budget_used),
                    (None, rep.witness_alpha.weights, None)]
         assert _search_digest(results) == (
-            "08f2e1acb6d81964e8fd7fa81bc30baaafa54b68ff11250c96b80ea6730c61c8")
+            "011e5d4cdb06b8fb3982191fbd3b8970c01599e1361accf717e6ec8c0b878908")
 
 
 def oracle_polish(c, objective, moves, support_cap):

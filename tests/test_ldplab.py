@@ -525,6 +525,17 @@ class TestBlockDensityRate:
         assert gaps[2] < 0.005, gaps
 
 
+class TestPredictedRate:
+    def test_wrandom_ignores_zero_weight_parts(self):
+        # no vertex lands in the weight-0 part, whose all-ones row would make
+        # the complete graph free; every vertex has type 0, with p = 1/2
+        fam = WRandomFamily(make_step_graphon([1.0, 0.0], [[0.5, 1.0], [1.0, 1.0]]))
+        ev = EventSpec("ball", target=make_step_graphon([1.0], [[1.0]]), eta=0.05)
+        rate = predicted_rate(fam, ev, budget=4, seed=0)
+        assert abs(rate - 0.5 * rel_entropy(0.5, 1.0)) < 1e-12
+        assert abs(rate - 0.5 * math.log(2.0)) < 1e-12
+
+
 class TestLdpCurve:
     def test_exact_method_and_shape(self):
         fam = GnpFamily(0.5)

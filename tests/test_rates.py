@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stepldp import rates
 from stepldp.coloured import ColouredStepGraphon
 from stepldp.graphon import OverlapCoupling, PartWeights, make_step_graphon
 from stepldp.ldplab import EventSpec, exact_event_logprob_block
@@ -311,6 +312,127 @@ class TestRateR:
             alpha = rng.dirichlet(np.ones(2))
             j = rate_J(alpha, p, u, budget=16, seed=trial).value
             assert r <= j + 1e-9
+
+
+def _rigid_support_alphas(q, w, k):
+    """Block fractions that split each part evenly over a maximal support."""
+    m = w.size
+    allowed = (w[:, None] > 0.0) & np.isfinite(np.diag(q)).reshape(m, k)
+    if np.count_nonzero(allowed) > rates.SUPPORT_ENUM_LIMIT:
+        return []
+    out = []
+    for mask in rates._support_masks(q, allowed):
+        counts = mask.sum(axis=1)
+        if np.any((counts == 0) & (w > 0.0)):
+            continue
+        alpha = np.where(mask, (w / np.maximum(counts, 1))[:, None], 0.0).sum(axis=0)
+        if alpha.sum() > 0.0:
+            out.append(tuple((alpha / alpha.sum()).tolist()))
+    return out
+
+
+def oracle_rate_R(p, u, budget, seed):
+    """``rate_R`` as it was before the row-simplex descent: ``rate_J`` probes
+    at budget 4 over a simplex grid plus the fractions of rigid supports,
+    refinement of the best point by pairwise transfers, and a re-probe of the
+    winner at the full budget.  Returns the smallest value seen."""
+    p = np.asarray(p, dtype=float)
+    k = p.shape[0]
+    w = u.parts.weights
+    q = rates._entropy_tensor(p, u.values)
+    resolution = 20 if k <= 3 else 8
+    grid = [tuple(x / resolution for x in comp)
+            for comp in rates._simplex_grid(k, resolution)]
+    candidates = list(dict.fromkeys(grid + _rigid_support_alphas(q, w, k)))
+    base = rates._seed_list(seed)
+
+    def probe(alpha, idx, restarts):
+        return rates._search_J(w, rates._prepare_alpha(alpha), q, restarts, base + [idx])[0]
+
+    scored = [(probe(alpha, idx, 4), alpha) for idx, alpha in enumerate(candidates)]
+    best, alpha = min(scored, key=lambda got: got[0])
+    if not math.isfinite(best):
+        return INF
+    alpha = np.asarray(alpha, dtype=float)
+    step = 1.0 / (2 * resolution)
+    for round_no in range(6):
+        improved = False
+        for i in range(k):
+            for j in range(k):
+                if i == j or alpha[j] < step - 1e-15:
+                    continue
+                cand = alpha.copy()
+                cand[i] += step
+                cand[j] -= step
+                if cand[j] < 0.0:
+                    continue
+                got = probe(tuple(cand.tolist()),
+                            len(candidates) + round_no * k * k + i * k + j, 4)
+                if got < best - 1e-12:
+                    best, alpha, improved = got, cand, True
+        if not improved:
+            step /= 2.0
+    return min(best, probe(tuple(alpha.tolist()), 0x0F1A, budget))
+
+
+def _random_R_instance(rng, trial):
+    m = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 4))
+    w = rng.dirichlet(np.ones(m))
+    vals = rng.uniform(0.0, 1.0, (m, m))
+    vals = (vals + vals.T) / 2
+    p = rng.uniform(0.05, 0.95, (k, k))
+    p = (p + p.T) / 2
+    if trial % 3 == 0:
+        # 0/1 entries in p, and values that meet some of them exactly
+        p = np.where(np.triu(rng.random((k, k)) < 0.4), np.round(p), p)
+        p = np.triu(p) + np.triu(p, 1).T
+        vals = np.where(np.triu(rng.random((m, m)) < 0.4), np.round(vals), vals)
+        vals = np.triu(vals) + np.triu(vals, 1).T
+    return p, make_step_graphon(w, vals)
+
+
+class TestRateROracle:
+    """The row-simplex descent against the grid scan it replaced."""
+
+    def test_never_above_the_grid_scan(self):
+        rng = np.random.default_rng(41)
+        lower = 0
+        for trial in range(42):
+            p, u = _random_R_instance(rng, trial)
+            rep = rate_R(p, u, budget=16, seed=trial)
+            want = oracle_rate_R(p, u, budget=16, seed=trial)
+            assert rep.value <= want + 1e-12, (trial, rep.value, want)
+            if not rep.is_finite:
+                assert want == INF and rep.budget_used == 0
+                continue
+            lower += rep.value < want - 1e-9
+            c = rep.witness_coupling.matrix
+            assert np.array_equal(rep.witness_alpha.weights, PartWeights(c.sum(axis=0)).weights)
+            assert coupling_entropy_objective(rep.witness_coupling, p, u) == rep.value
+            j = rate_J(rep.witness_alpha.weights, p, u, budget=256, seed=trial)
+            assert j.value <= rep.value + 1e-9, (trial, j.value, rep.value)
+        assert lower > 0
+
+    def test_budget_counts_descents(self, monkeypatch):
+        descents = []
+        inner = rates._quadratic_descent
+
+        def counted(*args, **kwargs):
+            descents.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "_quadratic_descent", counted)
+        rng = np.random.default_rng(43)
+        for trial in range(12):
+            p, u = _random_R_instance(rng, trial)
+            for budget in (1, 5, 24):
+                descents.clear()
+                rep = rate_R(p, u, budget=budget, seed=trial)
+                assert rep.budget_used == len(descents) <= budget
+        descents.clear()
+        rep = rate_R([[0.0, 0.0], [0.0, 0.0]], make_step_graphon([1.0], [[0.5]]), budget=8)
+        assert rep.value == INF and rep.budget_used == 0 and not descents
 
 
 class TestRateReport:
