@@ -447,9 +447,9 @@ def _multistart_descent(q, feasible, moves, budget, seed, start):
     gives its coupling, and every start after the first takes 2(m + k)
     random-walk moves before descending.  Ties in value go to the
     lexicographically smaller support pattern, and the search stops once the
-    value is at most 0.
-    Returns (value, coupling matrix, starts used); the value is the cost of
-    the scrubbed matrix, as ``OverlapCoupling`` stores it.
+    value is at most 0.  Returns (value, coupling matrix, starts used); the
+    value is the cost of the scrubbed matrix, as ``OverlapCoupling`` stores
+    it, so it is the witness's.
     """
     best_val = None
     best_c = None
