@@ -427,6 +427,43 @@ class TestFrozenSearch:
             "0d112ea6da5eece0726451d8bb737740c035a482a93c023fc20da19041d58145")
 
 
+def _search_entries():
+    """sha256 of each of 72 seeded ``cut_distance_search`` and
+    ``dk_distance_search`` results (value, witness bytes, restarts used).
+
+    Part counts 1 to 4 on each side, so nearly half the pairs have a one-part
+    side, some zero-weight parts, 1 to 3 colours and 1 to 5 restarts.
+    """
+    rng = np.random.default_rng(45)
+    entries = []
+    for trial in range(36):
+        m, k = (int(x) for x in rng.integers(1, 5, 2))
+        restarts = int(rng.integers(1, 6))
+        u, v = _random_graphon(rng, m), _random_graphon(rng, k)
+        if m > 1 and trial % 4 == 0:
+            w = u.parts.weights.copy()
+            w[int(rng.integers(m))] = 0.0
+            u = make_step_graphon(w / w.sum(), u.values)
+        colours = int(rng.integers(1, 4))
+        a = ColouredStepGraphon(u, rng.integers(0, colours, m), num_colours=colours)
+        b = ColouredStepGraphon(v, rng.integers(0, colours, k), num_colours=colours)
+        for est in (cut_distance_search(u, v, restarts=restarts, seed=trial),
+                    dk_distance_search(a, b, restarts=restarts, seed=trial)):
+            entries.append(_search_digest([(est.upper, est.witness.matrix,
+                                            est.restarts_used)]))
+    return entries
+
+
+class TestFrozenSearchSeeds:
+    """One digest over 72 seeded cut and coloured searches, recorded before
+    their restart loop was merged with the J/R descent's."""
+
+    def test_cut_and_dk_searches(self):
+        digest = hashlib.sha256("".join(_search_entries()).encode()).hexdigest()
+        assert digest == (
+            "ff34ec40544f24fc05362cb750ad2c7e3f688f8a9934ed5918aa81edb707f008")
+
+
 class TestFrozenReroutedPaths:
     """Digests of two search paths that no other digest reaches.
 

@@ -555,6 +555,54 @@ class _EdgeCountMod3(EventSpec):
         return graph.edge_count() % 3 == 0
 
 
+def _rate_search_entries():
+    """sha256 of each of 600 seeded ``rate_J`` and ``rate_R`` reports.
+
+    Part counts 1 to 5 against 1 to 3 blocks, some zero-weight parts and
+    block fractions, and budgets 1 to 8.  A third of the inputs have no 0/1
+    entry in p; a third put 0/1 entries in p and give every part a home block
+    whose values meet them (finite values, often on rigid supports); a third
+    put 0/1 entries in both (often infinite).
+    """
+    rng = np.random.default_rng(44)
+    entries = []
+    for trial in range(300):
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        p = _symmetric(_zero_one_heavy(rng, (k, k)))
+        vals = rng.uniform(0.0, 1.0, (m, m))
+        if trial % 3 == 0:
+            p = _symmetric(rng.uniform(0.05, 0.95, (k, k)))
+        elif trial % 3 == 1:
+            home = rng.integers(0, k, m)
+            ph = p[np.ix_(home, home)]
+            vals = np.where((ph == 0.0) | (ph == 1.0), ph, vals)
+        else:
+            vals = _zero_one_heavy(rng, (m, m))
+        u = make_step_graphon(_weights(rng, m), _symmetric(vals))
+        alpha = _weights(rng, k)
+        budget = int(rng.integers(1, 9))
+        for rep in (rate_J(alpha, p, u, budget=budget, seed=trial),
+                    rate_R(p, u, budget=budget, seed=trial)):
+            h = hashlib.sha256(repr((rep.value, rep.budget_used)).encode())
+            if rep.witness_coupling is not None:
+                h.update(rep.witness_coupling.matrix.tobytes())
+            if rep.witness_alpha is not None:
+                h.update(rep.witness_alpha.weights.tobytes())
+            entries.append(h.hexdigest())
+    return entries
+
+
+class TestFrozenRateSearches:
+    """One digest over 600 seeded J and R searches (value, budget used and
+    witness bytes of each), recorded before the J/R restart loop and the cut
+    search's restart loop were merged."""
+
+    def test_rate_J_and_rate_R(self):
+        digest = hashlib.sha256("".join(_rate_search_entries()).encode()).hexdigest()
+        assert digest == (
+            "f1640a45fafac6bc093aaa07d0c33365428927a253ecb94c6deeae006b32cecd")
+
+
 class TestFrozenValues:
     """Digests of the entropy functionals and of mask enumeration.
 
