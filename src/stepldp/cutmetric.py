@@ -487,6 +487,38 @@ def _polish(c, objective, moves, support_cap):
     return c, best
 
 
+def _seed_list(seed):
+    """A seed (an integer or a list of them) as a list to extend."""
+    return list(seed) if isinstance(seed, (list, tuple)) else [seed]
+
+
+def _derived_rng(seed, *extra):
+    """Deterministic generator from a seed plus distinguishing integers."""
+    return np.random.default_rng(_seed_list(seed) + list(extra))
+
+
+def _multistart(restarts, seed, run):
+    """The best of ``restarts`` local searches over a transportation polytope.
+
+    Start r calls ``run(r, _derived_rng(seed, r))``, which builds its start,
+    runs its local step and returns (coupling matrix, value).  Ties in value
+    go to the lexicographically smallest support, and the search stops once
+    the value is at most 0.  Returns (value, coupling matrix, starts used).
+    This one loop drives the cut, coloured, J and R searches.
+    """
+    best_val = best_c = best_support = None
+    used = 0
+    for r in range(restarts):
+        c, val = run(r, _derived_rng(seed, r))
+        used = r + 1
+        key = _support_key(c)
+        if best_val is None or val < best_val or (val == best_val and key < best_support):
+            best_val, best_c, best_support = val, c, key
+        if best_val <= 0.0:
+            break
+    return best_val, best_c, used
+
+
 def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
                      support_cap, restarts, seed) -> DistanceEstimate:
     """Multi-start cycle-move search for the coupling minimizing an objective.
@@ -494,8 +526,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
     Starts: a greedy fill along ``start_cost`` (cheapest cells first), the
     northwest corner, the independent product when its support fits
     ``support_cap``, then random greedy vertices from ``[seed, r]``.  Each
-    start is polished; ties prefer the lexicographically smallest support,
-    and the search stops early once the objective reaches zero.  Starts and
+    start is polished, and ``_multistart`` keeps the best.  Starts and
     moves keep the marginals, so candidates go unvalidated: ``stack`` gets
     their pieces ``(w, src, tgt)`` and returns the objective as a kernel
     stack (see ``_SearchObjective``), and only the witness is checked.
@@ -505,11 +536,8 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
     m, k = rows.size, cols.size
     objective = _SearchObjective(stack, m, k)
     moves = _cycle_moves(m, k)
-    best_val = None
-    best_c = None
-    best_support = None
-    used = 0
-    for r in range(restarts):
+
+    def run(r, rng):
         if r == 0:
             c0 = _greedy_fill(rows, cols, np.argsort(start_cost, axis=None, kind="stable"))
         elif r == 1:
@@ -517,14 +545,10 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
         elif r == 2 and m * k <= support_cap:
             c0 = np.outer(rows, cols)
         else:
-            c0 = _greedy_fill(rows, cols, np.random.default_rng([seed, r]).permutation(m * k))
-        c, val = _polish(c0, objective, moves, support_cap)
-        used = r + 1
-        key = _support_key(c)
-        if best_val is None or val < best_val or (val == best_val and key < best_support):
-            best_val, best_c, best_support = val, c, key
-        if best_val == 0.0:
-            break
+            c0 = _greedy_fill(rows, cols, rng.permutation(m * k))
+        return _polish(c0, objective, moves, support_cap)
+
+    best_val, best_c, used = _multistart(restarts, seed, run)
     witness = OverlapCoupling(best_c, u.parts, v.parts)
     return DistanceEstimate(best_val, witness, used, objective.evaluations, objective.pruned)
 

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .graphon import LabeledGraph, StepGraphon, graph_to_graphon
-from .cutmetric import _ENUM_CHUNK, _subset_bits, cut_distance_search
-from .rates import _seed_list, _simplex_grid, rate_J, rate_R, rel_entropy
+from .cutmetric import _ENUM_CHUNK, _seed_list, _subset_bits, cut_distance_search
+from .rates import _simplex_grid, rate_J, rate_R, rel_entropy
 from .samplers import apportion_counts, sample_block, sample_wrandom
 
 __all__ = [

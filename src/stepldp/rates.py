@@ -26,7 +26,7 @@ from .graphon import (
     overlay_partitions,
 )
 from .coloured import ColouredStepGraphon
-from .cutmetric import _cycle_moves, _subset_bits
+from .cutmetric import _cycle_moves, _derived_rng, _multistart
 
 DEFAULT_RATE_RESTARTS = 64
 
@@ -35,6 +35,9 @@ CONVERGENCE_TOL = 1e-9
 
 # Exhaustive support-pattern enumeration up to this many coupling cells.
 SUPPORT_ENUM_LIMIT = 24
+
+# Supply a transport fill may leave unmet on a feasible support.
+_HALL_TOL = 1e-12
 
 Inf = math.inf
 
@@ -223,36 +226,14 @@ def _maximal_cliques(compatible):
     return cliques
 
 
-def _hall_feasible(w, alpha, allowed):
-    """Transportation feasibility of supplies w to demands alpha on a mask.
-
-    Checks the cut condition over subsets of the smaller side; infeasibility
-    certifies that no coupling confined to ``allowed`` has the marginals.
-    """
-    m, k = allowed.shape
-    if k > m:
-        return _hall_feasible(alpha, w, allowed.T)
-    tol = 1e-12
-    live_rows = w > 0.0
-    live_cols = alpha > 0.0
-    if np.any(live_rows & ~allowed.any(axis=1)):
-        return False
-    if np.any(live_cols & ~allowed.any(axis=0)):
-        return False
-    for t in _subset_bits(k, 0, 1 << k)[1:] > 0.0:
-        stuck = allowed[:, ~t].sum(axis=1) == 0
-        if w[stuck & live_rows].sum() > alpha[t].sum() + tol:
-            return False
-    return True
-
-
 def _transport_fill(w, alpha, allowed, rng=None):
-    """A feasible coupling on the allowed mask via augmenting paths.
+    """A coupling of supplies w to demands alpha on the allowed mask, or None.
 
-    Breadth-first augmentation between supplies and demands; the neighbour
-    scan order is shuffled when an rng is given, which varies the vertex of
-    the restricted polytope that comes out.  Assumes feasibility has been
-    certified.
+    Breadth-first augmentation between supplies and demands, a max-flow; the
+    neighbour scan order is shuffled when an rng is given, which varies the
+    vertex of the restricted polytope that comes out.  The supply left unmet
+    is the mask's largest Hall deficit, so the mask is certified infeasible,
+    and None returned, when it exceeds _HALL_TOL.
     """
     m, k = allowed.shape
     c = np.zeros((m, k))
@@ -265,9 +246,7 @@ def _transport_fill(w, alpha, allowed, rng=None):
             rng.shuffle(lst)
         for lst in rows_of:
             rng.shuffle(lst)
-    guard = 4 * (m + k) * (m * k + 1)
-    while guard > 0:
-        guard -= 1
+    for _ in range(4 * (m + k) * (m * k + 1)):
         sources = [a for a in range(m) if need_row[a] > 1e-15]
         if not sources:
             break
@@ -326,9 +305,9 @@ def _transport_fill(w, alpha, allowed, rng=None):
                 c[path[s + 2][1], i] -= push
         need_row[start] -= push
         need_col[goal[1]] -= push
-    if float(need_row.sum()) > 1e-9:
-        raise RuntimeError("transport fill failed on a feasible support")
-    return c
+    else:
+        raise RuntimeError("transport fill did not finish within its guard")
+    return c if float(need_row.sum()) <= _HALL_TOL else None
 
 
 def _cycle_directions(m, k):
@@ -440,49 +419,28 @@ def _quadratic_descent(c, support, rng, walk_steps):
     return full.reshape(m, k), value
 
 
-def _multistart_descent(q, feasible, moves, budget, seed, start):
-    """The best of ``budget`` descents, cycling over the feasible supports.
+def _descend_supports(q, feasible, moves, budget, seed, start):
+    """J and R's search: the best of ``budget`` descents over the supports.
 
-    Start r draws from ``_derived_rng(seed, r)``: ``start(r, mask, rng)``
-    gives its coupling, and every start after the first takes 2(m + k)
-    random-walk moves before descending.  Ties in value go to the
-    lexicographically smaller support pattern, and the search stops once the
-    value is at most 0.  Returns (value, coupling matrix, starts used); the
-    value is the cost of the scrubbed matrix, as ``OverlapCoupling`` stores
-    it, so it is the witness's.
+    Start r descends on support r modulo their count, from the coupling
+    ``start(r, mask, rng)``; every start after the first takes 2(m + k)
+    random-walk moves first.  Returns (value, coupling matrix, starts used);
+    the value is the cost of the scrubbed matrix, as ``OverlapCoupling``
+    stores it, so it is the witness's.
     """
-    best_val = None
-    best_c = None
-    best_support = None
-    used = 0
     walk = sum(feasible[0].shape)
     lines = {}  # each support's lines, built on its first start
-    for r in range(budget):
+
+    def run(r, rng):
         idx = r % len(feasible)
-        mask = feasible[idx]
         if idx not in lines:
-            lines[idx] = _support_lines(q, mask, moves)
-        rng = _derived_rng(seed, r)
-        c, val = _quadratic_descent(start(r, mask, rng), lines[idx], rng,
-                                    walk_steps=0 if r == 0 else 2 * walk)
-        used = r + 1
-        key = tuple(map(tuple, (c > 0.0).tolist()))
-        if best_val is None or val < best_val or (val == best_val and key < best_support):
-            best_val, best_c, best_support = val, c, key
-        if best_val <= 0.0:
-            break
-    best_c = np.maximum(best_c, 0.0)
-    return _coupling_cost(best_c, q), best_c, used
+            lines[idx] = _support_lines(q, feasible[idx], moves)
+        return _quadratic_descent(start(r, feasible[idx], rng), lines[idx], rng,
+                                  walk_steps=0 if r == 0 else 2 * walk)
 
-
-def _seed_list(seed):
-    """A seed (an integer or a list of them) as a list to extend."""
-    return list(seed) if isinstance(seed, (list, tuple)) else [seed]
-
-
-def _derived_rng(seed, *extra):
-    """Deterministic generator from a seed plus distinguishing integers."""
-    return np.random.default_rng(_seed_list(seed) + list(extra))
+    _, c, used = _multistart(budget, seed, run)
+    c = np.maximum(c, 0.0)
+    return _coupling_cost(c, q), c, used
 
 
 def _support_masks(q, allowed, seed=None):
@@ -567,14 +525,14 @@ def _search_J(w, alpha_hat, q, budget, seed):
     self_ok = np.isfinite(np.diag(q)).reshape(m, k)
     allowed = (w[:, None] > 0.0) & (alpha_hat[None, :] > 0.0) & self_ok
     feasible = [mask for mask in _support_masks(q, allowed, seed)
-                if _hall_feasible(w, alpha_hat, mask)]
+                if _transport_fill(w, alpha_hat, mask) is not None]
     if not feasible:
         return Inf, None, 0
 
     def start(r, mask, rng):
         return _transport_fill(w, alpha_hat, mask, rng=None if r == 0 else rng)
 
-    return _multistart_descent(q, feasible, _cycle_directions(m, k), budget, seed, start)
+    return _descend_supports(q, feasible, _cycle_directions(m, k), budget, seed, start)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +581,7 @@ def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateRepor
         total = share.sum(axis=1, keepdims=True)
         return w[:, None] * share / np.where(total > 0.0, total, 1.0)
 
-    value, c, used = _multistart_descent(q, feasible, _row_transfers(m, k), budget, seed, start)
+    value, c, used = _descend_supports(q, feasible, _row_transfers(m, k), budget, seed, start)
     alpha = PartWeights(c.sum(axis=0))
     return RateReport(value, witness_coupling=OverlapCoupling(c, u.parts, alpha),
                       witness_alpha=alpha, budget_used=used)
