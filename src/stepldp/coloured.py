@@ -235,7 +235,9 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     # every part list is nonempty, so m * nb >= 1
     support_cap = min(DK_EXACT_PART_LIMIT, max(_DK_ENUM_BUDGET - k * k, 8), m * nb,
                       max(m + nb + 2, 12))
-    start_cost = _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
+    def start_cost():
+        return _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
+
     return _coupling_search(u, v, stack, start_cost, support_cap, restarts, seed)
 
 

@@ -523,10 +523,11 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
                      support_cap, restarts, seed) -> DistanceEstimate:
     """Multi-start cycle-move search for the coupling minimizing an objective.
 
-    Starts: a greedy fill along ``start_cost`` (cheapest cells first), the
-    northwest corner, the independent product when its support fits
-    ``support_cap``, then random greedy vertices from ``[seed, r]``.  Each
-    start is polished, and ``_multistart`` keeps the best.  Starts and
+    Starts: a greedy fill along the cost matrix ``start_cost()`` (cheapest
+    cells first), the northwest corner, the independent product when its
+    support fits ``support_cap``, then random greedy vertices; each is
+    polished and ``_multistart`` keeps the best.  A one-part side leaves one
+    coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and
     moves keep the marginals, so candidates go unvalidated: ``stack`` gets
     their pieces ``(w, src, tgt)`` and returns the objective as a kernel
     stack (see ``_SearchObjective``), and only the witness is checked.
@@ -536,10 +537,13 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
     m, k = rows.size, cols.size
     objective = _SearchObjective(stack, m, k)
     moves = _cycle_moves(m, k)
+    one_point = m == 1 or k == 1
 
     def run(r, rng):
-        if r == 0:
-            c0 = _greedy_fill(rows, cols, np.argsort(start_cost, axis=None, kind="stable"))
+        if one_point:
+            c0 = np.outer(rows, cols)
+        elif r == 0:
+            c0 = _greedy_fill(rows, cols, np.argsort(start_cost(), axis=None, kind="stable"))
         elif r == 1:
             c0 = _greedy_fill(rows, cols, np.arange(m * k))
         elif r == 2 and m * k <= support_cap:
@@ -548,7 +552,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
             c0 = _greedy_fill(rows, cols, rng.permutation(m * k))
         return _polish(c0, objective, moves, support_cap)
 
-    best_val, best_c, used = _multistart(restarts, seed, run)
+    best_val, best_c, used = _multistart(1 if one_point else restarts, seed, run)
     witness = OverlapCoupling(best_c, u.parts, v.parts)
     return DistanceEstimate(best_val, witness, used, objective.evaluations, objective.pruned)
 
@@ -579,7 +583,7 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     # keep every evaluated coupling inside the exact cut-norm regime
     support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
     return _coupling_search(u, v, functools.partial(_cut_stack, u, v),
-                            _profile_cost(u, v), support_cap, restarts, seed)
+                            functools.partial(_profile_cost, u, v), support_cap, restarts, seed)
 
 
 def graph_cut_distance_exact(g, h) -> float:

@@ -293,10 +293,8 @@ def _transport_fill(w, alpha, allowed, rng=None):
         start = path[0][1]
         push = min(need_row[start], need_col[goal[1]])
         for s in range(0, len(path) - 1, 2):
-            a = path[s][1]
-            i = path[s + 1][1]
             if s + 2 < len(path):
-                push = min(push, c[path[s + 2][1], i])
+                push = min(push, c[path[s + 2][1], path[s + 1][1]])
         for s in range(0, len(path) - 1, 2):
             a = path[s][1]
             i = path[s + 1][1]
@@ -422,12 +420,14 @@ def _quadratic_descent(c, support, rng, walk_steps):
 def _descend_supports(q, feasible, moves, budget, seed, start):
     """J and R's search: the best of ``budget`` descents over the supports.
 
-    Start r descends on support r modulo their count, from the coupling
-    ``start(r, mask, rng)``; every start after the first takes 2(m + k)
-    random-walk moves first.  Returns (value, coupling matrix, starts used);
-    the value is the cost of the scrubbed matrix, as ``OverlapCoupling``
-    stores it, so it is the witness's.
+    Start r descends on support r modulo their count from ``start(r, mask,
+    rng)``, after 2(m + k) random-walk moves if r > 0.  Returns (value,
+    coupling matrix, starts used); the value is the cost of the scrubbed
+    matrix, as ``OverlapCoupling`` stores it, so it is the witness's.
     """
+    if all(mask.sum(axis=1).max() == 1 for mask in feasible):
+        # one cell per live part forces each support's coupling: one start each
+        budget = min(budget, len(feasible))
     walk = sum(feasible[0].shape)
     lines = {}  # each support's lines, built on its first start
 
@@ -502,7 +502,8 @@ def rate_J(alpha, p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> Ra
     alpha by a positive constant does not change anything: the vector is
     normalized by its sum before any arithmetic.
 
-    ``budget`` counts restarts; values never increase as it grows.
+    ``budget`` counts restarts (one per support when all are forced, with
+    one cell per part); values never increase as it grows.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -562,7 +563,7 @@ def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateRepor
     it, and when none is the value is +infinity, exactly.  A multi-start
     descent then moves mass within rows: start 0 splits each row evenly over
     its support cells, later starts split it at random.  ``budget`` counts
-    descent starts; values never increase as it grows.
+    starts, as in ``rate_J``; values never increase as it grows.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -347,7 +347,10 @@ class TestFrozenSearch:
     Any change to a start, a polish step, a tie-break or a stopping rule
     moves some upper bound, witness or restart count and shows here.  The
     digests were recorded from the two separate search loops that preceded
-    the shared ``_coupling_search``, so they pin its behaviour exactly.
+    the shared ``_coupling_search``, so they pin its behaviour exactly.  The
+    cut and coloured digests were re-derived when a one-part side came to be
+    evaluated once: their one-part cases, (1, 3) and ([0], [1, 0]), now
+    report 1 restart, with the same value and witness bytes.
     """
 
     def test_cut_distance_search(self):
@@ -367,7 +370,7 @@ class TestFrozenSearch:
         est = cut_distance_search(u, w, restarts=8, seed=0)
         results.append((est.upper, est.witness.matrix, est.restarts_used))
         assert _search_digest(results) == (
-            "12e9ab4cb50b200864bd7a6045027d24e537a8b84c157081af28dfcde132eddb")
+            "27a642a449d0880ccbd9fce1a71f560cf369cbe5dd865ccd1f8e5dc2093b0ef9")
 
     def test_dk_distance_search(self):
         rng = np.random.default_rng(32)
@@ -381,7 +384,7 @@ class TestFrozenSearch:
             est = dk_distance_search(a, b, restarts=3, seed=trial)
             results.append((est.upper, est.witness.matrix, est.restarts_used))
         assert _search_digest(results) == (
-            "3ebd5516d06a0fac00f23972dc49ea8aa479e61eb7711a82f44aabf4eeac9cab")
+            "8bf4e71e5a447da010ed4ea6201f0b587adb15d96e10e0fda24230c7fb0f0c96")
 
     def test_rate_J(self):
         rng = np.random.default_rng(33)
@@ -455,13 +458,20 @@ def _search_entries():
 
 
 class TestFrozenSearchSeeds:
-    """One digest over 72 seeded cut and coloured searches, recorded before
-    their restart loop was merged with the J/R descent's."""
+    """One digest over 72 seeded cut and coloured searches.
+
+    Recorded (ff34ec40...) before their restart loop was merged with the J/R
+    descent's, which left it unchanged.  Re-derived when a one-part side
+    came to be evaluated once: the 32 searches with a one-part side and more
+    than one restart now report 1 restart; 11 of them also changed witness
+    bytes and 6 of those their value, by 1 or 2 ulp (5 up, 1 down), as the
+    single coupling outer(rows, cols) replaced a float-drift copy of it.
+    """
 
     def test_cut_and_dk_searches(self):
         digest = hashlib.sha256("".join(_search_entries()).encode()).hexdigest()
         assert digest == (
-            "ff34ec40544f24fc05362cb750ad2c7e3f688f8a9934ed5918aa81edb707f008")
+            "591e89c84c8fec6039f4aef44d998dc3f97028e1d0e08a08dac162ade4e371c6")
 
 
 class TestFrozenReroutedPaths:
@@ -473,7 +483,9 @@ class TestFrozenReroutedPaths:
     cell per part, on which every descent start is the forced coupling.  The
     cut-search digest was recorded before the searches stopped building
     validated types per candidate; the ``rate_R`` digest was re-derived when
-    R became one descent over row simplices.
+    R became one descent over row simplices, and again when forced supports
+    came to run one start each (budget used 6 -> 2, value and witness
+    unchanged).
     """
 
     def test_cut_distance_search_past_exact_limit(self):
@@ -502,7 +514,7 @@ class TestFrozenReroutedPaths:
         results = [(rep.value, rep.witness_coupling.matrix, rep.budget_used),
                    (None, rep.witness_alpha.weights, None)]
         assert _search_digest(results) == (
-            "011e5d4cdb06b8fb3982191fbd3b8970c01599e1361accf717e6ec8c0b878908")
+            "aca1ba2b715c6c35f9388a91e6f2cf2f6921a3b753f6a3d8f773450050e6c32a")
 
 
 def oracle_polish(c, objective, moves, support_cap):
@@ -664,18 +676,22 @@ class TestPrunedSearchOracle:
             tight += 1
         assert loose > 0 and tight == 60
 
-    def test_one_part_target_repeats_come_from_the_memo(self):
+    def test_one_part_side_is_evaluated_once(self):
         u = _random_graphon(np.random.default_rng(39), 5)
         v = make_step_graphon([1.0], [[0.5]])
+        # one part on a side leaves the single coupling outer(rows, cols)
         est = cut_distance_search(u, v, restarts=16, seed=0)
-        # no cycle moves: each restart evaluates its start, and starts whose
-        # fill order leaves the same bytes are read from the memo
-        assert est.restarts_used == 16
-        assert 1 <= est.evaluations < 16 and est.pruned == 0
+        assert (est.restarts_used, est.evaluations, est.pruned) == (1, 1, 0)
+        np.testing.assert_array_equal(est.witness.matrix, np.outer(u.parts.weights, [1.0]))
+        assert est.upper == cut_distance_upper(u, v, est.witness)
         flipped = cut_distance_search(v, u, restarts=16, seed=0)
-        assert (flipped.evaluations, flipped.pruned) == (est.evaluations, 0)
+        assert (flipped.restarts_used, flipped.evaluations) == (1, 1)
+        assert repr(flipped.upper) == repr(est.upper)
         assert set(est.to_json()) == {"upper", "witness", "restartsUsed"}
-
+        a = ColouredStepGraphon(u, [0, 1, 1, 0, 1], num_colours=2)
+        b = ColouredStepGraphon(v, [1], num_colours=2)
+        est = dk_distance_search(a, b, restarts=16, seed=0)
+        assert (est.restarts_used, est.evaluations, est.pruned) == (1, 1, 0)
 
 _TWO_PART_TARGET = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
 

@@ -262,6 +262,17 @@ class TestRateJ:
                 assert np.array_equal(other.witness_coupling.matrix,
                                       base.witness_coupling.matrix)
 
+    def test_forced_support_runs_one_start(self):
+        # three maximal supports, each with one cell per part; only the
+        # diagonal one meets alpha, and its coupling is forced
+        u = make_step_graphon([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
+        p = [[1.0, 0.0], [0.0, 0.6]]
+        rep = rate_J([0.3, 0.7], p, u, budget=16, seed=0)
+        assert rep.budget_used == 1
+        assert rep.value == pytest.approx(0.5 * 0.7 ** 2 * math.log(1 / 0.6), rel=1e-12)
+        np.testing.assert_array_equal(rep.witness_coupling.matrix, [[0.3, 0.0], [0.0, 0.7]])
+        assert repr(rate_J([0.3, 0.7], p, u, budget=1, seed=0).value) == repr(rep.value)
+
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             rate_J([1.0], [[0.5]], make_step_graphon([1.0], [[0.5]]), budget=0)
@@ -291,6 +302,16 @@ class TestRateR:
         rep = rate_R(p, u, budget=32, seed=0)
         assert rep.value <= 1e-12
         assert rep.witness_alpha.weights[0] > 0.99
+
+    def test_forced_supports_run_one_start_each(self):
+        # every maximal support gives each part one cell: three forced
+        # couplings, the cheapest of which puts part 0 on block 1
+        u = make_step_graphon([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
+        p = [[1.0, 0.0], [0.0, 0.6]]
+        rep = rate_R(p, u, budget=16, seed=0)
+        assert rep.budget_used == 3
+        assert rep.value == pytest.approx(0.5 * 0.3 ** 2 * math.log(1 / 0.6), rel=1e-12)
+        np.testing.assert_array_equal(rep.witness_alpha.weights, [0.7, 0.3])
 
     def test_all_infeasible(self):
         u = make_step_graphon([1.0], [[0.5]])
@@ -651,13 +672,19 @@ class TestFrozenRateSearches:
     cut search's key, the sorted list of support cells, where J and R had
     compared the 0/1 support patterns; one entry changed, the ``rate_J``
     call of trial 142 (an all-ones graphon), where two supports cost the
-    same and the witness moved to the other one.
+    same and the witness moved to the other one (e7f26a2b...).
+
+    Re-derived when forced supports came to run one start each: in 146
+    entries (76 J, 70 R) only the budget used fell.  In 18 more R entries
+    the witness bytes changed too, and in 12 of those the value rose by 1
+    or 2 ulp: the forced coupling, each part's weight on its one cell,
+    replaced the cheapest of several float-drift copies of it.
     """
 
     def test_rate_J_and_rate_R(self):
         digest = hashlib.sha256("".join(_rate_search_entries()).encode()).hexdigest()
         assert digest == (
-            "e7f26a2bbf28e94e711ef74fdaac9bab931cb7aabe0dd32f2da8eeb1b2b0123c")
+            "b73049ef885c36305d95de4c726856f845c6f623edd534a0542f1e0ea3898070")
 
 
 class TestFrozenValues:
