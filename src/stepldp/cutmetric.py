@@ -221,12 +221,15 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    M = _mass_matrix(f)
-    m = f.parts.size
+    return _alternating_cut_norm(_mass_matrix(f), restarts, seed)
+
+
+def _alternating_cut_norm(M, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
+    """``cut_norm_alternating`` on a mass matrix, unvalidated."""
     rng = np.random.default_rng(seed)
     best = 0.0
     for r in range(restarts):
-        b = np.ones(m) if r == 0 else rng.integers(0, 2, size=m).astype(float)
+        b = np.ones(len(M)) if r == 0 else rng.integers(0, 2, size=len(M)).astype(float)
         for sign in (1.0, -1.0):
             best = max(best, _alternate(M, b.copy(), sign))
     return best
@@ -236,13 +239,14 @@ def _cut_stack(u: StepGraphon, v: StepGraphon, w, src, tgt):
     """The cut objective on the pieces (w, src, tgt) of a trusted coupling.
 
     Up to EXACT_PART_LIMIT pieces this is the one-kernel stack (0.0, [M]) of
-    the difference's mass matrix; past it, (alternating value, None).
+    the difference's mass matrix M; past it, (alternating value on M, None).
     """
     diff = u.values[src[:, None], src] - v.values[tgt[:, None], tgt]
-    if w.size > EXACT_PART_LIMIT:
-        return cut_norm_alternating(SignedStepFn(PartWeights(w), diff)), None
     w = _normalized(w, float(w.sum()))
-    return 0.0, ((w[:, None] * w[None, :]) * diff)[None]
+    M = (w[:, None] * w[None, :]) * diff
+    if w.size > EXACT_PART_LIMIT:
+        return _alternating_cut_norm(M), None
+    return 0.0, M[None]
 
 
 def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
