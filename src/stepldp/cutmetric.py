@@ -5,7 +5,8 @@ measurable A, B; for a step function the optimum is attained on unions of
 whole parts, so for small part counts it is computed exactly by subset
 enumeration.  The cut distance between two step graphons additionally
 minimizes over rearrangements, parameterized here by overlap couplings; the
-search only ever certifies the distance from above.
+search bounds the distance from above, certified while its witness has at
+most EXACT_PART_LIMIT pieces.
 """
 
 import functools

@@ -14,9 +14,11 @@ functions predict.
 Conventions.  Densities compare with plain float comparisons, no tolerance:
 an event "density >= r" holds iff edge_count / (n choose 2) >= r in floats,
 and every exact routine reproduces exactly that predicate.  Ball events test
-membership through a certified upper bound on the cut distance, so reported
-probabilities are lower bounds on the true ball probability (a graph only
-counts once the search proves it within eta).
+membership by the cut-distance search's value, a certified upper bound while
+its witness has at most 22 pieces, so a graph counts only once proved within
+eta.  Past 22 pieces (every graph on more than 22 vertices against a one-part
+target) the value is the alternating heuristic's, a lower bound on the
+witness's cut norm, and such points are not certified lower bounds.
 """
 
 import bisect
@@ -67,8 +69,10 @@ class EventSpec:
 
     kind is "density-ge", "density-le", or "ball".  Density events carry the
     threshold r; ball events carry a target step graphon and radius eta, and
-    hold when the distance search certifies the empirical graphon within eta
-    of the target (an upper-bound test: the event never over-counts).
+    hold when the distance search's value is at most eta.  The event never
+    over-counts while the witness has at most 22 pieces; past that (every
+    graph on more than 22 vertices against a one-part target) the value is
+    the alternating heuristic's.
     """
 
     kind: str
