@@ -68,30 +68,39 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     """Independent Bernoulli edges on vertices with the given block types.
 
     Each unordered pair {s, t}, s < t, takes one uniform coin from rng, drawn
-    in row-major upper-triangular order, and is an edge iff its coin is
-    strictly below p[types[s], types[t]], so probabilities 0 and 1 are exact.
-    With ``aligned`` (increasing vertex indices) and ``shared_coins`` (one
-    coin per pair of aligned positions, in the same row-major order), the
-    pairs of two aligned vertices use the shared coin instead of their own.
-    Returns the edges as an (E, 2) array of rows (s, t) in lexicographic
-    order.
+    as one block of n(n-1)/2 coins in row-major upper-triangular order, and
+    is an edge iff its coin is strictly below p[types[s], types[t]], so
+    probabilities 0 and 1 are exact.  With ``aligned`` (increasing vertex
+    indices) and ``shared_coins`` (one coin per pair of aligned positions, in
+    the same row-major order), the pairs of two aligned vertices use the
+    shared coin instead of their own.  Returns the edges as an (E, 2) array
+    of rows (s, t) in lexicographic order.
+
+    Row s of the triangle starts at rank start[s] = s(2n - s - 1)/2, and its
+    thresholds are the slice P[types[s], s+1:] of P = p[:, types]; the slices
+    are joined once and compared once, so no per-pair index or probability
+    array is formed.  A hit at rank r in row s is the pair
+    (s, r - start[s] + s + 1).  Fewer than two vertices draw no coin.
     """
     n = types.size
-    iu, ju = np.triu_indices(n, k=1)
-    coins = rng.random(iu.size)
-    if shared_coins is not None:
-        c = aligned.size
-        pos = np.full(n, -1, dtype=int)
-        pos[aligned] = np.arange(c)
-        pi, pj = pos[iu], pos[ju]
-        both = (pi >= 0) & (pj >= 0)
-        # row-major rank of the aligned pair (s, t), s < t, among c(c-1)/2 pairs
-        s_idx = pi[both]
-        t_idx = pj[both]
-        rank = s_idx * (2 * c - s_idx - 1) // 2 + (t_idx - s_idx - 1)
-        coins[both] = shared_coins[rank]
-    hit = coins < p[types[iu], types[ju]]
-    return np.column_stack((iu[hit], ju[hit]))
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    rows = np.arange(n + 1)
+    start = rows * (2 * n - rows - 1) // 2  # start[n] is the number of pairs
+    shift = start[:n] - rows[:n] - 1  # pair (s, t) has rank t + shift[s]
+    coins = rng.random(start[n])
+    if shared_coins is not None and shared_coins.size:
+        # aligned row i's shared coins pair it with aligned[i+1:], in order
+        ranks = [aligned[i + 1:] + o for i, o in enumerate(shift[aligned[:-1]].tolist())]
+        coins[np.concatenate(ranks)] = shared_coins
+    by_type = list(p[:, types])
+    hit = coins < np.concatenate([by_type[t][s:]
+                                  for s, t in enumerate(types[:-1].tolist(), 1)])
+    del coins
+    r = np.flatnonzero(hit)
+    del hit
+    s = np.repeat(rows[:n], np.diff(np.searchsorted(r, start)))
+    return np.column_stack((s, r - shift[s]))
 
 
 def sample_block(counts, p, seed):
@@ -155,6 +164,18 @@ def alignment_distance_bound(counts_a, counts_b):
     return 2.0 * (1.0 / s_a - 1.0) + 2.0 * (1.0 / s_b - 1.0)
 
 
+def _aligned_edges(graph, aligned):
+    """Edges of the subgraph induced on ``aligned``, relabelled by position.
+
+    ``aligned`` is increasing, so the relabelling keeps the rows in
+    lexicographic order.
+    """
+    pos = np.full(graph.n, -1)
+    pos[aligned] = np.arange(aligned.size)
+    e = pos[graph.edges]
+    return e[(e >= 0).all(axis=1)]
+
+
 CoupledPair = namedtuple(
     "CoupledPair",
     ["graph_a", "graph_b", "aligned_a", "aligned_b", "epsilon", "bound"],
@@ -209,11 +230,9 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     g_a = build(a, aligned_a, np.random.default_rng(s_a))
     g_b = build(b, aligned_b, np.random.default_rng(s_b))
 
-    if c > 1:
-        sub_a = g_a.adjacency()[np.ix_(aligned_a, aligned_a)]
-        sub_b = g_b.adjacency()[np.ix_(aligned_b, aligned_b)]
-        if not np.array_equal(sub_a, sub_b):
-            raise RuntimeError("aligned subgraphs disagree; coupling is broken")
+    if c > 1 and not np.array_equal(_aligned_edges(g_a, aligned_a),
+                                    _aligned_edges(g_b, aligned_b)):
+        raise RuntimeError("aligned subgraphs disagree; coupling is broken")
 
     diff = int(np.abs(a - b).sum())
     epsilon = diff / min(na, nb)

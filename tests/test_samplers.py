@@ -1,16 +1,149 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stepldp import samplers
 from stepldp.graphon import graph_to_edgelist, make_step_graphon
 from stepldp.samplers import (
+    _bernoulli_pairs,
     alignment_distance_bound,
     apportion_counts,
     coupled_block_sample,
     sample_block,
     sample_wrandom,
 )
+
+
+def oracle_bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
+    """The per-pair formula: triu index arrays, one gathered threshold per pair."""
+    n = types.size
+    iu, ju = np.triu_indices(n, k=1)
+    coins = rng.random(iu.size)
+    if shared_coins is not None:
+        c = aligned.size
+        pos = np.full(n, -1, dtype=int)
+        pos[aligned] = np.arange(c)
+        pi, pj = pos[iu], pos[ju]
+        both = (pi >= 0) & (pj >= 0)
+        # row-major rank of the aligned pair (s, t), s < t, among c(c-1)/2 pairs
+        s_idx = pi[both]
+        t_idx = pj[both]
+        rank = s_idx * (2 * c - s_idx - 1) // 2 + (t_idx - s_idx - 1)
+        coins[both] = shared_coins[rank]
+    hit = coins < p[types[iu], types[ju]]
+    return np.column_stack((iu[hit], ju[hit]))
+
+
+class TestBernoulliPairsOracle:
+    """The row-slice kernel draws the same coins and edges as the per-pair formula."""
+
+    @staticmethod
+    def _case(rng):
+        k = int(rng.integers(1, 5))
+        n = int(rng.choice([rng.integers(0, 12), rng.integers(12, 301)]))
+        types = rng.integers(0, k, n)
+        if rng.random() < 0.5:
+            types = np.sort(types)
+        p = rng.random((k, k))
+        p = np.triu(p) + np.triu(p, 1).T
+        p[p < 0.15] = 0.0
+        p[p > 0.85] = 1.0
+        return types, p
+
+    @staticmethod
+    def _aligned(rng, n):
+        size = int(rng.choice([0, 1, 2, rng.integers(0, n + 1)]))
+        size = min(size, n)
+        if rng.random() < 0.3:
+            return np.arange(size)
+        return np.sort(rng.choice(n, size, replace=False))
+
+    @staticmethod
+    def _assert_same(types, p, seed, aligned=None, shared=None):
+        got = _bernoulli_pairs(types, p, np.random.default_rng(seed), aligned, shared)
+        want = oracle_bernoulli_pairs(types, p, np.random.default_rng(seed), aligned, shared)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_independent_pairs(self):
+        rng = np.random.default_rng(101)
+        for trial in range(200):
+            types, p = self._case(rng)
+            self._assert_same(types, p, trial)
+
+    def test_shared_coins(self):
+        rng = np.random.default_rng(202)
+        for trial in range(200):
+            types, p = self._case(rng)
+            aligned = self._aligned(rng, types.size)
+            c = aligned.size
+            shared = rng.random(c * (c - 1) // 2)
+            self._assert_same(types, p, trial, aligned, shared)
+
+    def test_all_zero_and_all_one(self):
+        types = np.array([0, 1, 1, 0, 2, 2, 1])
+        for value in (0.0, 1.0):
+            self._assert_same(types, np.full((3, 3), value), 7)
+        n = types.size
+        assert len(_bernoulli_pairs(types, np.ones((3, 3)), np.random.default_rng(0))) \
+            == n * (n - 1) // 2
+
+
+class TestSmallInputs:
+    def test_one_vertex_draws_no_coin(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        edges = _bernoulli_pairs(np.zeros(1, dtype=int), np.array([[0.5]]), rng)
+        assert edges.shape == (0, 2)
+        assert rng.bit_generator.state == state
+        assert sample_block([1], [[1.0]], seed=5).edge_count() == 0
+
+    def test_wrandom_without_vertices_names_the_graph(self):
+        u = make_step_graphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.6]])
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            sample_wrandom(0, u, seed=0)
+
+    def test_coupled_with_one_aligned_vertex(self):
+        p = [[0.5, 0.3], [0.3, 0.6]]
+        frozen = [[[0, 2]], [[0, 1], [0, 2], [1, 2]], [], [[0, 1], [0, 2]], [[0, 1]],
+                  [[0, 2], [1, 2]]]
+        for seed, edges_b in enumerate(frozen):
+            pair = coupled_block_sample([1, 0], [1, 2], p, seed=seed)
+            assert pair.graph_a.edge_count() == 0
+            assert pair.graph_b.edges.tolist() == edges_b
+            assert pair.aligned_a.tolist() == pair.aligned_b.tolist() == [0]
+            assert (pair.epsilon, pair.bound) == (2.0, 4.0)
+
+
+def _traced_peak_mib(fn):
+    """Peak bytes (in MiB) that fn allocates; numpy reports its buffers to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    """At n = 2000 the coin and threshold arrays dominate; no per-pair index arrays."""
+
+    P = np.array([[0.45, 0.25], [0.25, 0.4]])
+
+    def test_sample_block_peak(self):
+        assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 64.0
+
+    def test_coupled_block_sample_peak(self):
+        peak = _traced_peak_mib(
+            lambda: coupled_block_sample([586, 592], [576, 602], self.P, 1))
+        assert peak <= 48.0
 
 
 class TestApportionCounts:
@@ -162,6 +295,14 @@ class TestCoupledBlockSample:
         y = coupled_block_sample([4, 5], [5, 4], p, seed=9)
         assert np.array_equal(x.graph_a.edges, y.graph_a.edges)
         assert np.array_equal(x.graph_b.edges, y.graph_b.edges)
+
+    def test_broken_coupling_is_caught(self, monkeypatch):
+        def ignore_shared(types, p, rng, aligned=None, shared_coins=None):
+            return _bernoulli_pairs(types, p, rng)
+
+        monkeypatch.setattr(samplers, "_bernoulli_pairs", ignore_shared)
+        with pytest.raises(RuntimeError, match="aligned subgraphs disagree"):
+            coupled_block_sample([5, 7], [6, 6], np.full((2, 2), 0.5), seed=0)
 
     def test_identical_counts_identical_graphs(self):
         p = np.full((2, 2), 0.5)
