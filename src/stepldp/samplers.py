@@ -96,6 +96,7 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     by_type = list(p[:, types])
     hit = coins < np.concatenate([by_type[t][s:]
                                   for s, t in enumerate(types[:-1].tolist(), 1)])
+    # drop the O(n²) arrays before the O(E) edge rows are built
     del coins
     r = np.flatnonzero(hit)
     del hit

@@ -62,10 +62,12 @@ class TestBernoulliPairsOracle:
 
     @staticmethod
     def _assert_same(types, p, seed, aligned=None, shared=None):
-        got = _bernoulli_pairs(types, p, np.random.default_rng(seed), aligned, shared)
-        want = oracle_bernoulli_pairs(types, p, np.random.default_rng(seed), aligned, shared)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _bernoulli_pairs(types, p, rng_got, aligned, shared)
+        want = oracle_bernoulli_pairs(types, p, rng_want, aligned, shared)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     def test_independent_pairs(self):
         rng = np.random.default_rng(101)
@@ -86,9 +88,8 @@ class TestBernoulliPairsOracle:
         types = np.array([0, 1, 1, 0, 2, 2, 1])
         for value in (0.0, 1.0):
             self._assert_same(types, np.full((3, 3), value), 7)
-        n = types.size
-        assert len(_bernoulli_pairs(types, np.ones((3, 3)), np.random.default_rng(0))) \
-            == n * (n - 1) // 2
+        complete = _bernoulli_pairs(types, np.ones((3, 3)), np.random.default_rng(0))
+        assert len(complete) == types.size * (types.size - 1) // 2
 
 
 class TestSmallInputs:
