@@ -21,10 +21,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphon import _check_prob_matrix, graph_to_edgelist, load_graphon, overlay_partitions
+from .graphon import (_check_prob_matrix, _check_weights, graph_to_edgelist, load_graphon,
+                      overlay_partitions)
 from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
-from .samplers import coupled_block_sample
+from .samplers import _check_counts, _check_coupled, coupled_block_sample
 from .ldplab import (
     CURVE_COLUMNS,
     BlockFamily,
@@ -47,6 +48,14 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # small grammars shared by several subcommands
+
+
+def _checked(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ValueError turned into a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _read_json(path):
@@ -87,40 +96,31 @@ def parse_prob_matrix(text):
     except (TypeError, ValueError):
         raise CliError("probability matrix rows must have equal length "
                        "and hold only numbers")
+    return _checked(_check_prob_matrix, p)
+
+
+def _numbers(text, kind, what):
+    """The comma-separated numbers of ``text``, each read by ``kind``."""
     try:
-        return _check_prob_matrix(p)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError("bad %s %r" % (what, text))
 
 
 def parse_weights(text):
-    try:
-        w = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise CliError("bad weight vector %r" % text)
-    if not w or any(x < 0 for x in w) or sum(w) <= 0:
-        raise CliError("weights must be nonnegative with a positive sum")
-    return np.asarray(w, dtype=float)
+    return _checked(_check_weights, _numbers(text, float, "weight vector"), "weights")
 
 
 def parse_counts(text):
-    try:
-        c = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise CliError("bad count vector %r" % text)
-    if not c or any(x < 0 for x in c):
-        raise CliError("counts must be nonnegative integers")
-    return np.asarray(c, dtype=int)
+    return _checked(_check_counts, _numbers(text, int, "count vector"))
 
 
 def parse_graphon(path):
     """A step graphon JSON file."""
     try:
-        return load_graphon(path)
+        return _checked(load_graphon, path)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def parse_model(text):
@@ -131,20 +131,14 @@ def parse_model(text):
             p = float(rest)
         except ValueError:
             raise CliError("gnp needs a probability, got %r" % rest)
-        if not 0.0 <= p <= 1.0:
-            raise CliError("gnp probability must lie in [0, 1]")
-        return GnpFamily(p)
+        return _checked(GnpFamily, p)
     if head == "block":
         alpha_text, _, p_text = rest.partition(":")
         if not alpha_text or not p_text:
             raise CliError("block model grammar is block:<alpha>:<p>")
-        alpha = parse_weights(alpha_text)
-        p = parse_prob_matrix(p_text)
-        if p.shape[0] != alpha.size:
-            raise CliError("alpha has %d blocks but p is %dx%d"
-                           % (alpha.size, p.shape[0], p.shape[0]))
-        return BlockFamily(alpha=tuple(alpha.tolist()),
-                           p=tuple(tuple(row) for row in p.tolist()))
+        alpha = tuple(_numbers(alpha_text, float, "weight vector"))
+        p = tuple(tuple(row) for row in parse_prob_matrix(p_text).tolist())
+        return _checked(BlockFamily, alpha, p)
     if head == "wrandom":
         if not rest:
             raise CliError("wrandom needs a graphon JSON file")
@@ -170,10 +164,7 @@ def parse_sizes(text):
             n *= 2
         sizes.append(hi)
         return sizes
-    try:
-        sizes = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise CliError("bad size list %r" % text)
+    sizes = _numbers(text, int, "size list")
     if not sizes or any(n < 1 for n in sizes):
         raise CliError("sizes must be positive integers")
     return sizes
@@ -198,10 +189,7 @@ def parse_event(text):
             raise CliError("bad ball radius %r" % eta_text)
     else:
         raise CliError("unknown event %r (expected density-ge:, density-le:, or ball:)" % text)
-    try:
-        return EventSpec(head, **spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return _checked(EventSpec, head, **spec)
 
 
 def _integer(name, minimum):
@@ -411,9 +399,8 @@ def cmd_distance(resolved, values):
 
 def cmd_rate(resolved, values):
     p, u, alpha = values["p"], values["u"], values["alpha"]
-    if alpha is not None and alpha.size != p.shape[0]:
-        raise CliError("alpha has %d blocks but p is %dx%d"
-                       % (alpha.size, p.shape[0], p.shape[0]))
+    if alpha is not None:
+        _checked(_check_prob_matrix, p, alpha.size)
     emit_config("rate", resolved, sys.stdout)
 
     budget, seed = values["budget"], values["seed"]
@@ -437,17 +424,10 @@ def cmd_rate(resolved, values):
 
 def cmd_coupling_demo(resolved, values):
     counts_a, counts_b, p = values["counts-a"], values["counts-b"], values["p"]
-    if counts_a.size != counts_b.size:
-        raise CliError("count vectors must have the same number of blocks")
-    if p.shape[0] != counts_a.size:
-        raise CliError("p is %dx%d but there are %d blocks"
-                       % (p.shape[0], p.shape[0], counts_a.size))
+    _checked(_check_coupled, counts_a, counts_b, p)
     emit_config("coupling-demo", resolved, sys.stdout)
 
-    try:
-        pair = coupled_block_sample(counts_a, counts_b, p, values["seed"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    pair = coupled_block_sample(counts_a, counts_b, p, values["seed"])
     sys.stdout.write("epsilon: %.12g\n" % pair.epsilon)
     sys.stdout.write("certified distance bound: %.12g\n" % pair.bound)
     sys.stdout.write("aligned vertices: %d of %d and %d\n"
@@ -469,17 +449,11 @@ def cmd_coupling_demo(resolved, values):
 
 def cmd_ldp_curve(resolved, values):
     family, event, method, seed = (values[k] for k in ("model", "event", "method", "seed"))
-    try:
-        check_method(family, event, method, values["n"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _checked(check_method, family, event, method, values["n"])
     emit_config("ldp-curve", resolved, sys.stdout)
 
-    try:
-        points = ldp_curve(family, event, values["n"], method=method,
-                           num_samples=values["num-samples"], seed=seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    points = _checked(ldp_curve, family, event, values["n"], method=method,
+                      num_samples=values["num-samples"], seed=seed)
     predicted = predicted_rate(family, event, budget=16, seed=seed)
     for pt in points:
         sys.stdout.write(

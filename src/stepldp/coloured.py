@@ -15,6 +15,9 @@ import numpy as np
 from .graphon import (
     PartWeights,
     StepGraphon,
+    _check_prob_matrix,
+    graphon_from_json,
+    graphon_to_json,
     make_step_graphon,
     overlay_partitions,
 )
@@ -251,11 +254,7 @@ def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:
     k = a.num_colours
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError("colour index out of range")
-    p = np.asarray(p, dtype=float)
-    if p.shape != (k, k):
-        raise ValueError("reference matrix must be %dx%d" % (k, k))
-    if np.max(np.abs(p - p.T)) > 1e-12:
-        raise ValueError("reference matrix must be symmetric")
+    p = _check_prob_matrix(p, k)
     cs = a.colours[:, None]
     ct = a.colours[None, :]
     keep = ((cs == i) & (ct == j)) | ((cs == j) & (ct == i))
@@ -265,21 +264,18 @@ def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:
 
 def coloured_to_json(a: ColouredStepGraphon) -> dict:
     """JSON form: the graphon fields plus 1-based part colours."""
-    out = {
-        "weights": [float(x) for x in a.graphon.parts.weights],
-        "values": [[float(x) for x in row] for row in a.graphon.values],
-        "colours": [int(c) + 1 for c in a.colours],
-    }
+    out = graphon_to_json(a.graphon)
+    out["colours"] = [int(c) + 1 for c in a.colours]
     if a.num_colours > int(a.colours.max()) + 1:
         out["numColours"] = a.num_colours
     return out
 
 
 def coloured_from_json(data: dict) -> ColouredStepGraphon:
+    g = graphon_from_json(data)
     if "colours" not in data:
         raise ValueError("missing field: colours")
     raw = np.array(data["colours"], dtype=int)
     if raw.size and int(raw.min()) < 1:
         raise ValueError("JSON colour indices are 1-based")
-    g = make_step_graphon(PartWeights(data["weights"]), np.array(data["values"], dtype=float))
     return ColouredStepGraphon(g, raw - 1, num_colours=data.get("numColours"))

@@ -18,6 +18,7 @@ from .graphon import (
     OverlapCoupling,
     PartWeights,
     StepGraphon,
+    _check_values,
     _matrix_pieces,
     _normalized,
     common_refinement,
@@ -44,22 +45,8 @@ class SignedStepFn:
     """Symmetric step function on the unit square with values in [-1, 1]."""
 
     def __init__(self, parts, values):
-        if not isinstance(parts, PartWeights):
-            parts = PartWeights(parts)
-        v = np.array(values, dtype=float)
-        m = parts.size
-        if v.shape != (m, m):
-            raise ValueError("value matrix must be %dx%d, got %r" % (m, m, v.shape))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if v.size and np.max(np.abs(v - v.T)) > 1e-12:
-            raise ValueError("value matrix must be symmetric within 1e-12")
-        v = (v + v.T) / 2.0
-        if float(np.max(np.abs(v))) > 1.0:
-            raise ValueError("values must lie in [-1, 1]")
-        v.flags.writeable = False
-        self.parts = parts
-        self.values = v
+        self.parts = parts if isinstance(parts, PartWeights) else PartWeights(parts)
+        self.values = _check_values(self.parts, values, -1.0)
 
     @classmethod
     def difference(cls, parts, values_a, values_b):

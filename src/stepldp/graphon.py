@@ -22,6 +22,45 @@ MARGINAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
+def _check_weights(w, name):
+    """w as a float vector: nonempty, 1-D, finite and nonnegative with a positive finite sum.
+
+    ``name`` opens every message.  The vector is a copy and is not rescaled.
+    """
+    w = np.array(w, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("%s must form a nonempty vector" % name)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("%s must be finite" % name)
+    if np.any(w < 0.0):
+        raise ValueError("%s must be nonnegative" % name)
+    with np.errstate(over="ignore"):
+        if not 0.0 < float(w.sum()) < np.inf:
+            raise ValueError("%s must have a positive finite sum" % name)
+    return w
+
+
+def _check_values(parts, values, lo):
+    """A read-only value matrix on ``parts``: finite, symmetric, entries in [lo, 1].
+
+    Asymmetry within SYMMETRY_TOL is averaged away; a symmetric matrix keeps its bits.
+    """
+    v = np.array(values, dtype=float)
+    m = parts.size
+    if v.shape != (m, m):
+        raise ValueError("value matrix must be %dx%d to match the parts, got %r"
+                         % (m, m, v.shape))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
+        raise ValueError("value matrix must be symmetric within 1e-12")
+    v = (v + v.T) / 2.0
+    if float(v.min()) < lo or float(v.max()) > 1.0:
+        raise ValueError("values must lie in [%g, 1]" % lo)
+    v.flags.writeable = False
+    return v
+
+
 def _normalized(w, total):
     """w rescaled by its 1-norm ``total`` unless that is within NORMALIZATION_TOL of one."""
     return w / total if abs(total - 1.0) > NORMALIZATION_TOL else w
@@ -38,16 +77,8 @@ class PartWeights:
     """
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("part weights must form a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("part weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("part weights must be nonnegative")
+        w = _check_weights(weights, "part weights")
         total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError("part weights must not all be zero")
         w = _normalized(w, total)
         w.flags.writeable = False
         self.weights = w
@@ -77,25 +108,8 @@ class StepGraphon:
     """Symmetric step function on the unit square with values in [0, 1]."""
 
     def __init__(self, parts, values):
-        if not isinstance(parts, PartWeights):
-            parts = PartWeights(parts)
-        v = np.array(values, dtype=float)
-        m = parts.size
-        if v.shape != (m, m):
-            raise ValueError(
-                "value matrix must be %dx%d to match the parts, got %r"
-                % (m, m, v.shape)
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if v.size and np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
-            raise ValueError("value matrix must be symmetric within 1e-12")
-        v = (v + v.T) / 2.0  # exact when already symmetric
-        if float(v.min()) < 0.0 or float(v.max()) > 1.0:
-            raise ValueError("values must lie in [0, 1]")
-        v.flags.writeable = False
-        self.parts = parts
-        self.values = v
+        self.parts = parts if isinstance(parts, PartWeights) else PartWeights(parts)
+        self.values = _check_values(self.parts, values, 0.0)
 
     def __repr__(self):
         return "StepGraphon(parts=%d)" % self.parts.size
@@ -226,7 +240,9 @@ def _check_prob_matrix(p, k=None):
         raise ValueError("probability matrix must be square")
     if k is not None and p.shape[0] != k:
         raise ValueError("probability matrix must be %dx%d, got %r" % (k, k, p.shape))
-    if np.max(np.abs(p - p.T)) > 1e-12:
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
         raise ValueError("probability matrix must be symmetric")
     if float(p.min()) < 0.0 or float(p.max()) > 1.0:
         raise ValueError("probabilities must lie in [0, 1]")

@@ -29,9 +29,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .graphon import LabeledGraph, StepGraphon, graph_to_graphon
+from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_weights,
+                      graph_to_graphon)
 from .cutmetric import _ENUM_CHUNK, _seed_list, _subset_bits, cut_distance_search
-from .rates import _simplex_grid, rate_J, rate_R, rel_entropy
+from .rates import _prepare_alpha, _simplex_grid, rate_J, rate_R, rel_entropy
 from .samplers import apportion_counts, sample_block, sample_wrandom
 
 __all__ = [
@@ -57,6 +58,8 @@ ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
 # layout has at most 2^21 - 1 free pairs (n = 2048 when every pair is free)
 # and each transform array stays near 16 MB
 FFT_LENGTH_CAP = 1 << 21
+# the 3^b 5^c factors of the fast transform lengths ``_fft_length`` picks from
+_FFT_FACTORS = tuple(3**b * 5**c for b in range(14) for c in range(10))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,7 @@ class EventSpec:
             if self.r is None or not (0.0 <= self.r <= 1.0):
                 raise ValueError("density events need a threshold r in [0, 1]")
         elif self.kind == "ball":
-            if self.target is None or self.eta is None or self.eta < 0.0:
+            if self.target is None or self.eta is None or not self.eta >= 0.0:
                 raise ValueError("ball events need a target graphon and eta >= 0")
         else:
             raise ValueError("unknown event kind %r" % (self.kind,))
@@ -120,6 +123,11 @@ class EventSpec:
 
 class _BlockLayout:
     """A fixed block layout per n: the block-model law, whose rate is J."""
+
+    def __post_init__(self):
+        """Reject block ratios or a probability matrix that define no block model."""
+        alpha, p = self.layout()
+        _check_prob_matrix(p, _check_weights(alpha, "alpha").size)
 
     def counts_for(self, n):
         alpha, p = self.layout()
@@ -323,16 +331,20 @@ def _window_tilt(free, lo, hi):
     return 0.5 * (below + above)
 
 
+def _fft_length(span):
+    """The least 2^a 3^b 5^c above span: a fast length, at most 25 % longer."""
+    return min((1 << (span // d).bit_length()) * d for d in _FFT_FACTORS)
+
+
 def _pairs_past_fft_cap(counts, p, event: EventSpec):
     """The free pair count when ``density_logprob_block`` refuses a layout, else 0.
 
-    The transform is longer than ``FFT_LENGTH_CAP`` = 2^21 exactly when
-    2^21 or more pairs are free, since its length is the least 2^a 3^b 5^c
-    above that count.  Closed forms and a single free class need no
+    A layout is refused when its transform would be longer than
+    ``FFT_LENGTH_CAP``.  Closed forms and a single free class need no
     transform, so only a convolution of two or more classes counts.
     """
     span = _free_pair_count(counts, p)
-    if span < FFT_LENGTH_CAP:
+    if _fft_length(span) <= FFT_LENGTH_CAP:
         return 0
     free, window = _density_window(counts, p, event)
     return span if len(free) > 1 and _closed_form_logprob(free, window) is None else 0
@@ -350,11 +362,7 @@ def _fft_window_logprob(free, lo, hi):
     the transform's rounding spares.
     """
     span = sum(mult for _, mult in free)
-    # the least 2^a 3^b 5^c above span: a fast length, at most 25 % longer
-    length = min(
-        (1 << (span // (3**b * 5**c)).bit_length()) * 3**b * 5**c
-        for b in range(14) for c in range(10)
-    )
+    length = _fft_length(span)
     if length > FFT_LENGTH_CAP:
         raise ValueError(
             "exact density law: %d free pairs exceed the FFT cap of %d; use tilted or mc"
@@ -438,6 +446,14 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     return min(float(total), 0.0)
 
 
+def _compositions(n, w):
+    """Block counts of n vertices over parts of weights w, none in a part of weight 0."""
+    for comp in _simplex_grid(w.size, n):
+        a = np.asarray(comp, dtype=int)
+        if not np.any((a > 0) & (w <= 0.0)):
+            yield a
+
+
 def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     """Exact log probability under the step-graphon law, by conditioning.
 
@@ -447,13 +463,9 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     corresponding convex combination, evaluated term by term.
     """
     w = u.parts.weights
-    m = w.size
     logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
     terms = []
-    for comp in _simplex_grid(m, n):
-        a = np.asarray(comp, dtype=int)
-        if np.any((a > 0) & (w <= 0.0)):
-            continue
+    for a in _compositions(n, w):
         log_mult = float(gammaln(n + 1) - gammaln(a + 1).sum() + (a * np.where(a > 0, logw, 0.0)).sum())
         log_cond = exact_event_logprob_block(a, u.values, event)
         if log_cond != -math.inf:
@@ -573,9 +585,8 @@ def block_density_rate(alpha, p, r, kind="density-ge"):
     """
     if kind not in ("density-ge", "density-le"):
         raise ValueError("rate predictions cover density events only")
-    probs, cls = np.unique(np.asarray(p, dtype=float), return_inverse=True)
-    a = np.asarray(alpha, dtype=float)
-    a = a / a.sum()
+    a = _prepare_alpha(alpha)
+    probs, cls = np.unique(_check_prob_matrix(p, a.size), return_inverse=True)
     w = np.bincount(cls.ravel(), weights=np.outer(a, a).ravel(), minlength=probs.size)
     classes = [(float(q), float(wc)) for q, wc in zip(probs, w) if wc > 0.0]
     if len(classes) == 1:
@@ -640,8 +651,10 @@ def check_method(family, event: EventSpec, method, n_values=()):
     fixed layout and a density event.  The exact law of a fixed block
     layout covers density events only (enum reads the same law for them),
     at sizes whose transform fits ``FFT_LENGTH_CAP``; the step-graphon law
-    enumerates block counts, so it covers every event.  A density needs at
-    least two vertices.
+    enumerates block counts, so it covers every event.  Enumerating a
+    non-density event needs at most ``ENUM_FREE_LIMIT`` free pairs in the
+    layout of each size, or in every block-count layout of it under random
+    vertex types.  A density needs at least two vertices.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
@@ -662,6 +675,17 @@ def check_method(family, event: EventSpec, method, n_values=()):
             if span:
                 raise ValueError("exact density law: %d free pairs exceed the FFT cap of %d "
                                  "at n=%d; use tilted or mc" % (span, FFT_LENGTH_CAP - 1, n))
+    if method in ("exact", "enum") and not event.is_density:
+        for n in n_values:
+            if random_types:
+                layouts = ((a, family.u.values) for a in _compositions(n, family.u.parts.weights))
+            else:
+                layouts = [family.counts_for(n)]
+            for counts, p in layouts:
+                free = _free_pair_count(counts, p)
+                if free > ENUM_FREE_LIMIT:
+                    raise ValueError("event enumeration needs at most %d undetermined pairs, "
+                                     "got %d at n=%d" % (ENUM_FREE_LIMIT, free, n))
 
 
 def ldp_curve(family, event: EventSpec, n_values, method="auto",

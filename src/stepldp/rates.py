@@ -22,6 +22,7 @@ from .graphon import (
     PartWeights,
     StepGraphon,
     _check_prob_matrix,
+    _check_weights,
     make_step_graphon,
     overlay_partitions,
 )
@@ -164,11 +165,9 @@ def coupling_entropy_objective(coupling: OverlapCoupling, p, u: StepGraphon) -> 
     F(C) = 1/2 sum over (part a, column i), (part b, column j) of
     C[a,i] C[b,j] h_{p[i,j]}(u.values[a,b]), with 0 * inf = 0.
     """
-    p = _check_prob_matrix(p)
     c = coupling.matrix
     m, k = c.shape
-    if p.shape[0] != k:
-        raise ValueError("probability matrix does not match coupling columns")
+    p = _check_prob_matrix(p, k)
     if u.parts.size != m:
         raise ValueError("graphon parts do not match coupling rows")
     return _coupling_cost(c, _entropy_tensor(p, u.values))
@@ -481,13 +480,9 @@ def _support_masks(q, allowed, seed=None):
 
 
 def _prepare_alpha(alpha):
-    a = np.asarray(alpha, dtype=float).ravel()
-    if a.size == 0 or np.any(a < 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("alpha must be a nonnegative vector")
-    total = float(a.sum())
-    if total <= 0.0:
-        raise ValueError("alpha must not be the zero vector")
-    return a / total
+    """alpha checked and divided by its sum."""
+    a = _check_weights(alpha, "alpha")
+    return a / float(a.sum())
 
 
 def rate_J(alpha, p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateReport:

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .graphon import LabeledGraph, StepGraphon, _check_prob_matrix
+from .graphon import LabeledGraph, StepGraphon, _check_prob_matrix, _check_weights
 
 __all__ = [
     "apportion_counts",
@@ -30,17 +30,29 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def _check_counts(counts):
+def _check_counts(counts, size=None):
+    """Block counts as a nonempty vector of nonnegative ints, optionally of ``size`` blocks."""
     a = np.asarray(counts)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("block counts must form a nonempty vector")
+    if size is not None and a.size != size:
+        raise ValueError("count vectors must have the same number of blocks")
     if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(a == np.floor(a)):
+        if not np.all(np.isfinite(a) & (a == np.floor(a))):
             raise ValueError("block counts must be integers")
         a = a.astype(int)
     if np.any(a < 0):
         raise ValueError("block counts must be nonnegative")
     return a.astype(int)
+
+
+def _check_coupled(counts_a, counts_b, p):
+    """``coupled_block_sample``'s inputs: equal block numbers, a vertex each, p to match."""
+    a = _check_counts(counts_a)
+    b = _check_counts(counts_b, a.size)
+    if a.sum() == 0 or b.sum() == 0:
+        raise ValueError("both graphs need at least one vertex")
+    return a, b, _check_prob_matrix(p, a.size)
 
 
 def apportion_counts(n, weights):
@@ -49,9 +61,7 @@ def apportion_counts(n, weights):
     Largest-remainder rounding: floors first, then the leftover units go to
     the largest fractional parts (ties broken by block index).
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0 or np.any(w < 0.0) or w.sum() <= 0.0:
-        raise ValueError("weights must be a nonnegative vector with positive sum")
+    w = _check_weights(weights, "weights")
     if n < 0:
         raise ValueError("n must be nonnegative")
     target = n * (w / w.sum())
@@ -153,9 +163,7 @@ def alignment_distance_bound(counts_a, counts_b):
     2(1/s_a - 1) + 2(1/s_b - 1).  Infinite when nothing aligns.
     """
     a = _check_counts(counts_a)
-    b = _check_counts(counts_b)
-    if a.size != b.size:
-        raise ValueError("count vectors must have the same number of blocks")
+    b = _check_counts(counts_b, a.size)
     na, nb = int(a.sum()), int(b.sum())
     common = int(np.minimum(a, b).sum())
     if common == 0 or na == 0 or nb == 0:
@@ -197,15 +205,9 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     the certified cut-distance bound between the two empirical graphons from
     the aligned shares (at most 4 eps / (1 - eps) when eps < 1).
     """
-    a = _check_counts(counts_a)
-    b = _check_counts(counts_b)
-    if a.size != b.size:
-        raise ValueError("count vectors must have the same number of blocks")
+    a, b, p = _check_coupled(counts_a, counts_b, p)
     k = a.size
-    p = _check_prob_matrix(p, k)
     na, nb = int(a.sum()), int(b.sum())
-    if na == 0 or nb == 0:
-        raise ValueError("both graphs need at least one vertex")
 
     off_a = np.concatenate([[0], np.cumsum(a)])
     off_b = np.concatenate([[0], np.cumsum(b)])

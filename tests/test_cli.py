@@ -533,3 +533,40 @@ class TestArgparseBehaviour:
 
     def test_missing_command_exits_2(self, capsys):
         assert cli.main([]) == 2
+
+
+class TestInvalidInputExitsBeforeTheConfigLine:
+    CURVE = ["ldp-curve", "--event", "density-ge:0.5", "--n", "10", "--model"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (CURVE + ["block:nan,1:0.5,0.1;0.1,0.5"], "alpha must be finite"),
+        (CURVE + ["block:inf,1:0.5,0.1;0.1,0.5"], "alpha must be finite"),
+        (CURVE + ["block:1,1:nan,0.1;0.1,0.5"], "probabilities must be finite"),
+        (CURVE + ["block:1,1,1:0.5,0.1;0.1,0.5"], "probability matrix must be 3x3, got (2, 2)"),
+        (CURVE + ["gnp:1.5"], "probabilities must lie in [0, 1]"),
+        (CURVE + ["block:0,0:identity2"], "alpha must have a positive finite sum"),
+        (CURVE + ["block:1e308,1e308:identity2"], "alpha must have a positive finite sum"),
+        (["rate", "--p", "identity2", "--u", "{t1}", "--alpha", "inf,1"],
+         "weights must be finite"),
+        (["rate", "--p", "identity2", "--u", "{t1}", "--alpha", "0.2,0.3,0.5"],
+         "probability matrix must be 3x3, got (2, 2)"),
+        (["ldp-curve", "--model", "gnp:0.5", "--event", "ball:{t1}:nan", "--n", "4"],
+         "ball events need a target graphon and eta >= 0"),
+        (["coupling-demo", "--counts-a", "3,-1", "--counts-b", "3,3", "--p", "identity2"],
+         "block counts must be nonnegative"),
+        (["coupling-demo", "--counts-a", "3,3", "--counts-b", "4,3", "--p", "0.5"],
+         "probability matrix must be 2x2, got (1, 1)"),
+        (["coupling-demo", "--counts-a", "0,0", "--counts-b", "4,3", "--p", "identity2"],
+         "both graphs need at least one vertex"),
+        (["ldp-curve", "--model", "gnp:0.4", "--event", "ball:{t1}:0.3", "--n", "3,8",
+          "--method", "enum"],
+         "event enumeration needs at most 21 undetermined pairs, got 28 at n=8"),
+        (["ldp-curve", "--model", "wrandom:{t1}", "--event", "ball:{t1}:0.3", "--n", "8",
+          "--method", "exact"],
+         "event enumeration needs at most 21 undetermined pairs, got 28 at n=8"),
+    ])
+    def test_exits_2_with_the_validators_message(self, tmp_path, capsys, argv, message):
+        t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])
+        argv = [arg.format(t1=t1) for arg in argv] + ["--seed", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
