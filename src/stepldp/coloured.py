@@ -25,7 +25,9 @@ from .cutmetric import (
     DEFAULT_ALTERNATING_RESTARTS,
     DEFAULT_SEARCH_RESTARTS,
     DistanceEstimate,
+    _CellGrid,
     _coupling_search,
+    _grid_kernel,
     _objective_value,
     _profile_cost,
     _subset_bits,
@@ -108,6 +110,27 @@ def _sign_tables(k):
     Mask bits are read row-major; a set bit means -1.
     """
     return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
+
+
+def _dk_grid(a: ColouredStepGraphon, b: ColouredStepGraphon):
+    """The coloured objective of ``_dk_stack`` on the coupling-cell grid.
+
+    Sign pattern p has the kernel sig_p[ca, ca'] U - sig_p[cb, cb'] V, built
+    only once a cut of that pattern is pooled (4 colours have 2^15
+    patterns), and the symmetric difference is linear in the coupling: a
+    cell of two colours adds twice its mass.
+    """
+    k = a.num_colours
+    ca, cb = a.colours, b.colours
+    U, V = a.graphon.values, b.graphon.values
+
+    def kernel(p):
+        sig = _sign_tables(k)[p]
+        return _grid_kernel(sig[ca[:, None], ca] * U, sig[cb[:, None], cb] * V)
+
+    linear = 2.0 * (ca[:, None] != cb[None, :]).ravel()
+    return _CellGrid(kernel, float(np.abs(U).max() + np.abs(V).max()),
+                     min(DK_EXACT_PART_LIMIT, _DK_ENUM_BUDGET - k * k), linear)
 
 
 def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
@@ -241,7 +264,8 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     def start_cost():
         return _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
 
-    return _coupling_search(u, v, stack, start_cost, support_cap, restarts, seed)
+    return _coupling_search(u, v, stack, lambda: _dk_grid(a, b), start_cost, support_cap,
+                            restarts, seed)
 
 
 def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graphon import (
     MARGINAL_TOL,
+    NORMALIZATION_TOL,
     OverlapCoupling,
     PartWeights,
     StepGraphon,
@@ -60,8 +61,9 @@ class DistanceEstimate:
     """A coupling search's best value plus the coupling that witnesses it.
 
     ``evaluations`` counts the objective values the search computed (memo
-    hits excluded) and ``pruned`` the candidates a certified lower bound
-    rejected without one; neither is part of the JSON form.
+    hits excluded) and ``pruned`` the candidates its polish walked past
+    because the batched screen certified, from the pooled cuts, that they
+    could not improve; neither is part of the JSON form.
     """
 
     def __init__(self, upper, witness, restarts_used, evaluations=0, pruned=0):
@@ -345,6 +347,49 @@ def _support_key(c):
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
+class _CellGrid:
+    """A coupling search's objective on the m x k grid of coupling cells.
+
+    A candidate coupling c, flattened to x = c.ravel(), has on the grid the
+    masses x_r x_s K[r, s], with one kernel K per index p of its objective
+    stack, plus the linear term x @ ``linear`` (None for zero).  Zero-mass
+    cells add exact zeros, so on c's pieces this is the stack itself: K
+    holds the same value differences as the stack's kernel H[p], and no
+    pieces need extracting.  ``kernel(p)`` gives K and its transpose, both
+    C-ordered, built on first use.  ``entry_bound`` bounds |K[r, s]| for
+    every p; candidates with more than ``piece_limit`` pieces are evaluated
+    by a heuristic, and ``normalized`` says that the stack rescales pieces
+    whose mass is not one.
+    """
+
+    def __init__(self, kernel, entry_bound, piece_limit, linear=None, normalized=False):
+        self._build = kernel
+        self._kernels = {}
+        self.entry_bound = entry_bound
+        self.piece_limit = piece_limit
+        self.linear = linear
+        self.normalized = normalized
+
+    def kernel(self, p):
+        pair = self._kernels.get(p)
+        if pair is None:
+            K = self._build(p)
+            pair = self._kernels[p] = (K, np.ascontiguousarray(K.T))
+        return pair
+
+
+def _grid_kernel(U, V):
+    """K[(a, i), (b, j)] = U[a, b] - V[i, j] on the flattened cell grid."""
+    m, k = len(U), len(V)
+    return (U[:, None, :, None] - V[None, :, None, :]).reshape(m * k, m * k)
+
+
+def _cut_grid(u: StepGraphon, v: StepGraphon):
+    """The cut objective of ``_cut_stack`` on the coupling-cell grid."""
+    K = _grid_kernel(u.values, v.values)
+    return _CellGrid(lambda p: K, float(np.abs(K).max()), EXACT_PART_LIMIT, normalized=True)
+
+
 class _SearchObjective:
     """Objective values of one coupling search's candidates.
 
@@ -355,11 +400,14 @@ class _SearchObjective:
     exact enumeration joins a first-in first-out pool of recent best cuts,
     kept as indicators on the m x k coupling-cell grid (with its kernel
     index), so any later candidate, in any restart, can read it as a cut of
-    its own pieces.
+    its own pieces.  ``grid()`` builds the same objective on that grid (a
+    ``_CellGrid``); ``screen`` builds it once the pool holds a cut.
     """
 
-    def __init__(self, stack, m, k):
+    def __init__(self, stack, grid, m, k):
         self.stack = stack
+        self._make_grid = grid
+        self._grid = None
         self.memo = {}
         self.cols = k
         self.pool = np.zeros((_CUT_POOL_SIZE, m * k))
@@ -367,12 +415,10 @@ class _SearchObjective:
         self.pooled = 0
         self.evaluations = 0
         self.pruned = 0
+        self._work = np.empty((3, 0))
 
-    def __call__(self, c, threshold=None):
-        """Objective value of coupling c, or None when its value is certified
-        to be at least ``threshold`` (so no caller testing ``< threshold``
-        could take it); exact stacks are bounded before they are enumerated.
-        """
+    def __call__(self, c):
+        """Objective value of coupling c."""
         key = c.tobytes()
         val = self.memo.get(key)
         if val is not None:
@@ -382,11 +428,6 @@ class _SearchObjective:
         if H is None:
             val = const
         else:
-            if threshold is not None and self.pooled:
-                bound, margin = self.bound(const, H, src, tgt)
-                if bound - margin >= threshold:
-                    self.pruned += 1
-                    return None
             val, (p, row) = _stack_value(const, H)
             slot = self.pooled % _CUT_POOL_SIZE
             self.pool[slot] = 0.0
@@ -397,43 +438,121 @@ class _SearchObjective:
         self.memo[key] = val
         return val
 
-    def bound(self, const, H, src, tgt):
-        """Lower bound from the pooled cuts, and its rounding margin.
+    def cell_grid(self):
+        """The search's ``_CellGrid``, built on first use."""
+        if self._grid is None:
+            self._grid = self._make_grid()
+        return self._grid
 
-        Each pooled row set A, read on these pieces, gets its best B for
-        either sign, then one alternating step (the best A' for that B);
-        every value is |H[p](A', B)| of a real cut, so their maximum plus
-        const bounds the exact value from below, up to the margin.
+    def screen(self, cands, threshold):
+        """Flags the couplings cands[r] whose value is certified >= threshold.
+
+        A flagged candidate could not pass a ``< threshold`` test, so a
+        caller may skip it.  Memoized candidates and those the stack would
+        evaluate by a heuristic are never flagged.  The cut search also
+        leaves unflagged a candidate whose mass is not within half of
+        NORMALIZATION_TOL of one, so that its stack keeps the grid's masses.
+        The latest pooled cut alone certifies most skips in polish, so it
+        screens every candidate first and the whole pool the rest.
         """
+        skip = np.zeros(len(cands), dtype=bool)
+        if not len(cands) or not self.pooled:
+            return skip
+        grid = self.cell_grid()
+        X = cands.reshape(len(cands), -1)
+        total = X.sum(axis=1)
+        open_ = np.count_nonzero(X, axis=1) <= grid.piece_limit
+        if grid.normalized:
+            open_ &= np.abs(total - 1.0) <= NORMALIZATION_TOL / 2.0
+        open_ &= [x.tobytes() not in self.memo for x in X]
+        rows = np.flatnonzero(open_)
         used = min(self.pooled, _CUT_POOL_SIZE)
-        x = self.pool[:used].take(src * self.cols + tgt, axis=1)
-        kernel = np.concatenate([self.pool_kernel[:used]] * 2)
-        entry = np.arange(2 * used)
-        # column sums of each pooled A under its own kernel
-        t = np.matmul(x, H)[kernel[:used], entry[:used]]
-        # B = the positive (then the negative) columns; row sums over B
-        b = np.concatenate([t > 0.0, t < 0.0]).astype(float)
-        s = np.matmul(b, H.transpose(0, 2, 1))[kernel, entry]
-        s[used:] *= -1.0
-        # the best A' for each B, which does at least as well as A itself
-        found = float(np.maximum(s, 0.0).sum(axis=1).max())
+        stages = [np.array([(self.pooled - 1) % _CUT_POOL_SIZE])]
+        if used > 1:
+            stages.append(np.arange(used))
+        for slots in stages:
+            if not rows.size:
+                break
+            bound, margin = self.screen_bounds(X[rows], total[rows], slots)
+            certified = bound - margin >= threshold
+            skip[rows[certified]] = True
+            rows = rows[~certified]
+        return skip
+
+    def screen_bounds(self, X, total, slots):
+        """Lower bounds from the cuts in pool ``slots`` on candidates X, and
+        their margins.
+
+        X holds one flattened coupling per row and ``total`` its row sums.
+        Each pooled row set A, read on a candidate's cells, gets its best B
+        for either sign, then one alternating step (the best A' for that B);
+        every value is |H[p](A', B)| of a real cut of the candidate, so their
+        maximum plus the linear term bounds its exact value from below, up to
+        the margin.  The pooled cuts that share a kernel take each step in one
+        product, with the candidates folded into its rows.
+        """
+        grid = self.cell_grid()
+        n, cells = X.shape
+        pool, pool_kernel = self.pool[slots], self.pool_kernel[slots]
+        ones = np.ones(cells)
+        found = np.zeros(n)  # the empty cut's value
+        for p in np.unique(pool_kernel):
+            K, KT = grid.kernel(int(p))
+            A = pool[pool_kernel == p]
+            q = A.shape[0]
+            size = q * n * cells
+            # reused work rows: fresh arrays of this size cost more in page
+            # faults than the arithmetic, and same-shape operands beat
+            # broadcast ones
+            if self._work.shape[1] < 2 * size:
+                self._work = np.empty((3, 2 * size))
+            xq = self._work[2, :size].reshape(q, n, cells)
+            np.copyto(xq, X)
+            y = self._work[0, :size].reshape(q, n, cells)
+            np.multiply(A[:, None, :], xq, out=y)
+            # column sums of each pooled A, short of the column's own mass
+            t = self._work[1, :size].reshape(q * n, cells)
+            np.matmul(y.reshape(-1, cells), K, out=t)
+            t = t.reshape(q, n, cells)
+            # B = the positive (then the negative) columns, as masses
+            b = self._work[0, :2 * size].reshape(2, q, n, cells)
+            np.multiply(t > 0.0, xq, out=b[0])
+            np.multiply(t < 0.0, xq, out=b[1])
+            # row sums over B; the best A' for each B takes the rows of its sign
+            s = self._work[1, :2 * size].reshape(2 * q * n, cells)
+            np.matmul(b.reshape(-1, cells), KT, out=s)
+            s = s.reshape(2, q, n, cells)
+            np.multiply(s, xq, out=s)
+            np.maximum(s[0], 0.0, out=s[0])
+            np.minimum(s[1], 0.0, out=s[1])
+            r = (s.reshape(-1, cells) @ ones).reshape(2, q, n)
+            np.maximum(found, r[0].max(axis=0), out=found)
+            np.maximum(found, -r[1].min(axis=0), out=found)
+        const = 0.0 if grid.linear is None else X @ grid.linear
         bound = found + const
-        # Rounding margin.  Let S be the largest sum of |entries| of a kernel,
-        # n the piece count and u = 2^-53.  Each row value, in the
-        # enumeration or here, nests two sums of at most n terms (a matrix
-        # product, then a row sum) in any order, so it lies within
-        # gamma_2n * S of the real value of its cut, gamma_2n = 2nu / (1 -
-        # 2nu) (Higham, Accuracy and Stability, 2002, sec. 3.1).  So the
-        # enumerated sup is >= N - gamma S and ``found`` <= N + gamma S,
-        # where N <= S is the real maximum.  Adding const >= 0, and forming
-        # ``bound - margin`` round by u each, and a skip test ``bound -
-        # margin >= t`` that passes implies t <= bound; so it leaves the
-        # enumerated value >= t + margin - 2 gamma S - 2u (S + const) -
-        # u bound (all up to O(u^2 S)).  The margin (4n + 4) u (S + const +
-        # bound) exceeds that loss with room for its own rounding, so the
-        # enumeration of a skipped candidate would not come out below t.
-        scale = float(np.abs(H).sum(axis=(1, 2)).max()) + abs(const) + abs(bound)
-        return bound, (2 * src.size + 2) * np.finfo(float).eps * scale
+        # Rounding margin.  Let u = 2^-53, N the cell count, n <= N the piece
+        # count and S = (sum x)^2 max|K| >= sum_rs x_r x_s |K_rs|.  The
+        # enumeration forms each mass x_r x_s K_rs with two roundings and each
+        # row value by two nested sums of at most n terms, so every value it
+        # computes lies within gamma_(2n+2) S of the real value of its cut,
+        # gamma_j = ju / (1 - ju) (Higham, Accuracy and Stability, 2002, sec.
+        # 3.1), and its sup is >= M - gamma_(2n+2) S, where M <= S is the real
+        # maximum.  Here each value nests two sums of N products and one
+        # scaling, so ``found`` <= M + gamma_(2N+2) S.  The linear term C and
+        # the stack's const sum the same nonnegative terms (the stack per
+        # colour, with k <= 4 colours in the exact regime), so they agree
+        # within 2 gamma_(N+4) C.  Adding each to its sup, and forming ``bound
+        # - margin``, round by u each; so a skip test ``bound - margin >= t``
+        # that passes leaves the enumerated value >= t + margin - (4N + 5) u S
+        # - (2N + 9) u C - 2u bound (all up to O(u^2)).  The margin (4N + 8) u
+        # (S + C + bound) exceeds that loss with room for its own rounding, so
+        # the enumeration of a skipped candidate would not come out below t.
+        scale = total * total * grid.entry_bound + np.abs(const) + np.abs(bound)
+        return bound, (2 * cells + 4) * np.finfo(float).eps * scale
+
+
+# live cycle moves whose stops one screen call bounds (measured on solve)
+_SCREEN_MOVES = 16
 
 
 def _polish(c, objective, moves, support_cap):
@@ -441,9 +560,11 @@ def _polish(c, objective, moves, support_cap):
 
     Each accepted move walks along a transportation-polytope edge; candidate
     stops are the two endpoints and their midpoints, accepted when their
-    objective value lies ``_POLISH_TOL`` below the current best.  The
-    objective may decline a candidate whose certified lower bound already
-    rules that out, which changes no accepted move.  Candidates that would
+    objective value lies ``_POLISH_TOL`` below the current best.  ``moves``
+    holds one (a, b, i, j) row per move, walked in order; after an accepted
+    move the walk goes on from the following move.  ``_first_improvement``
+    screens the stops in batches, and ``objective.pruned`` counts the stops
+    it skips as certified to be no improvement.  Candidates that would
     spread mass over more cells than ``support_cap`` are skipped.  The cap
     keeps every cut-search candidate exact; coloured searches from 4 colours
     on still evaluate some candidates by a heuristic (see
@@ -452,31 +573,58 @@ def _polish(c, objective, moves, support_cap):
     best = objective(c)
     for _ in range(_POLISH_SWEEPS):
         improved = False
-        for a, b, i, j in moves:
-            lo = -min(c[a, i], c[b, j])
-            hi = min(c[a, j], c[b, i])
-            if hi - lo <= 0.0:
-                continue
-            for theta in (hi, lo, hi / 2.0, lo / 2.0):
-                if theta == 0.0:
-                    continue
-                cand = c.copy()
-                cand[a, i] += theta
-                cand[a, j] -= theta
-                cand[b, i] -= theta
-                cand[b, j] += theta
-                np.maximum(cand, 0.0, out=cand)
-                if int(np.count_nonzero(cand)) > support_cap:
-                    continue
-                val = objective(cand, best - _POLISH_TOL)
-                if val is not None and val < best - _POLISH_TOL:
-                    c = cand
-                    best = val
-                    improved = True
-                    break
+        nxt = 0
+        while nxt < len(moves):
+            found = _first_improvement(c, best, objective, moves[nxt:], support_cap)
+            if found is None:
+                break
+            c, best, after = found
+            nxt += after
+            improved = True
         if not improved:
             break
     return c, best
+
+
+def _first_improvement(c, best, objective, moves, support_cap):
+    """The first stop of the moves on coupling c whose value is below best.
+
+    The stops of the next ``_SCREEN_MOVES`` live moves are built on c at
+    once and screened in one call; the walk then takes them in order and
+    evaluates only those the screen could not certify to be no improvement,
+    so the stop it finds is the one a walk evaluating every stop would find.
+    ``objective.pruned`` counts the stops the walk skips.  Returns (stop,
+    value, index of the move after its own), or None.
+    """
+    a, b, i, j = moves.T
+    lo = -np.minimum(c[a, i], c[b, j])
+    hi = np.minimum(c[a, j], c[b, i])
+    live = np.flatnonzero(hi - lo > 0.0)
+    threshold = best - _POLISH_TOL
+    for start in range(0, live.size, _SCREEN_MOVES):
+        chunk = live[start:start + _SCREEN_MOVES]
+        theta = np.stack([hi[chunk], lo[chunk], hi[chunk] / 2.0, lo[chunk] / 2.0], axis=1).ravel()
+        move = np.repeat(chunk, 4)
+        keep = theta != 0.0
+        theta, move = theta[keep], move[keep]
+        stops = np.repeat(c[None], theta.size, axis=0)
+        rows = np.arange(theta.size)
+        stops[rows, a[move], i[move]] += theta
+        stops[rows, a[move], j[move]] -= theta
+        stops[rows, b[move], i[move]] -= theta
+        stops[rows, b[move], j[move]] += theta
+        np.maximum(stops, 0.0, out=stops)
+        fits = np.count_nonzero(stops.reshape(theta.size, -1), axis=1) <= support_cap
+        stops, move = stops[fits], move[fits]
+        skip = objective.screen(stops, threshold)
+        for stop, after, certified in zip(stops, move + 1, skip):
+            if certified:
+                objective.pruned += 1
+                continue
+            val = objective(stop)
+            if val < threshold:
+                return stop.copy(), val, int(after)
+    return None
 
 
 def _seed_list(seed):
@@ -511,7 +659,7 @@ def _multistart(restarts, seed, run):
     return best_val, best_c, used
 
 
-def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
+def _coupling_search(u: StepGraphon, v: StepGraphon, stack, grid, start_cost,
                      support_cap, restarts, seed) -> DistanceEstimate:
     """Multi-start cycle-move search for the coupling minimizing an objective.
 
@@ -522,13 +670,15 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, stack, start_cost,
     coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and
     moves keep the marginals, so candidates go unvalidated: ``stack`` gets
     their pieces ``(w, src, tgt)`` and returns the objective as a kernel
-    stack (see ``_SearchObjective``), and only the witness is checked.
+    stack, ``grid()`` builds the same objective on the coupling-cell grid
+    for the polish's screen (see ``_SearchObjective``), and only the witness
+    is checked.
     """
     rows = u.parts.weights
     cols = v.parts.weights
     m, k = rows.size, cols.size
-    objective = _SearchObjective(stack, m, k)
-    moves = _cycle_moves(m, k)
+    objective = _SearchObjective(stack, grid, m, k)
+    moves = np.array(_cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
     one_point = m == 1 or k == 1
 
     def run(r, rng):
@@ -556,9 +706,10 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     Multi-start local search over the transportation polytope of the two
     part-weight vectors: deterministic starts (profile-matching greedy,
     northwest corner, independent product) plus random greedy vertices, each
-    polished by cycle moves accepted when the evaluated cut norm drops.  A
-    candidate move is first bounded from below by recent best cuts, and it
-    is enumerated only when that bound leaves room for an improvement.  The
+    polished by cycle moves accepted when the evaluated cut norm drops.  The
+    stops of several moves are screened at once against recent best cuts,
+    and a stop is enumerated only when its certified lower bound leaves room
+    for an improvement; ``pruned`` on the result counts the others.  The
     reported value is the cut norm of the returned coupling, so an upper
     bound on the distance, whenever the witness has at most
     EXACT_PART_LIMIT pieces; past that (only a start can be that large) it
@@ -575,6 +726,7 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
     # keep every evaluated coupling inside the exact cut-norm regime
     support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
     return _coupling_search(u, v, functools.partial(_cut_stack, u, v),
+                            functools.partial(_cut_grid, u, v),
                             functools.partial(_profile_cost, u, v), support_cap, restarts, seed)
 
 

@@ -33,7 +33,7 @@ from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_weig
                       graph_to_graphon)
 from .cutmetric import _ENUM_CHUNK, _seed_list, _subset_bits, cut_distance_search
 from .rates import _prepare_alpha, _simplex_grid, rate_J, rate_R, rel_entropy
-from .samplers import apportion_counts, sample_block, sample_wrandom
+from .samplers import _check_counts, apportion_counts, sample_block, sample_wrandom
 
 __all__ = [
     "EventSpec",
@@ -381,6 +381,12 @@ def _fft_window_logprob(free, lo, hi):
     return min(math.log(mass) - theta * anchor + log_norm, 0.0)
 
 
+def _check_block_law(counts, p):
+    """Block counts and their probability matrix, checked as ``sample_block`` checks them."""
+    a = _check_counts(counts)
+    return a, _check_prob_matrix(p, a.size)
+
+
 def density_logprob_block(counts, p, event: EventSpec):
     """Exact log probability of a density event under a block model.
 
@@ -390,7 +396,7 @@ def density_logprob_block(counts, p, event: EventSpec):
     class is a binomial tail; more are convolved by ``_fft_window_logprob``,
     which refuses layouts of ``FFT_LENGTH_CAP`` or more free pairs.
     """
-    free, window = _density_window(counts, p, event)
+    free, window = _density_window(*_check_block_law(counts, p), event)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return closed
@@ -415,11 +421,11 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     """
     if event.is_density:
         return density_logprob_block(counts, p, event)
-    a = np.asarray(counts, dtype=int)
+    a, p = _check_block_law(counts, p)
     n = int(a.sum())
     types = np.repeat(np.arange(a.size), a)
     iu, ju = np.triu_indices(n, k=1)
-    q = np.asarray(p, dtype=float)[types[iu], types[ju]]
+    q = p[types[iu], types[ju]]
     forced_on = q >= 1.0
     free = (q > 0.0) & (q < 1.0)
     f = int(free.sum())
@@ -528,7 +534,7 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    free, window = _density_window(counts, p, event)
+    free, window = _density_window(*_check_block_law(counts, p), event)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return _estimate(closed, 0.0, 0, 0, "exact")

@@ -37,12 +37,18 @@ def _check_counts(counts, size=None):
         raise ValueError("block counts must form a nonempty vector")
     if size is not None and a.size != size:
         raise ValueError("count vectors must have the same number of blocks")
-    if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(np.isfinite(a) & (a == np.floor(a))):
-            raise ValueError("block counts must be integers")
-        a = a.astype(int)
+    if a.dtype.kind not in "biuf":
+        # Python ints past int64 form an object array
+        raise ValueError("block counts must be integers below 2^63")
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise ValueError("block counts must be integers")
     if np.any(a < 0):
         raise ValueError("block counts must be nonnegative")
+    exact = [int(x) for x in a.tolist()]
+    if max(exact) >= 2 ** 63:
+        raise ValueError("block counts must be integers below 2^63")
+    if sum(exact) >= 2 ** 63:
+        raise ValueError("block counts must sum below 2^63")
     return a.astype(int)
 
 

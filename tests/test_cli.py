@@ -554,6 +554,9 @@ class TestInvalidInputExitsBeforeTheConfigLine:
          "ball events need a target graphon and eta >= 0"),
         (["coupling-demo", "--counts-a", "3,-1", "--counts-b", "3,3", "--p", "identity2"],
          "block counts must be nonnegative"),
+        (["coupling-demo", "--counts-a", "99999999999999999999,1", "--counts-b", "3,3",
+          "--p", "identity2"],
+         "block counts must be integers below 2^63"),
         (["coupling-demo", "--counts-a", "3,3", "--counts-b", "4,3", "--p", "0.5"],
          "probability matrix must be 2x2, got (1, 1)"),
         (["coupling-demo", "--counts-a", "0,0", "--counts-b", "4,3", "--p", "identity2"],

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stepldp import cutmetric
+from stepldp import coloured, cutmetric
 from stepldp.cutmetric import (
     DistanceEstimate,
     SignedStepFn,
@@ -643,38 +643,108 @@ class TestPrunedSearchOracle:
     def test_bound_never_exceeds_the_enumeration(self):
         rng = np.random.default_rng(38)
         m, k = 3, 4
+        cells = m * k
         tight = loose = 0
         for trial in range(60):
             kernels = int(rng.choice([1, 4]))
-            const = 0.0 if kernels == 1 else float(rng.uniform(0.0, 1.0))
+            dyadic = trial % 3 == 0  # exact sums, many ties
+            if dyadic:
+                K = rng.integers(-4, 5, (kernels, cells, cells)) / 64.0
+            else:
+                K = rng.uniform(-1.0, 1.0, (kernels, cells, cells))
+            linear = None if kernels == 1 else rng.uniform(0.0, 1.0, cells)
+            grid = cutmetric._CellGrid(lambda p, K=K: K[p], float(np.abs(K).max()), cells,
+                                       linear)
 
-            def stack(w, src, tgt):
-                n = w.size
-                if trial % 3 == 0:  # dyadic entries: exact sums, many ties
-                    return const, rng.integers(-4, 5, (kernels, n, n)) / 64.0
-                return const, rng.uniform(-1.0, 1.0, (kernels, n, n)) * np.outer(w, w)
+            def stack(w, src, tgt, K=K, linear=linear):
+                at = src * k + tgt
+                const = 0.0 if linear is None else float(w @ linear[at])
+                return const, (w[:, None] * w[None, :]) * K[:, at[:, None], at]
 
-            objective = cutmetric._SearchObjective(stack, m, k)
+            def coupling(density, cell):
+                if dyadic:
+                    c = rng.integers(0, 4, (m, k)) * (rng.random((m, k)) < density) / 16.0
+                    c[cell] += 1.0 / 16.0
+                    return c
+                c = rng.random((m, k)) * (rng.random((m, k)) < density)
+                c[cell] += 0.1
+                return c / c.sum()
+
+            def bounds(objective, c):
+                x = c.reshape(1, -1)
+                slots = np.arange(min(objective.pooled, cutmetric._CUT_POOL_SIZE))
+                bound, margin = objective.screen_bounds(x, x.sum(axis=1), slots)
+                return float(bound[0]), float(margin[0])
+
+            objective = cutmetric._SearchObjective(stack, lambda: grid, m, k)
             for _ in range(int(rng.integers(1, 40))):
-                c = rng.random((m, k)) * (rng.random((m, k)) < 0.7)
-                c[0, 0] += 0.1
-                objective(c / c.sum())
-            c = rng.random((m, k)) * (rng.random((m, k)) < 0.8)
-            c[1, 1] += 0.1
-            w, src, tgt = _matrix_pieces(c / c.sum())
-            const, H = stack(w, src, tgt)
-            exact = cutmetric._stack_value(const, H)[0]
-            bound, margin = objective.bound(const, H, src, tgt)
+                objective(coupling(0.7, (0, 0)))
+            c = coupling(0.8, (1, 1))
+            exact = cutmetric._stack_value(*stack(*_matrix_pieces(c)))[0]
+            bound, margin = bounds(objective, c)
             assert 0.0 <= margin < 1e-12
             assert bound <= exact + margin
             loose += bound < exact - margin
             # once the candidate's own best cut is pooled the bound meets it
-            own = cutmetric._SearchObjective(lambda *pieces: (const, H), m, k)
-            assert own(c / c.sum()) == exact
-            bound, margin = own.bound(const, H, src, tgt)
+            own = cutmetric._SearchObjective(stack, lambda: grid, m, k)
+            assert own(c) == exact
+            bound, margin = bounds(own, c)
             assert abs(bound - exact) <= margin
             tight += 1
         assert loose > 0 and tight == 60
+
+    def test_skipped_candidates_are_never_below_the_threshold(self, monkeypatch):
+        screen = cutmetric._SearchObjective.screen
+        skipped = {"plain": 0, "coloured": 0}
+        kind = [None]
+
+        def enumerating_screen(self, cands, threshold):
+            skip = screen(self, cands, threshold)
+            for cand in cands[skip]:
+                value = cutmetric._objective_value(self.stack(*_matrix_pieces(cand)))
+                assert value >= threshold
+            skipped[kind[0]] += int(skip.sum())
+            return skip
+
+        monkeypatch.setattr(cutmetric._SearchObjective, "screen", enumerating_screen)
+        graphs = [("plain", graph_to_graphon(sample_block([n], [[0.4]], graph_seed)),
+                   _TWO_PART_TARGET, 16, 0) for n in (6, 8) for graph_seed in range(2)]
+        for case in _oracle_pairs() + graphs:
+            kind[0] = case[0]
+            _run(*case)
+        assert skipped["plain"] > 0 and skipped["coloured"] > 0
+
+    def test_grid_matches_the_stack_on_the_pieces(self, monkeypatch):
+        """The grid kernels read on a coupling's cells are the stack's kernels."""
+        searches = []
+        search = cutmetric._coupling_search
+
+        def recording(u, v, stack, grid, *rest):
+            est = search(u, v, stack, grid, *rest)
+            searches.append((stack, grid(), est.witness.matrix))
+            return est
+
+        monkeypatch.setattr(cutmetric, "_coupling_search", recording)
+        monkeypatch.setattr(coloured, "_coupling_search", recording)
+        rng = np.random.default_rng(40)
+        cut_distance_search(_random_graphon(rng, 3), _random_graphon(rng, 4), restarts=2)
+        for ca, cb, k in [([0, 1, 1], [1, 0], 2), ([0, 1, 2], [2, 1, 0, 0], 3)]:
+            a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=k)
+            b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=k)
+            dk_distance_search(a, b, restarts=2)
+        assert len(searches) == 3
+        for stack, grid, c in searches:
+            w, src, tgt = _matrix_pieces(c)
+            const, H = stack(w, src, tgt)
+            at = src * c.shape[1] + tgt
+            mass = w[:, None] * w[None, :]
+            for p in range(H.shape[0]):
+                K, KT = grid.kernel(p)
+                assert (mass * K[at[:, None], at]).tobytes() == H[p].tobytes()
+                np.testing.assert_array_equal(KT, K.T)
+                assert np.abs(K).max() <= grid.entry_bound
+            linear = 0.0 if grid.linear is None else c.ravel() @ grid.linear
+            assert abs(linear - const) <= 1e-15
 
     def test_one_part_side_is_evaluated_once(self):
         u = _random_graphon(np.random.default_rng(39), 5)

@@ -16,12 +16,17 @@ from stepldp.ldplab import (
     WRandomFamily,
     block_density_rate,
     check_method,
+    density_logprob_block,
+    exact_event_logprob_block,
     exact_event_logprob_wrandom,
+    tilted_density_logprob_block,
 )
 from stepldp.rates import rate_J
 from stepldp.samplers import apportion_counts, coupled_block_sample, sample_block
 
 P2 = ((0.5, 0.1), (0.1, 0.5))
+P_ABOVE_ONE = ((1.5, 0.1), (0.1, 0.5))
+DENSITY = EventSpec("density-ge", r=0.5)
 
 
 def _one_colour_used():
@@ -74,6 +79,27 @@ INVALID = [
      "part weights must form a nonempty vector"),
     ("signed values past one", lambda: SignedStepFn([1.0], [[-1.5]]),
      "values must lie in [-1, 1]"),
+    ("exact density law at p above one",
+     lambda: density_logprob_block([3, 3], P_ABOVE_ONE, DENSITY),
+     "probabilities must lie in [0, 1]"),
+    ("exact density law at a nan probability",
+     lambda: density_logprob_block([3, 3], ((math.nan, 0.1), (0.1, 0.5)), DENSITY),
+     "probabilities must be finite"),
+    ("exact event law at p above one",
+     lambda: exact_event_logprob_block(
+         [2, 2], P_ABOVE_ONE, EventSpec("ball", target=make_step_graphon([1.0], [[0.4]]),
+                                        eta=0.3)),
+     "probabilities must lie in [0, 1]"),
+    ("tilted density law at p above one",
+     lambda: tilted_density_logprob_block([3, 3], P_ABOVE_ONE, DENSITY, 10, 0),
+     "probabilities must lie in [0, 1]"),
+    ("exact density law at a negative count",
+     lambda: density_logprob_block([3, -1], P2, DENSITY),
+     "block counts must be nonnegative"),
+    ("block counts past int64", lambda: sample_block([2 ** 70, 1], P2, 0),
+     "block counts must be integers below 2^63"),
+    ("block counts whose sum passes int64", lambda: sample_block([2 ** 62, 2 ** 62], P2, 0),
+     "block counts must sum below 2^63"),
 ]
 
 
