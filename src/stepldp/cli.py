@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphon import (_check_prob_matrix, _check_weights, graph_to_edgelist, load_graphon,
-                      overlay_partitions)
+from .graphon import (_check_prob_matrix, _check_vertex_count, _check_weights,
+                      graph_to_edgelist, load_graphon, overlay_partitions)
 from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
 from .samplers import _check_counts, _check_coupled, coupled_block_sample
@@ -348,6 +348,7 @@ def write_report(out_dir, command, resolved, body, files=()):
 
 def cmd_sample(resolved, values):
     family, n, count, seed = (values[k] for k in ("model", "n", "num-samples", "seed"))
+    _checked(_check_vertex_count, n)
     emit_config("sample", resolved, sys.stdout)
 
     records = []

@@ -10,6 +10,8 @@ value, never increases distances (both maps are 1-Lipschitz), which is what
 makes the colour layer useful for rate-function bookkeeping.
 """
 
+import functools
+
 import numpy as np
 
 from .graphon import (
@@ -25,9 +27,8 @@ from .cutmetric import (
     DEFAULT_ALTERNATING_RESTARTS,
     DEFAULT_SEARCH_RESTARTS,
     DistanceEstimate,
-    _CellGrid,
+    _SearchObjective,
     _coupling_search,
-    _grid_kernel,
     _objective_value,
     _profile_cost,
     _subset_bits,
@@ -104,35 +105,6 @@ def _class_symmetric_difference(w, ca, cb, k):
     return total
 
 
-def _sign_tables(k):
-    """Sign matrices of the even masks below 2^(k^2), shape (2^(k^2-1), k, k).
-
-    Mask bits are read row-major; a set bit means -1.
-    """
-    return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
-
-
-def _dk_grid(a: ColouredStepGraphon, b: ColouredStepGraphon):
-    """The coloured objective of ``_dk_stack`` on the coupling-cell grid.
-
-    Sign pattern p has the kernel sig_p[ca, ca'] U - sig_p[cb, cb'] V, built
-    only once a cut of that pattern is pooled (4 colours have 2^15
-    patterns), and the symmetric difference is linear in the coupling: a
-    cell of two colours adds twice its mass.
-    """
-    k = a.num_colours
-    ca, cb = a.colours, b.colours
-    U, V = a.graphon.values, b.graphon.values
-
-    def kernel(p):
-        sig = _sign_tables(k)[p]
-        return _grid_kernel(sig[ca[:, None], ca] * U, sig[cb[:, None], cb] * V)
-
-    linear = 2.0 * (ca[:, None] != cb[None, :]).ravel()
-    return _CellGrid(kernel, float(np.abs(U).max() + np.abs(V).max()),
-                     min(DK_EXACT_PART_LIMIT, _DK_ENUM_BUDGET - k * k), linear)
-
-
 def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
     """Monotone lower bound on the sup term for large refinements.
 
@@ -181,47 +153,75 @@ def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
     return best
 
 
-def _dk_stack(w, va, vb, ca, cb, k, restarts, seed):
-    """The coloured objective on one refinement, as a kernel stack.
+class _DkObjective(_SearchObjective):
+    """The coloured objective of a coupling of a's parts with b's.
 
     In the exact regime the sup term is the largest cut norm over the
-    sign-pattern kernels: for a fixed assignment of signs to ordered colour
-    pairs the objective is a plain bilinear cut problem, and maximizing over
-    sign assignments recovers the sum of absolute values.  Negating every
-    sign yields the same cut norm, so the first sign is pinned, halving the
-    pattern count.  The stack is (symmetric difference, kernels); past the
-    exact regime it is (alternating sup + symmetric difference, None).
+    sign-pattern kernels: for a fixed assignment of signs sig_p to ordered
+    colour pairs the objective is a plain bilinear cut problem, with kernel
+    sig_p[ca, ca'] U - sig_p[cb, cb'] V, and maximizing over sign
+    assignments recovers the sum of absolute values.  Negating every sign
+    yields the same cut norm, so the first sign is pinned, halving the
+    pattern count.  The symmetric difference is the const term, linear in
+    the coupling: a cell of two colours adds twice its mass.  Past the exact
+    regime, ``heuristic_restarts`` alternating starts bound the sup term
+    from below.
     """
-    w = np.asarray(w, dtype=float)
-    second = _class_symmetric_difference(w, ca, cb, k)
-    m = w.size
-    if m <= DK_EXACT_PART_LIMIT and k * k + m <= _DK_ENUM_BUDGET:
-        sig = _sign_tables(k)
-        mass = w[:, None] * w[None, :]
-        sig_a = sig[:, ca[:, None], ca[None, :]]
-        sig_b = sig[:, cb[:, None], cb[None, :]]
-        return second, mass * (sig_a * va - sig_b * vb)
-    return _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed) + second, None
+
+    def __init__(self, a: ColouredStepGraphon, b: ColouredStepGraphon, heuristic_restarts):
+        super().__init__(a.graphon.values, b.graphon.values)
+        k = self.num_colours = a.num_colours
+        self.ca, self.cb = a.colours, b.colours
+        self.piece_limit = min(DK_EXACT_PART_LIMIT, _DK_ENUM_BUDGET - k * k)
+        self.linear = 2.0 * (self.ca[:, None] != self.cb[None, :]).ravel()
+        self.heuristic_restarts = heuristic_restarts
+
+    @functools.cached_property
+    def signs(self):
+        """Sign matrices of the even masks below 2^(k^2), shape (2^(k^2-1), k, k).
+
+        Mask bits are read row-major; a set bit means -1.
+        """
+        k = self.num_colours
+        return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
+
+    @functools.cached_property
+    def entry_bound(self):
+        return float(np.abs(self.U).max() + np.abs(self.V).max())
+
+    def diff(self, a, i, p):
+        sig = self.signs if p is None else self.signs[p]
+        ca, cb = self.ca[a], self.cb[i]
+        return (sig[..., ca[:, None], ca] * self.U[a[:, None], a]
+                - sig[..., cb[:, None], cb] * self.V[i[:, None], i])
+
+    def const(self, w, src, tgt):
+        return _class_symmetric_difference(w, self.ca[src], self.cb[tgt], self.num_colours)
+
+    def heuristic(self, w, src, tgt):
+        sup = _dk_sup_alternating(w, self.U[src[:, None], src], self.V[tgt[:, None], tgt],
+                                  self.ca[src], self.cb[tgt], self.num_colours,
+                                  self.heuristic_restarts, 0)
+        return sup + self.const(w, src, tgt)
 
 
-def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon,
-            restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0) -> float:
+def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon) -> float:
     """Colour-aware cut discrepancy between two coloured step graphons.
 
     The sup term scans subset pairs of the common refinement, summing the
     absolute coloured cut integrals over ordered colour pairs; the second
     term adds the symmetric-difference measure of the colour classes.  Exact
     while the refinement is small (at most 18 parts, jointly budgeted with
-    the 2^(k^2) sign patterns); beyond that an alternating heuristic gives a
-    lower bound and ``restarts``/``seed`` govern its starts.
+    the 2^(k^2) sign patterns); beyond that 32 alternating starts from seed
+    0 give a lower bound.
     """
     if a.num_colours != b.num_colours:
         raise ValueError(
             "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
         )
-    parts, va, vb, ca, cb = coloured_refinement(a, b)
-    return _objective_value(_dk_stack(parts.weights, va, vb, ca, cb, a.num_colours,
-                                      restarts, seed))
+    w, ia, ib = overlay_partitions(a.graphon.parts, b.graphon.parts)
+    objective = _DkObjective(a, b, DEFAULT_ALTERNATING_RESTARTS)
+    return _objective_value(objective.stack(PartWeights(w).weights, ia, ib))
 
 
 def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
@@ -239,10 +239,10 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     Up to 3 colours the support cap keeps every evaluated coupling in the
     exact regime (k^2 + pieces <= 22), so the value is the exact discrepancy
     of the returned coupling and an upper bound on the coloured cut
-    distance.  From 4 colours on, couplings with more than 22 - k^2 pieces
-    are evaluated by the alternating heuristic alone, a lower bound on that
-    coupling's discrepancy, so the value is then neither exact nor a
-    certified upper bound.
+    distance.  From 4 colours on the cap is 8 pieces, and couplings with
+    more than 22 - k^2 pieces are evaluated by the alternating heuristic
+    alone (8 starts), a lower bound on that coupling's discrepancy, so the
+    value is then neither exact nor a certified upper bound.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -250,22 +250,12 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
         raise ValueError(
             "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
         )
-    k = a.num_colours
     u, v = a.graphon, b.graphon
-    m, nb = u.parts.size, v.parts.size
 
-    def stack(w, src, tgt):
-        return _dk_stack(w, u.values[src[:, None], src], v.values[tgt[:, None], tgt],
-                         a.colours[src], b.colours[tgt], k, restarts=8, seed=0)
-
-    # every part list is nonempty, so m * nb >= 1
-    support_cap = min(DK_EXACT_PART_LIMIT, max(_DK_ENUM_BUDGET - k * k, 8), m * nb,
-                      max(m + nb + 2, 12))
     def start_cost():
         return _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
 
-    return _coupling_search(u, v, stack, lambda: _dk_grid(a, b), start_cost, support_cap,
-                            restarts, seed)
+    return _coupling_search(u, v, _DkObjective(a, b, 8), start_cost, restarts, seed)
 
 
 def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:

@@ -225,20 +225,6 @@ def _alternating_cut_norm(M, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
     return best
 
 
-def _cut_stack(u: StepGraphon, v: StepGraphon, w, src, tgt):
-    """The cut objective on the pieces (w, src, tgt) of a trusted coupling.
-
-    Up to EXACT_PART_LIMIT pieces this is the one-kernel stack (0.0, [M]) of
-    the difference's mass matrix M; past it, (alternating value on M, None).
-    """
-    diff = u.values[src[:, None], src] - v.values[tgt[:, None], tgt]
-    w = _normalized(w, float(w.sum()))
-    M = (w[:, None] * w[None, :]) * diff
-    if w.size > EXACT_PART_LIMIT:
-        return _alternating_cut_norm(M), None
-    return 0.0, M[None]
-
-
 def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
     """Cut norm of the difference after rearranging u along one coupling.
 
@@ -251,7 +237,7 @@ def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling
         raise ValueError("coupling row marginals do not match the first graphon")
     if not coupling.col_parts.approx_equal(v.parts):
         raise ValueError("coupling column marginals do not match the second graphon")
-    return _objective_value(_cut_stack(u, v, *coupling_pieces(coupling)))
+    return _objective_value(_CutObjective(u.values, v.values).stack(*coupling_pieces(coupling)))
 
 
 def aligned_cut_distance(u: StepGraphon, v: StepGraphon) -> float:
@@ -347,75 +333,71 @@ def _support_key(c):
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-class _CellGrid:
-    """A coupling search's objective on the m x k grid of coupling cells.
-
-    A candidate coupling c, flattened to x = c.ravel(), has on the grid the
-    masses x_r x_s K[r, s], with one kernel K per index p of its objective
-    stack, plus the linear term x @ ``linear`` (None for zero).  Zero-mass
-    cells add exact zeros, so on c's pieces this is the stack itself: K
-    holds the same value differences as the stack's kernel H[p], and no
-    pieces need extracting.  ``kernel(p)`` gives K and its transpose, both
-    C-ordered, built on first use.  ``entry_bound`` bounds |K[r, s]| for
-    every p; candidates with more than ``piece_limit`` pieces are evaluated
-    by a heuristic, and ``normalized`` says that the stack rescales pieces
-    whose mass is not one.
-    """
-
-    def __init__(self, kernel, entry_bound, piece_limit, linear=None, normalized=False):
-        self._build = kernel
-        self._kernels = {}
-        self.entry_bound = entry_bound
-        self.piece_limit = piece_limit
-        self.linear = linear
-        self.normalized = normalized
-
-    def kernel(self, p):
-        pair = self._kernels.get(p)
-        if pair is None:
-            K = self._build(p)
-            pair = self._kernels[p] = (K, np.ascontiguousarray(K.T))
-        return pair
-
-
-def _grid_kernel(U, V):
-    """K[(a, i), (b, j)] = U[a, b] - V[i, j] on the flattened cell grid."""
-    m, k = len(U), len(V)
-    return (U[:, None, :, None] - V[None, :, None, :]).reshape(m * k, m * k)
-
-
-def _cut_grid(u: StepGraphon, v: StepGraphon):
-    """The cut objective of ``_cut_stack`` on the coupling-cell grid."""
-    K = _grid_kernel(u.values, v.values)
-    return _CellGrid(lambda p: K, float(np.abs(K).max()), EXACT_PART_LIMIT, normalized=True)
-
-
 class _SearchObjective:
-    """Objective values of one coupling search's candidates.
+    """Objective values of one coupling search's candidates, read on coupling cells.
 
-    ``stack(w, src, tgt)`` gives the objective on a candidate's pieces as a
+    A subclass states its formula once, as ``diff(a, i, p)``: for cells
+    (a[r], i[r]) and (a[s], i[s]) of the m x k coupling grid, the value
+    difference of kernel p, or the stack of every kernel's when p is None.
+    It also gives ``heuristic(w, src, tgt)``, the whole value past
+    ``piece_limit`` pieces, and ``entry_bound``, a bound on |diff| for every
+    p.  It may give ``const(w, src, tgt)``, the objective's term outside the
+    cut (zero by default), with ``linear``, the same term as a linear form on
+    the grid (None for zero), and ``normalized``, which says that pieces
+    whose mass is not one are rescaled.
+
+    ``stack(w, src, tgt)`` reads the formula on a candidate's pieces, as the
     kernel stack ``(const, H)`` whose exact value is const + max_p of the cut
-    norm of H[p], or as ``(value, None)`` past the exact regime.  Values are
-    memoized by the coupling's bytes.  The maximizing row set A of every
-    exact enumeration joins a first-in first-out pool of recent best cuts,
-    kept as indicators on the m x k coupling-cell grid (with its kernel
-    index), so any later candidate, in any restart, can read it as a cut of
-    its own pieces.  ``grid()`` builds the same objective on that grid (a
-    ``_CellGrid``); ``screen`` builds it once the pool holds a cut.
+    norm of H[p], or as ``(value, None)`` past the piece limit; values are
+    memoized by the coupling's bytes.  ``kernel(p)`` reads it on all m k
+    cells in row-major order, with its transpose, both C-ordered and built
+    on first use.  A candidate c, flattened to x = c.ravel(), has there the
+    masses x_r x_s K[r, s]; zero-mass cells add exact zeros, so on c's
+    pieces this is the stack itself.
+
+    The maximizing row set A of every exact enumeration joins a first-in
+    first-out pool of recent best cuts, kept as indicators on the grid (with
+    its kernel index), so any later candidate, in any restart, can read it
+    as a cut of its own pieces; ``screen`` bounds candidates with the pool.
+    Building an objective computes no kernel: the screen builds what it
+    reads once the pool holds a cut.
     """
 
-    def __init__(self, stack, grid, m, k):
-        self.stack = stack
-        self._make_grid = grid
-        self._grid = None
-        self.memo = {}
+    normalized = False
+    linear = None
+
+    def __init__(self, U, V):
+        self.U, self.V = U, V
+        m, k = len(U), len(V)
         self.cols = k
+        self.memo = {}
         self.pool = np.zeros((_CUT_POOL_SIZE, m * k))
         self.pool_kernel = np.zeros(_CUT_POOL_SIZE, dtype=np.intp)
         self.pooled = 0
         self.evaluations = 0
         self.pruned = 0
+        self._kernels = {}
         self._work = np.empty((3, 0))
+
+    def stack(self, w, src, tgt):
+        """The objective on the pieces (w, src, tgt) of a trusted coupling."""
+        if self.normalized:
+            w = _normalized(w, float(w.sum()))
+        if w.size > self.piece_limit:
+            return self.heuristic(w, src, tgt), None
+        return self.const(w, src, tgt), (w[:, None] * w[None, :]) * self.diff(src, tgt, None)
+
+    def const(self, w, src, tgt):
+        return 0.0
+
+    def kernel(self, p):
+        """``diff`` on the whole grid, and its transpose (see above)."""
+        pair = self._kernels.get(p)
+        if pair is None:
+            m, k = len(self.U), self.cols
+            K = self.diff(np.repeat(np.arange(m), k), np.tile(np.arange(k), m), p)
+            pair = self._kernels[p] = (K, np.ascontiguousarray(K.T))
+        return pair
 
     def __call__(self, c):
         """Objective value of coupling c."""
@@ -438,19 +420,13 @@ class _SearchObjective:
         self.memo[key] = val
         return val
 
-    def cell_grid(self):
-        """The search's ``_CellGrid``, built on first use."""
-        if self._grid is None:
-            self._grid = self._make_grid()
-        return self._grid
-
     def screen(self, cands, threshold):
         """Flags the couplings cands[r] whose value is certified >= threshold.
 
         A flagged candidate could not pass a ``< threshold`` test, so a
-        caller may skip it.  Memoized candidates and those the stack would
-        evaluate by a heuristic are never flagged.  The cut search also
-        leaves unflagged a candidate whose mass is not within half of
+        caller may skip it.  Memoized candidates and those past the piece
+        limit are never flagged.  A normalized objective also leaves
+        unflagged a candidate whose mass is not within half of
         NORMALIZATION_TOL of one, so that its stack keeps the grid's masses.
         The latest pooled cut alone certifies most skips in polish, so it
         screens every candidate first and the whole pool the rest.
@@ -458,11 +434,10 @@ class _SearchObjective:
         skip = np.zeros(len(cands), dtype=bool)
         if not len(cands) or not self.pooled:
             return skip
-        grid = self.cell_grid()
         X = cands.reshape(len(cands), -1)
         total = X.sum(axis=1)
-        open_ = np.count_nonzero(X, axis=1) <= grid.piece_limit
-        if grid.normalized:
+        open_ = np.count_nonzero(X, axis=1) <= self.piece_limit
+        if self.normalized:
             open_ &= np.abs(total - 1.0) <= NORMALIZATION_TOL / 2.0
         open_ &= [x.tobytes() not in self.memo for x in X]
         rows = np.flatnonzero(open_)
@@ -491,13 +466,12 @@ class _SearchObjective:
         the margin.  The pooled cuts that share a kernel take each step in one
         product, with the candidates folded into its rows.
         """
-        grid = self.cell_grid()
         n, cells = X.shape
         pool, pool_kernel = self.pool[slots], self.pool_kernel[slots]
         ones = np.ones(cells)
         found = np.zeros(n)  # the empty cut's value
         for p in np.unique(pool_kernel):
-            K, KT = grid.kernel(int(p))
+            K, KT = self.kernel(int(p))
             A = pool[pool_kernel == p]
             q = A.shape[0]
             size = q * n * cells
@@ -528,7 +502,7 @@ class _SearchObjective:
             r = (s.reshape(-1, cells) @ ones).reshape(2, q, n)
             np.maximum(found, r[0].max(axis=0), out=found)
             np.maximum(found, -r[1].min(axis=0), out=found)
-        const = 0.0 if grid.linear is None else X @ grid.linear
+        const = 0.0 if self.linear is None else X @ self.linear
         bound = found + const
         # Rounding margin.  Let u = 2^-53, N the cell count, n <= N the piece
         # count and S = (sum x)^2 max|K| >= sum_rs x_r x_s |K_rs|.  The
@@ -547,8 +521,30 @@ class _SearchObjective:
         # - (2N + 9) u C - 2u bound (all up to O(u^2)).  The margin (4N + 8) u
         # (S + C + bound) exceeds that loss with room for its own rounding, so
         # the enumeration of a skipped candidate would not come out below t.
-        scale = total * total * grid.entry_bound + np.abs(const) + np.abs(bound)
+        scale = total * total * self.entry_bound + np.abs(const) + np.abs(bound)
         return bound, (2 * cells + 4) * np.finfo(float).eps * scale
+
+
+class _CutObjective(_SearchObjective):
+    """The cut norm of U - V, U rearranged along a coupling.
+
+    One kernel, U[a, a'] - V[i, i'], on pieces rescaled to mass one; past
+    EXACT_PART_LIMIT pieces the alternating heuristic evaluates it.
+    """
+
+    piece_limit = EXACT_PART_LIMIT
+    normalized = True
+
+    def diff(self, a, i, p):
+        d = self.U[a[:, None], a] - self.V[i[:, None], i]
+        return d[None] if p is None else d
+
+    def heuristic(self, w, src, tgt):
+        return _alternating_cut_norm((w[:, None] * w[None, :]) * self.diff(src, tgt, 0))
+
+    @functools.cached_property
+    def entry_bound(self):
+        return float(np.abs(self.kernel(0)[0]).max())
 
 
 # live cycle moves whose stops one screen call bounds (measured on solve)
@@ -659,25 +655,26 @@ def _multistart(restarts, seed, run):
     return best_val, best_c, used
 
 
-def _coupling_search(u: StepGraphon, v: StepGraphon, stack, grid, start_cost,
-                     support_cap, restarts, seed) -> DistanceEstimate:
+def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
+                     restarts, seed) -> DistanceEstimate:
     """Multi-start cycle-move search for the coupling minimizing an objective.
 
     Starts: a greedy fill along the cost matrix ``start_cost()`` (cheapest
     cells first), the northwest corner, the independent product when its
-    support fits ``support_cap``, then random greedy vertices; each is
+    support fits the support cap, then random greedy vertices; each is
     polished and ``_multistart`` keeps the best.  A one-part side leaves one
-    coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and
-    moves keep the marginals, so candidates go unvalidated: ``stack`` gets
-    their pieces ``(w, src, tgt)`` and returns the objective as a kernel
-    stack, ``grid()`` builds the same objective on the coupling-cell grid
-    for the polish's screen (see ``_SearchObjective``), and only the witness
-    is checked.
+    coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and moves
+    keep the marginals, so candidates go unvalidated: ``objective`` (a
+    ``_SearchObjective`` of u against v) reads its formula on their cells,
+    and only the witness is checked.  Candidates spread over at most the
+    support cap's cells: the objective's piece limit, but at least 8 so that
+    small exact regimes (4 colours on) leave moves room, and at most
+    max(m + k + 2, 12), a few more than a polytope vertex's m + k - 1.
     """
     rows = u.parts.weights
     cols = v.parts.weights
     m, k = rows.size, cols.size
-    objective = _SearchObjective(stack, grid, m, k)
+    support_cap = min(max(objective.piece_limit, 8), m * k, max(m + k + 2, 12))
     moves = np.array(_cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
     one_point = m == 1 or k == 1
 
@@ -722,12 +719,8 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
         raise ValueError("need at least one restart")
     if _canonical_key(v) < _canonical_key(u):
         return cut_distance_search(v, u, restarts=restarts, seed=seed).transposed()
-    m, k = u.parts.size, v.parts.size
-    # keep every evaluated coupling inside the exact cut-norm regime
-    support_cap = min(EXACT_PART_LIMIT, m * k, max(m + k + 2, 12))
-    return _coupling_search(u, v, functools.partial(_cut_stack, u, v),
-                            functools.partial(_cut_grid, u, v),
-                            functools.partial(_profile_cost, u, v), support_cap, restarts, seed)
+    return _coupling_search(u, v, _CutObjective(u.values, v.values),
+                            functools.partial(_profile_cost, u, v), restarts, seed)
 
 
 def graph_cut_distance_exact(g, h) -> float:

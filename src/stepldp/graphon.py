@@ -21,6 +21,21 @@ MARGINAL_TOL = 1e-10
 
 SYMMETRY_TOL = 1e-12
 
+# Vertex labels are int32.
+_MAX_VERTICES = int(np.iinfo(np.int32).max)
+
+
+def _check_vertex_count(n):
+    """Raise unless a graph on n vertices can be labelled: 1 <= n <= _MAX_VERTICES.
+
+    Samplers call it before building any per-vertex array.
+    """
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if n > _MAX_VERTICES:
+        raise ValueError("a graph holds at most %d vertices (int32 labels), got %d"
+                         % (_MAX_VERTICES, n))
+
 
 def _check_weights(w, name):
     """w as a float vector: nonempty, 1-D, finite and nonnegative with a positive finite sum.
@@ -126,10 +141,7 @@ class LabeledGraph:
 
     def __init__(self, n, edges=()):
         n = int(n)
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if n > np.iinfo(np.int32).max:
-            raise ValueError("graph has too many vertices for int32 labels")
+        _check_vertex_count(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         try:

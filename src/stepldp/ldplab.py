@@ -72,17 +72,16 @@ class EventSpec:
 
     kind is "density-ge", "density-le", or "ball".  Density events carry the
     threshold r; ball events carry a target step graphon and radius eta, and
-    hold when the distance search's value is at most eta.  The event never
-    over-counts while the witness has at most 22 pieces; past that (every
-    graph on more than 22 vertices against a one-part target) the value is
-    the alternating heuristic's.
+    hold when the distance search's value, from 16 restarts at seed 0, is at
+    most eta.  The event never over-counts while the witness has at most 22
+    pieces; past that (every graph on more than 22 vertices against a
+    one-part target) the value is the alternating heuristic's.
     """
 
     kind: str
     r: Optional[float] = None
     target: Optional[StepGraphon] = None
     eta: Optional[float] = None
-    search_restarts: int = 16
 
     def __post_init__(self):
         if self.kind in ("density-ge", "density-le"):
@@ -108,12 +107,7 @@ class EventSpec:
     def check_graph(self, graph: LabeledGraph):
         if self.is_density:
             return self.check_density(graph.density())
-        d = cut_distance_search(
-            graph_to_graphon(graph),
-            self.target,
-            restarts=self.search_restarts,
-            seed=0,
-        )
+        d = cut_distance_search(graph_to_graphon(graph), self.target, restarts=16, seed=0)
         return d.upper <= self.eta
 
 

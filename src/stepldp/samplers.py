@@ -11,7 +11,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .graphon import LabeledGraph, StepGraphon, _check_prob_matrix, _check_weights
+from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_vertex_count,
+                      _check_weights)
 
 __all__ = [
     "apportion_counts",
@@ -58,6 +59,8 @@ def _check_coupled(counts_a, counts_b, p):
     b = _check_counts(counts_b, a.size)
     if a.sum() == 0 or b.sum() == 0:
         raise ValueError("both graphs need at least one vertex")
+    _check_vertex_count(a.sum())
+    _check_vertex_count(b.sum())
     return a, b, _check_prob_matrix(p, a.size)
 
 
@@ -133,6 +136,7 @@ def sample_block(counts, p, seed):
     p = _check_prob_matrix(p, k)
     rng = _as_rng(seed)
     n = int(a.sum())
+    _check_vertex_count(n)
     types = np.repeat(np.arange(k), a)
     return LabeledGraph(n, _bernoulli_pairs(types, p, rng))
 
@@ -149,8 +153,7 @@ def sample_wrandom(n, u: StepGraphon, seed):
     strictly below the value of the graphon at the two parts.  Returns the
     graph together with the per-part vertex counts.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_vertex_count(n)
     rng = _as_rng(seed)
     m = u.parts.size
     boundaries = np.cumsum(u.parts.weights)

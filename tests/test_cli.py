@@ -557,6 +557,11 @@ class TestInvalidInputExitsBeforeTheConfigLine:
         (["coupling-demo", "--counts-a", "99999999999999999999,1", "--counts-b", "3,3",
           "--p", "identity2"],
          "block counts must be integers below 2^63"),
+        (["coupling-demo", "--counts-a", "9223372036854775807,0", "--counts-b", "3,3",
+          "--p", "identity2"],
+         "a graph holds at most 2147483647 vertices (int32 labels), got 9223372036854775807"),
+        (["sample", "--model", "gnp:0.4", "--n", "3000000000"],
+         "a graph holds at most 2147483647 vertices (int32 labels), got 3000000000"),
         (["coupling-demo", "--counts-a", "3,3", "--counts-b", "4,3", "--p", "0.5"],
          "probability matrix must be 2x2, got (1, 1)"),
         (["coupling-demo", "--counts-a", "0,0", "--counts-b", "4,3", "--p", "identity2"],

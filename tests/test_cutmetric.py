@@ -19,6 +19,7 @@ from stepldp.cutmetric import (
 )
 from stepldp.coloured import ColouredStepGraphon, dk_distance_search
 from stepldp.graphon import (
+    NORMALIZATION_TOL,
     LabeledGraph,
     OverlapCoupling,
     PartWeights,
@@ -517,6 +518,25 @@ class TestFrozenReroutedPaths:
             "aca1ba2b715c6c35f9388a91e6f2cf2f6921a3b753f6a3d8f773450050e6c32a")
 
 
+class _RandomKernels(cutmetric._SearchObjective):
+    """A search objective that reads a stack of random kernels K[p] on the
+    m x k coupling-cell grid, plus an optional random linear term, exactly
+    at every piece count."""
+
+    def __init__(self, K, linear, m, k):
+        super().__init__(np.zeros((m, m)), np.zeros((k, k)))
+        self.K, self.linear = K, linear
+        self.piece_limit = m * k
+        self.entry_bound = float(np.abs(K).max())
+
+    def diff(self, a, i, p):
+        at = a * self.cols + i
+        return (self.K if p is None else self.K[p])[..., at[:, None], at]
+
+    def const(self, w, src, tgt):
+        return 0.0 if self.linear is None else float(w @ self.linear[src * self.cols + tgt])
+
+
 def oracle_polish(c, objective, moves, support_cap):
     """``_polish`` as it was before candidates were bounded: every candidate
     within the support cap is evaluated in full, through the search's own
@@ -653,13 +673,6 @@ class TestPrunedSearchOracle:
             else:
                 K = rng.uniform(-1.0, 1.0, (kernels, cells, cells))
             linear = None if kernels == 1 else rng.uniform(0.0, 1.0, cells)
-            grid = cutmetric._CellGrid(lambda p, K=K: K[p], float(np.abs(K).max()), cells,
-                                       linear)
-
-            def stack(w, src, tgt, K=K, linear=linear):
-                at = src * k + tgt
-                const = 0.0 if linear is None else float(w @ linear[at])
-                return const, (w[:, None] * w[None, :]) * K[:, at[:, None], at]
 
             def coupling(density, cell):
                 if dyadic:
@@ -676,17 +689,17 @@ class TestPrunedSearchOracle:
                 bound, margin = objective.screen_bounds(x, x.sum(axis=1), slots)
                 return float(bound[0]), float(margin[0])
 
-            objective = cutmetric._SearchObjective(stack, lambda: grid, m, k)
+            objective = _RandomKernels(K, linear, m, k)
             for _ in range(int(rng.integers(1, 40))):
                 objective(coupling(0.7, (0, 0)))
             c = coupling(0.8, (1, 1))
-            exact = cutmetric._stack_value(*stack(*_matrix_pieces(c)))[0]
+            exact = cutmetric._stack_value(*objective.stack(*_matrix_pieces(c)))[0]
             bound, margin = bounds(objective, c)
             assert 0.0 <= margin < 1e-12
             assert bound <= exact + margin
             loose += bound < exact - margin
             # once the candidate's own best cut is pooled the bound meets it
-            own = cutmetric._SearchObjective(stack, lambda: grid, m, k)
+            own = _RandomKernels(K, linear, m, k)
             assert own(c) == exact
             bound, margin = bounds(own, c)
             assert abs(bound - exact) <= margin
@@ -715,36 +728,55 @@ class TestPrunedSearchOracle:
         assert skipped["plain"] > 0 and skipped["coloured"] > 0
 
     def test_grid_matches_the_stack_on_the_pieces(self, monkeypatch):
-        """The grid kernels read on a coupling's cells are the stack's kernels."""
+        """Each objective's grid kernels, and its stack on a witness's pieces,
+        are the formulas written out here: U[a, b] - V[i, j] for the cut, and
+        sig[ca, ca'] U - sig[cb, cb'] V for every sign pattern sig of the
+        coloured objective, whose const term is the symmetric difference."""
         searches = []
         search = cutmetric._coupling_search
 
-        def recording(u, v, stack, grid, *rest):
-            est = search(u, v, stack, grid, *rest)
-            searches.append((stack, grid(), est.witness.matrix))
+        def recording(u, v, objective, *rest):
+            est = search(u, v, objective, *rest)
+            searches.append((u.values, v.values, objective, est.witness.matrix))
             return est
 
         monkeypatch.setattr(cutmetric, "_coupling_search", recording)
         monkeypatch.setattr(coloured, "_coupling_search", recording)
         rng = np.random.default_rng(40)
         cut_distance_search(_random_graphon(rng, 3), _random_graphon(rng, 4), restarts=2)
+        colourings = [(None, None, 1)]
         for ca, cb, k in [([0, 1, 1], [1, 0], 2), ([0, 1, 2], [2, 1, 0, 0], 3)]:
             a = ColouredStepGraphon(_random_graphon(rng, len(ca)), ca, num_colours=k)
             b = ColouredStepGraphon(_random_graphon(rng, len(cb)), cb, num_colours=k)
             dk_distance_search(a, b, restarts=2)
+            colourings.append((np.array(ca), np.array(cb), k))
         assert len(searches) == 3
-        for stack, grid, c in searches:
+        for (U, V, objective, c), (ca, cb, k) in zip(searches, colourings):
+            if ca is None:  # the cut: one colour, one sign pattern, +1
+                ca, cb = np.zeros(len(U), int), np.zeros(len(V), int)
+            m, n = c.shape
             w, src, tgt = _matrix_pieces(c)
-            const, H = stack(w, src, tgt)
-            at = src * c.shape[1] + tgt
+            assert abs(w.sum() - 1.0) <= NORMALIZATION_TOL  # the cut keeps w as it is
+            const, H = objective.stack(w, src, tgt)
+            at = src * n + tgt
             mass = w[:, None] * w[None, :]
+            assert H.shape[0] == 2 ** (k * k - 1)
             for p in range(H.shape[0]):
-                K, KT = grid.kernel(p)
-                assert (mass * K[at[:, None], at]).tobytes() == H[p].tobytes()
-                np.testing.assert_array_equal(KT, K.T)
-                assert np.abs(K).max() <= grid.entry_bound
-            linear = 0.0 if grid.linear is None else c.ravel() @ grid.linear
-            assert abs(linear - const) <= 1e-15
+                bits = [(2 * p >> bit) & 1 for bit in range(k * k)]
+                sig = 1.0 - 2.0 * np.array(bits, dtype=float).reshape(k, k)
+                want = ((sig[ca[:, None], ca] * U)[:, None, :, None]
+                        - (sig[cb[:, None], cb] * V)[None, :, None, :]).reshape(m * n, m * n)
+                K, KT = objective.kernel(p)
+                np.testing.assert_array_equal(K, want)
+                np.testing.assert_array_equal(KT, want.T)
+                np.testing.assert_array_equal(H[p], mass * want[at[:, None], at])
+                assert np.abs(K).max() <= objective.entry_bound
+            if k == 1:
+                assert const == 0.0 and objective.linear is None
+            else:
+                second = coloured._class_symmetric_difference(w, ca[src], cb[tgt], k)
+                assert const == second
+                assert abs(c.ravel() @ objective.linear - second) <= 1e-15
 
     def test_one_part_side_is_evaluated_once(self):
         u = _random_graphon(np.random.default_rng(39), 5)

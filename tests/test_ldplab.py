@@ -349,7 +349,7 @@ class TestExactEventLogprob:
         # pairs at probability exactly 0 or 1 are factored out of the
         # enumeration; brute force over every pair must agree
         u = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-        ev = EventSpec("ball", target=u, eta=0.25, search_restarts=4)
+        ev = EventSpec("ball", target=u, eta=0.25)
         p = np.array([[1.0, 0.4], [0.4, 0.0]])
         counts = [2, 2]
         got = exact_event_logprob_block(counts, p, ev)

@@ -8,7 +8,7 @@ import pytest
 
 from stepldp.coloured import ColouredStepGraphon, coloured_from_json, gamma_block
 from stepldp.cutmetric import SignedStepFn
-from stepldp.graphon import PartWeights, make_step_graphon
+from stepldp.graphon import LabeledGraph, PartWeights, make_step_graphon
 from stepldp.ldplab import (
     BlockFamily,
     EventSpec,
@@ -22,7 +22,7 @@ from stepldp.ldplab import (
     tilted_density_logprob_block,
 )
 from stepldp.rates import rate_J
-from stepldp.samplers import apportion_counts, coupled_block_sample, sample_block
+from stepldp.samplers import apportion_counts, coupled_block_sample, sample_block, sample_wrandom
 
 P2 = ((0.5, 0.1), (0.1, 0.5))
 P_ABOVE_ONE = ((1.5, 0.1), (0.1, 0.5))
@@ -100,6 +100,18 @@ INVALID = [
      "block counts must be integers below 2^63"),
     ("block counts whose sum passes int64", lambda: sample_block([2 ** 62, 2 ** 62], P2, 0),
      "block counts must sum below 2^63"),
+    # graphs label vertices by int32, so each sampler refuses a larger total before
+    # building any array; the exact laws build no graph and take larger counts
+    ("a graph past the int32 vertex limit", lambda: LabeledGraph(2 ** 31),
+     "a graph holds at most 2147483647 vertices (int32 labels), got 2147483648"),
+    ("block counts past the vertex limit", lambda: sample_block([2 ** 31 - 1, 1], P2, 0),
+     "a graph holds at most 2147483647 vertices (int32 labels), got 2147483648"),
+    ("a W-random graph past the vertex limit",
+     lambda: sample_wrandom(3 * 10 ** 9, make_step_graphon([1.0], [[0.4]]), 0),
+     "a graph holds at most 2147483647 vertices (int32 labels), got 3000000000"),
+    ("coupled counts past the vertex limit",
+     lambda: coupled_block_sample([3, 3], [2 ** 63 - 1, 0], P2, 0),
+     "a graph holds at most 2147483647 vertices (int32 labels), got 9223372036854775807"),
 ]
 
 
