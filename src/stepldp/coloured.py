@@ -169,6 +169,10 @@ class _DkObjective(_SearchObjective):
     """
 
     def __init__(self, a: ColouredStepGraphon, b: ColouredStepGraphon, heuristic_restarts):
+        if a.num_colours != b.num_colours:
+            raise ValueError(
+                "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
+            )
         super().__init__(a.graphon.values, b.graphon.values)
         k = self.num_colours = a.num_colours
         self.ca, self.cb = a.colours, b.colours
@@ -215,12 +219,8 @@ def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon) -> float:
     the 2^(k^2) sign patterns); beyond that 32 alternating starts from seed
     0 give a lower bound.
     """
-    if a.num_colours != b.num_colours:
-        raise ValueError(
-            "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
-        )
-    w, ia, ib = overlay_partitions(a.graphon.parts, b.graphon.parts)
     objective = _DkObjective(a, b, DEFAULT_ALTERNATING_RESTARTS)
+    w, ia, ib = overlay_partitions(a.graphon.parts, b.graphon.parts)
     return _objective_value(objective.stack(PartWeights(w).weights, ia, ib))
 
 
@@ -246,10 +246,6 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if a.num_colours != b.num_colours:
-        raise ValueError(
-            "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
-        )
     u, v = a.graphon, b.graphon
 
     def start_cost():

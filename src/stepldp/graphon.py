@@ -107,9 +107,9 @@ class PartWeights:
         """Cumulative right endpoints of the parts' intervals."""
         return np.cumsum(self.weights)
 
-    def approx_equal(self, other, tol=MARGINAL_TOL) -> bool:
+    def approx_equal(self, other) -> bool:
         return self.size == other.size and bool(
-            np.all(np.abs(self.weights - other.weights) <= tol)
+            np.all(np.abs(self.weights - other.weights) <= MARGINAL_TOL)
         )
 
     def __len__(self):

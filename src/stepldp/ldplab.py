@@ -1,12 +1,13 @@
 """Measuring rare-event probabilities of block-model and step-graphon graphs.
 
 The harness computes log probabilities of graph events three ways: exactly
-(edge-density events by binomial tails, or by one exponentially shifted FFT
-convolution of the pair classes while a layout has fewer than
-``FFT_LENGTH_CAP`` = 2^21 free pairs, i.e. up to n = 2048 when every pair
-is free; general events by enumerating edge subsets at tiny sizes), by
-exponentially tilted importance sampling (density events past the cap), and
-by plain Monte Carlo.
+(edge-density events by a binomial tail while one pair probability has
+fewer than ``BINOMIAL_LENGTH_CAP`` = 2^26 free pairs, or by one
+exponentially shifted FFT convolution of the pair classes while a layout
+has fewer than ``FFT_LENGTH_CAP`` = 2^21 free pairs, i.e. up to n = 2048
+when every pair is free; general events by enumerating edge subsets at tiny
+sizes), by exponentially tilted importance sampling (density events past
+the caps), and by plain Monte Carlo.
 ``ldp_curve`` sweeps the graph size and reports the decay of
 -log P(event) against the speed n^2, which is the quantity the rate
 functions predict.
@@ -21,7 +22,6 @@ target) the value is the alternating heuristic's, a lower bound on the
 witness's cut norm, and such points are not certified lower bounds.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -58,12 +58,27 @@ ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
 # layout has at most 2^21 - 1 free pairs (n = 2048 when every pair is free)
 # and each transform array stays near 16 MB
 FFT_LENGTH_CAP = 1 << 21
+# the binomial law of a single free pair class has at most this many
+# entries, so a layout of one pair probability has at most 2^26 - 1 free
+# pairs (n = 11585 when every pair is free), about 2 GB of working arrays
+BINOMIAL_LENGTH_CAP = 1 << 26
 # the 3^b 5^c factors of the fast transform lengths ``_fft_length`` picks from
 _FFT_FACTORS = tuple(3**b * 5**c for b in range(14) for c in range(10))
 
 
 # ---------------------------------------------------------------------------
 # events
+
+
+def _check_threshold(r):
+    """Raise unless r is a density threshold in [0, 1]."""
+    if r is None or not 0.0 <= r <= 1.0:
+        raise ValueError("density events need a threshold r in [0, 1]")
+
+
+def _check_prob(p):
+    """A scalar probability as a float, checked by the probability-matrix rule."""
+    return float(_check_prob_matrix([[p]])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -85,8 +100,7 @@ class EventSpec:
 
     def __post_init__(self):
         if self.kind in ("density-ge", "density-le"):
-            if self.r is None or not (0.0 <= self.r <= 1.0):
-                raise ValueError("density events need a threshold r in [0, 1]")
+            _check_threshold(self.r)
         elif self.kind == "ball":
             if self.target is None or self.eta is None or not self.eta >= 0.0:
                 raise ValueError("ball events need a target graphon and eta >= 0")
@@ -215,6 +229,7 @@ def _binomial_logpmf(m, p, theta=0.0):
 
 def binomial_tail_logprob(m, p, k_min):
     """log P(Bin(m, p) >= k_min); exact 0.0 when k_min <= 0, -inf past m."""
+    p = _check_prob(p)
     if k_min <= 0:
         return 0.0
     if k_min > m:
@@ -230,19 +245,20 @@ def _pair_classes(counts, p):
     """Pair probabilities grouped by value: list of (prob, multiplicity).
 
     Covers all n(n-1)/2 unordered pairs of a block layout: within-block
-    pairs of block i have probability p[i,i], cross pairs p[i,j].
+    pairs of block i have probability p[i,i], cross pairs p[i,j].  The
+    multiplicities are Python ints, since n(n-1) passes 2^63 at n = 2^32.
     """
-    a = np.asarray(counts, dtype=int)
-    k = a.size
+    a = [int(x) for x in counts]
+    k = len(a)
     classes = {}
     for i in range(k):
         m_ii = a[i] * (a[i] - 1) // 2
         if m_ii:
-            classes[float(p[i, i])] = classes.get(float(p[i, i]), 0) + int(m_ii)
+            classes[float(p[i, i])] = classes.get(float(p[i, i]), 0) + m_ii
         for j in range(i + 1, k):
             m_ij = a[i] * a[j]
             if m_ij:
-                classes[float(p[i, j])] = classes.get(float(p[i, j]), 0) + int(m_ij)
+                classes[float(p[i, j])] = classes.get(float(p[i, j]), 0) + m_ij
     return sorted(classes.items())
 
 
@@ -271,12 +287,21 @@ def _density_window(counts, p, event: EventSpec):
     def passes(s):
         return event.check_density((forced_on + s) / total_pairs)
 
+    def first(pred):
+        """The least s in 0..span with pred(s), else span + 1, by bisection."""
+        # bisect.bisect_left's steps, but on Python ints: span can pass 2^63
+        lo, hi = 0, span + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+        return lo
+
     # the float density is monotone in the count, so the passing counts are
     # a suffix (>=) or a prefix (<=), and bisection finds where it begins
     if event.kind == "density-ge":
-        lo, hi = bisect.bisect_left(range(span + 1), True, key=passes), span
+        lo, hi = first(passes), span
     else:
-        lo, hi = 0, bisect.bisect_left(range(span + 1), True, key=lambda s: not passes(s)) - 1
+        lo, hi = 0, first(lambda s: not passes(s)) - 1
     return free, ((lo, hi) if lo <= hi else None)
 
 
@@ -330,18 +355,21 @@ def _fft_length(span):
     return min((1 << (span // d).bit_length()) * d for d in _FFT_FACTORS)
 
 
-def _pairs_past_fft_cap(counts, p, event: EventSpec):
-    """The free pair count when ``density_logprob_block`` refuses a layout, else 0.
+def _exact_law_refusal(free, window):
+    """Why ``density_logprob_block`` refuses these free classes, or None.
 
-    A layout is refused when its transform would be longer than
-    ``FFT_LENGTH_CAP``.  Closed forms and a single free class need no
-    transform, so only a convolution of two or more classes counts.
+    Two or more classes are refused when their transform would be longer
+    than ``FFT_LENGTH_CAP``, and one class when its law would have
+    ``BINOMIAL_LENGTH_CAP`` or more entries.  Closed forms build no array.
     """
-    span = _free_pair_count(counts, p)
-    if _fft_length(span) <= FFT_LENGTH_CAP:
-        return 0
-    free, window = _density_window(counts, p, event)
-    return span if len(free) > 1 and _closed_form_logprob(free, window) is None else 0
+    if _closed_form_logprob(free, window) is not None:
+        return None
+    span = sum(mult for _, mult in free)
+    if len(free) > 1 and _fft_length(span) > FFT_LENGTH_CAP:
+        return "%d free pairs exceed the FFT cap of %d" % (span, FFT_LENGTH_CAP - 1)
+    if len(free) == 1 and span >= BINOMIAL_LENGTH_CAP:
+        return "%d free pairs exceed the binomial cap of %d" % (span, BINOMIAL_LENGTH_CAP - 1)
+    return None
 
 
 def _fft_window_logprob(free, lo, hi):
@@ -355,13 +383,7 @@ def _fft_window_logprob(free, lo, hi):
     The identity holds for every theta; theta only decides which masses
     the transform's rounding spares.
     """
-    span = sum(mult for _, mult in free)
-    length = _fft_length(span)
-    if length > FFT_LENGTH_CAP:
-        raise ValueError(
-            "exact density law: %d free pairs exceed the FFT cap of %d; use tilted or mc"
-            % (span, FFT_LENGTH_CAP - 1)
-        )
+    length = _fft_length(sum(mult for _, mult in free))
     theta = _window_tilt(free, lo, hi)
     spec = np.ones(length // 2 + 1, dtype=complex)
     for prob, mult in free:
@@ -387,10 +409,14 @@ def density_logprob_block(counts, p, event: EventSpec):
     The edge count is a sum of independent binomials, one per distinct
     pair probability, and the event holds on a range of counts: precisely
     those whose float density passes the event's comparison.  One free
-    class is a binomial tail; more are convolved by ``_fft_window_logprob``,
-    which refuses layouts of ``FFT_LENGTH_CAP`` or more free pairs.
+    class is a binomial tail; more are convolved by ``_fft_window_logprob``.
+    Layouts whose law would need arrays past ``FFT_LENGTH_CAP`` or
+    ``BINOMIAL_LENGTH_CAP`` are refused (``_exact_law_refusal``).
     """
     free, window = _density_window(*_check_block_law(counts, p), event)
+    refusal = _exact_law_refusal(free, window)
+    if refusal:
+        raise ValueError("exact density law: %s; use tilted or mc" % refusal)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return closed
@@ -416,18 +442,18 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     if event.is_density:
         return density_logprob_block(counts, p, event)
     a, p = _check_block_law(counts, p)
+    f = _free_pair_count(a, p)
+    if f > ENUM_FREE_LIMIT:
+        raise ValueError(
+            "event enumeration needs at most %d undetermined pairs, got %d"
+            % (ENUM_FREE_LIMIT, f)
+        )
     n = int(a.sum())
     types = np.repeat(np.arange(a.size), a)
     iu, ju = np.triu_indices(n, k=1)
     q = p[types[iu], types[ju]]
     forced_on = q >= 1.0
     free = (q > 0.0) & (q < 1.0)
-    f = int(free.sum())
-    if f > ENUM_FREE_LIMIT:
-        raise ValueError(
-            "event enumeration needs at most %d undetermined pairs, got %d"
-            % (ENUM_FREE_LIMIT, f)
-        )
     pairs = np.column_stack((iu, ju))
     free_idx = np.flatnonzero(free)
     logq = np.log(q[free])
@@ -532,6 +558,8 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return _estimate(closed, 0.0, 0, 0, "exact")
+    if sum(mult for _, mult in free) >= 2 ** 63:  # the edge counts are drawn as int64
+        raise ValueError("tilted sampling needs fewer than 2^63 free pairs")
     lo, hi = window
     theta = _window_tilt(free, lo, hi)
 
@@ -563,14 +591,12 @@ def gnp_density_rate(p, r, kind="density-ge"):
     of p); the relative-entropy cost halves because there are n^2 / 2
     pairs at speed n^2.
     """
-    if kind == "density-ge":
-        if r <= p:
-            return 0.0
-    elif kind == "density-le":
-        if r >= p:
-            return 0.0
-    else:
+    if kind not in ("density-ge", "density-le"):
         raise ValueError("rate predictions cover density events only")
+    p = _check_prob(p)
+    _check_threshold(r)
+    if (r <= p) if kind == "density-ge" else (r >= p):
+        return 0.0
     return 0.5 * rel_entropy(p, r)
 
 
@@ -585,6 +611,7 @@ def block_density_rate(alpha, p, r, kind="density-ge"):
     """
     if kind not in ("density-ge", "density-le"):
         raise ValueError("rate predictions cover density events only")
+    _check_threshold(r)
     a = _prepare_alpha(alpha)
     probs, cls = np.unique(_check_prob_matrix(p, a.size), return_inverse=True)
     w = np.bincount(cls.ravel(), weights=np.outer(a, a).ravel(), minlength=probs.size)
@@ -650,7 +677,7 @@ def check_method(family, event: EventSpec, method, n_values=()):
     Tilted sampling reweights the coins of one block layout, so it needs a
     fixed layout and a density event.  The exact law of a fixed block
     layout covers density events only (enum reads the same law for them),
-    at sizes whose transform fits ``FFT_LENGTH_CAP``; the step-graphon law
+    at sizes whose law ``_exact_law_refusal`` admits; the step-graphon law
     enumerates block counts, so it covers every event.  Enumerating a
     non-density event needs at most ``ENUM_FREE_LIMIT`` free pairs in the
     layout of each size, or in every block-count layout of it under random
@@ -671,10 +698,10 @@ def check_method(family, event: EventSpec, method, n_values=()):
                          % min(n_values))
     if method in ("exact", "enum") and event.is_density and not random_types:
         for n in n_values:
-            span = _pairs_past_fft_cap(*family.counts_for(n), event)
-            if span:
-                raise ValueError("exact density law: %d free pairs exceed the FFT cap of %d "
-                                 "at n=%d; use tilted or mc" % (span, FFT_LENGTH_CAP - 1, n))
+            refusal = _exact_law_refusal(*_density_window(*family.counts_for(n), event))
+            if refusal:
+                raise ValueError("exact density law: %s at n=%d; use tilted or mc"
+                                 % (refusal, n))
     if method in ("exact", "enum") and not event.is_density:
         for n in n_values:
             if random_types:
@@ -693,8 +720,8 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     """Sweep graph sizes and measure -log P(event) / speed at each size.
 
     ``method`` is "auto", "exact", "enum", "tilted", or "mc".  Auto picks
-    the exact law for density events whenever its FFT fits
-    ``FFT_LENGTH_CAP``, falling back to tilted importance sampling; ball events
+    the exact law for density events whenever ``_exact_law_refusal`` admits
+    it, falling back to tilted importance sampling; ball events
     enumerate edge subsets while they fit and switch to Monte Carlo above
     that.  The speed is the squared vertex count.  Each point derives its
     own generator seed, so curves are reproducible end to end.  A point is
@@ -725,7 +752,8 @@ def _point(family, n, event, method, num_samples, seed):
     else:
         counts, p = family.counts_for(n)
         if method == "auto" and event.is_density:
-            method = "tilted" if _pairs_past_fft_cap(counts, p, event) else "exact"
+            refusal = _exact_law_refusal(*_density_window(counts, p, event))
+            method = "tilted" if refusal else "exact"
         elif method == "auto":
             method = "enum" if _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS else "mc"
         if method in ("exact", "enum"):

@@ -86,12 +86,11 @@ def _weighted_entropy_sum(mass, h):
 def rate_Ip(p: float, u: StepGraphon) -> float:
     """Mean relative-entropy cost of a graphon against the constant p.
 
-    Half the mass-weighted sum of h_p over cells; zero-weight cells never
-    contribute, even when their entropy value is infinite.
+    The one-colour case of ``rate_Ik``: every part gets colour 0 and the
+    colour matrix is [[p]], so p is checked as a probability matrix and
+    zero-weight cells never contribute, even when their entropy is infinite.
     """
-    w = u.parts.weights
-    mass = w[:, None] * w[None, :]
-    return 0.5 * _weighted_entropy_sum(mass, _h_array(p, u.values))
+    return rate_Ik([[p]], ColouredStepGraphon(u, np.zeros(u.parts.size, dtype=int)))
 
 
 def _entropy_tensor(p, values):
@@ -228,83 +227,59 @@ def _maximal_cliques(compatible):
 def _transport_fill(w, alpha, allowed, rng=None):
     """A coupling of supplies w to demands alpha on the allowed mask, or None.
 
-    Breadth-first augmentation between supplies and demands, a max-flow; the
-    neighbour scan order is shuffled when an rng is given, which varies the
-    vertex of the restricted polytope that comes out.  The supply left unmet
-    is the mask's largest Hall deficit, so the mask is certified infeasible,
-    and None returned, when it exceeds _HALL_TOL.
+    A max-flow by breadth-first augmenting paths on nodes 0..m-1 (rows,
+    supplies w) and m..m+k-1 (columns, demands alpha): a row reaches its
+    allowed columns, and a column reaches back the rows that send it mass.
+    An rng shuffles each node's scan order, which varies the vertex of the
+    restricted polytope that comes out.  The supply left unmet is the mask's
+    largest Hall deficit, so the mask is certified infeasible, and None
+    returned, when it exceeds _HALL_TOL.
     """
     m, k = allowed.shape
     c = np.zeros((m, k))
-    need_row = w.copy()
-    need_col = alpha.copy()
-    cols_of = [np.nonzero(allowed[a])[0].tolist() for a in range(m)]
-    rows_of = [np.nonzero(allowed[:, i])[0].tolist() for i in range(k)]
+    need = w.tolist() + alpha.tolist()
+    ok = allowed.tolist()
+    reach = ([[m + i for i in range(k) if ok[a][i]] for a in range(m)]
+             + [[a for a in range(m) if ok[a][i]] for i in range(k)])
     if rng is not None:
-        for lst in cols_of:
+        for lst in reach:
             rng.shuffle(lst)
-        for lst in rows_of:
-            rng.shuffle(lst)
+
+    def cell(v, x):
+        """The coupling cell under the edge between nodes v and x."""
+        return (v, x - m) if v < m else (x, v - m)
+
+    def augmenting_path():
+        """The first augmenting path found, from its column back to its row, or None."""
+        queue = [a for a in range(m) if need[a] > 1e-15]
+        prev = dict.fromkeys(queue)
+        for v in queue:  # also visits what the scan appends: first in, first out
+            for x in reach[v]:
+                if x in prev or (v >= m and c[x, v - m] <= 0.0):
+                    continue
+                prev[x] = v
+                if x >= m and need[x] > 1e-15:
+                    path = [x]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path
+                queue.append(x)
+        return None
+
     for _ in range(4 * (m + k) * (m * k + 1)):
-        sources = [a for a in range(m) if need_row[a] > 1e-15]
-        if not sources:
+        path = augmenting_path()
+        if path is None:
             break
-        # BFS from unfilled rows to unfilled columns through residual edges
-        prev = {}
-        frontier = [("r", a) for a in sources]
-        seen = set(frontier)
-        goal = None
-        while frontier and goal is None:
-            nxt = []
-            for node in frontier:
-                kind, idx = node
-                if kind == "r":
-                    for i in cols_of[idx]:
-                        cell = ("c", i)
-                        if cell in seen:
-                            continue
-                        prev[cell] = node
-                        if need_col[i] > 1e-15:
-                            goal = cell
-                            break
-                        seen.add(cell)
-                        nxt.append(cell)
-                else:
-                    for a in rows_of[idx]:
-                        if c[a, idx] <= 0.0:
-                            continue
-                        cell = ("r", a)
-                        if cell in seen:
-                            continue
-                        prev[cell] = node
-                        seen.add(cell)
-                        nxt.append(cell)
-                if goal is not None:
-                    break
-            frontier = nxt
-        if goal is None:
-            break
-        # reconstruct path, find bottleneck, push
-        path = [goal]
-        while path[-1] in prev:
-            path.append(prev[path[-1]])
-        path.reverse()
-        start = path[0][1]
-        push = min(need_row[start], need_col[goal[1]])
-        for s in range(0, len(path) - 1, 2):
-            if s + 2 < len(path):
-                push = min(push, c[path[s + 2][1], path[s + 1][1]])
-        for s in range(0, len(path) - 1, 2):
-            a = path[s][1]
-            i = path[s + 1][1]
-            c[a, i] += push
-            if s + 2 < len(path):
-                c[path[s + 2][1], i] -= push
-        need_row[start] -= push
-        need_col[goal[1]] -= push
+        edges = list(zip(path[1:], path))
+        push = min([need[path[-1]], need[path[0]]]
+                   + [c[cell(v, x)] for v, x in edges if v >= m])
+        for v, x in edges:
+            c[cell(v, x)] += push if v < m else -push
+        need[path[-1]] -= push
+        need[path[0]] -= push
     else:
         raise RuntimeError("transport fill did not finish within its guard")
-    return c if float(need_row.sum()) <= _HALL_TOL else None
+    return c if float(np.sum(need[:m])) <= _HALL_TOL else None
 
 
 def _cycle_directions(m, k):

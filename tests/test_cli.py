@@ -349,6 +349,20 @@ class TestLdpCurveCommand:
             assert "exceed the FFT cap of 2097151 at n=2050" in captured.err
             assert "use tilted or mc" in captured.err
 
+    def test_one_pair_probability_past_the_binomial_cap(self, tmp_path, capsys):
+        # n(n-1) passes 2^63 at n = 2^32, so the pairs are counted in Python ints;
+        # exact refuses that many and auto samples under the tilt
+        argv = ["ldp-curve", "--model", "gnp:0.4", "--event", "density-ge:0.5",
+                "--n", "4294967296", "--num-samples", "10", "--seed", "0"]
+        assert cli.main(argv + ["--method", "auto", "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "method=tilted" in out and "-inf" not in out
+        assert cli.main(argv + ["--method", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("9223372034707292160 free pairs exceed the binomial cap of 67108863 "
+                "at n=4294967296; use tilted or mc") in captured.err
+
     def test_density_sizes_below_two_exit_before_the_config_line(self, tmp_path, capsys):
         u = write_graphon(tmp_path / "u.json", [0.5, 0.5], [[0.7, 0.1], [0.1, 0.7]])
         models = ["gnp:0.5", "block:1,1:0.7,0.1;0.1,0.7", "wrandom:%s" % u]

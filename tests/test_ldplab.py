@@ -291,11 +291,16 @@ class TestFftDensityLaw:
         p = np.asarray(fam.p)
         counts = fam.counts_for(2050)[0]
         ev = EventSpec("density-ge", r=0.55)
-        assert ldplab._pairs_past_fft_cap(counts, p, ev) == 2050 * 2049 // 2
-        assert ldplab._pairs_past_fft_cap(fam.counts_for(2048)[0], p, ev) == 0
+
+        def refusal(counts, event):
+            return ldplab._exact_law_refusal(*ldplab._density_window(counts, p, event))
+
+        assert refusal(counts, ev) == "%d free pairs exceed the FFT cap of %d" % (
+            2050 * 2049 // 2, FFT_LENGTH_CAP - 1)
+        assert refusal(fam.counts_for(2048)[0], ev) is None
         # a certain event is a closed form past the cap, so exact still runs
         certain = EventSpec("density-ge", r=0.0)
-        assert ldplab._pairs_past_fft_cap(counts, p, certain) == 0
+        assert refusal(counts, certain) is None
         (pt,) = ldp_curve(fam, certain, [2050], method="exact")
         assert pt["logprob"] == 0.0 and pt["method"] == "exact"
         # the sizes are checked before any point is computed

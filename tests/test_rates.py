@@ -497,11 +497,13 @@ class TestTransportFeasibility:
                 target = allowed[line] if trial % 2 else allowed[:, line]
                 target[...] = bool(rng.integers(2))
             want = oracle_hall_feasible(w, alpha, allowed)
-            c = rates._transport_fill(w, alpha, allowed)
-            assert (c is not None) == want, (trial, w, alpha, allowed)
-            if c is not None:
-                assert np.all(c[~allowed] == 0.0)
-                np.testing.assert_allclose(c.sum(axis=1), w, rtol=0.0, atol=1e-12)
+            # J's start 0 fills in scan order; later starts shuffle it
+            for fill_rng in (None, np.random.default_rng(trial)):
+                c = rates._transport_fill(w, alpha, allowed, fill_rng)
+                assert (c is not None) == want, (trial, fill_rng, w, alpha, allowed)
+                if c is not None:
+                    assert np.all(c[~allowed] == 0.0)
+                    np.testing.assert_allclose(c.sum(axis=1), w, rtol=0.0, atol=1e-12)
             verdicts.append(want)
         assert 1000 < sum(verdicts) < 3000
 

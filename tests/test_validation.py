@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from stepldp.coloured import ColouredStepGraphon, coloured_from_json, gamma_block
+from stepldp import ldplab
+from stepldp.coloured import (ColouredStepGraphon, coloured_from_json, dk_distance_search,
+                              dk_norm, gamma_block)
 from stepldp.cutmetric import SignedStepFn
 from stepldp.graphon import LabeledGraph, PartWeights, make_step_graphon
 from stepldp.ldplab import (
@@ -14,19 +16,23 @@ from stepldp.ldplab import (
     EventSpec,
     GnpFamily,
     WRandomFamily,
+    binomial_tail_logprob,
     block_density_rate,
     check_method,
     density_logprob_block,
     exact_event_logprob_block,
     exact_event_logprob_wrandom,
+    gnp_density_rate,
     tilted_density_logprob_block,
 )
-from stepldp.rates import rate_J
+from stepldp.rates import rate_Ip, rate_J
 from stepldp.samplers import apportion_counts, coupled_block_sample, sample_block, sample_wrandom
 
 P2 = ((0.5, 0.1), (0.1, 0.5))
 P_ABOVE_ONE = ((1.5, 0.1), (0.1, 0.5))
+P_MIXED = ((0.4, 0.3), (0.3, 0.6))
 DENSITY = EventSpec("density-ge", r=0.5)
+U1 = make_step_graphon([1.0], [[0.4]])
 
 
 def _one_colour_used():
@@ -50,6 +56,30 @@ INVALID = [
     ("density rate at p above one",
      lambda: block_density_rate([1.0, 1.0], [[0.5, 1.5], [1.5, 0.5]], 0.3),
      "probabilities must lie in [0, 1]"),
+    # one threshold rule, however many pair classes the layout has
+    ("one-class density rate at a threshold past one",
+     lambda: block_density_rate([1.0], [[0.4]], 1.5),
+     "density events need a threshold r in [0, 1]"),
+    ("two-class density rate at a threshold past one",
+     lambda: block_density_rate([1.0, 1.0], P_MIXED, 1.5),
+     "density events need a threshold r in [0, 1]"),
+    ("gnp density rate at p above one", lambda: gnp_density_rate(1.5, 0.5),
+     "probabilities must lie in [0, 1]"),
+    ("gnp density rate at a nan threshold", lambda: gnp_density_rate(0.4, math.nan),
+     "density events need a threshold r in [0, 1]"),
+    ("binomial tail at p above one", lambda: binomial_tail_logprob(10, 1.5, 3),
+     "probabilities must lie in [0, 1]"),
+    ("binomial tail at a nan probability", lambda: binomial_tail_logprob(10, math.nan, 3),
+     "probabilities must be finite"),
+    ("I_p at p above one", lambda: rate_Ip(1.5, U1), "probabilities must lie in [0, 1]"),
+    ("I_p at a nan p", lambda: rate_Ip(math.nan, U1), "probabilities must be finite"),
+    ("I_p at a negative p", lambda: rate_Ip(-0.1, U1), "probabilities must lie in [0, 1]"),
+    ("dk norm across colour counts",
+     lambda: dk_norm(ColouredStepGraphon(U1, [0]), _one_colour_used()),
+     "colour counts differ: 1 vs 2"),
+    ("dk search across colour counts",
+     lambda: dk_distance_search(ColouredStepGraphon(U1, [0]), _one_colour_used()),
+     "colour counts differ: 1 vs 2"),
     ("apportioning a nan weight", lambda: apportion_counts(10, [math.nan, 1.0]),
      "weights must be finite"),
     ("apportioning all-zero weights", lambda: apportion_counts(10, [0.0, 0.0]),
@@ -112,6 +142,13 @@ INVALID = [
     ("coupled counts past the vertex limit",
      lambda: coupled_block_sample([3, 3], [2 ** 63 - 1, 0], P2, 0),
      "a graph holds at most 2147483647 vertices (int32 labels), got 9223372036854775807"),
+    # pair counts are Python ints: n(n-1)/2 passes 2^63 here, and no law is built
+    ("exact density law past 2^63 pairs",
+     lambda: density_logprob_block([2 ** 32, 2], P_MIXED, DENSITY),
+     "exact density law: 9223372043297226753 free pairs exceed the FFT cap of 2097151"),
+    ("tilted density law past 2^63 pairs",
+     lambda: tilted_density_logprob_block([2 ** 32, 2], P_MIXED, DENSITY, 10, 0),
+     "tilted sampling needs fewer than 2^63 free pairs"),
 ]
 
 
@@ -146,3 +183,25 @@ class TestEnumerationLimitIsCheckedUpFront:
         thin = WRandomFamily(make_step_graphon([1.0, 0.0], [[0.0, 0.5], [0.5, 0.5]]))
         check_method(thin, self.ball, "exact", [9])
         assert exact_event_logprob_wrandom(9, thin.u, self.ball) == -math.inf
+
+    def test_pair_counts_past_int64(self, monkeypatch):
+        # 2^32 vertices have 9223372034707292160 pairs; n(n-1) wraps in int64
+        with pytest.raises(ValueError, match="got 9223372034707292160 at n=4294967296$"):
+            check_method(GnpFamily(0.4), self.ball, "enum", [2 ** 32])
+
+        def no_pair_arrays(*args, **kwargs):
+            raise AssertionError("pair arrays built before the free pairs were counted")
+
+        monkeypatch.setattr(ldplab.np, "repeat", no_pair_arrays)
+        monkeypatch.setattr(ldplab.np, "triu_indices", no_pair_arrays)
+        with pytest.raises(ValueError, match="got 9223372034707292160$"):
+            exact_event_logprob_block([2 ** 32], [[0.4]], self.ball)
+        with pytest.raises(ValueError, match="got 28$"):
+            exact_event_logprob_block([8], [[0.4]], self.ball)
+
+
+def test_tilted_law_counts_pairs_past_int64():
+    # (2^32 - 3)(2^32 - 4) passes 2^63, so only Python ints count these pairs
+    est = tilted_density_logprob_block([2 ** 32 - 3, 2], P_MIXED, DENSITY, 10, 0)
+    assert est["method"] == "tilted" and est["hits"] > 0
+    assert -1e18 < est["logprob"] < -1e17
