@@ -35,6 +35,7 @@ EXACT_PART_LIMIT = 22
 _ENUM_CHUNK = 1 << 16
 
 DEFAULT_ALTERNATING_RESTARTS = 32
+_ALTERNATING_BLOCK = 32  # starts one alternating block advances together
 DEFAULT_SEARCH_RESTARTS = 64
 _POLISH_TOL = 1e-12  # least improvement a cycle move must bring
 _POLISH_SWEEPS = 60
@@ -189,18 +190,6 @@ def cut_norm_exact(f: SignedStepFn) -> float:
     return _enumerate_cut_norm(_mass_matrix(f))
 
 
-def _alternate(M, b, sign):
-    """Alternating ascent from inclusion vector b; returns the signed value."""
-    prev = 0.0
-    while True:
-        a = ((M @ b) * sign > 0.0).astype(float)
-        b = ((M @ a) * sign > 0.0).astype(float)
-        val = sign * float(a @ M @ b)
-        if val <= prev + 1e-15:
-            return max(prev, val, 0.0)
-        prev = val
-
-
 def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0) -> float:
     """Monotone lower bound on the cut norm from alternating maximization.
 
@@ -208,6 +197,8 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     its summed contribution, and alternates until no improvement; the first
     restart always starts from the full part set (so constant functions are
     solved at any restart count), the rest from random 0/1 inclusion vectors.
+    The starts ascend together in blocks of 32, so memory is O(n) and does
+    not grow with ``restarts``.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -215,13 +206,34 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
 
 
 def _alternating_cut_norm(M, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
-    """``cut_norm_alternating`` on a mass matrix, unvalidated."""
+    """``cut_norm_alternating`` on a mass matrix, unvalidated.
+
+    The starts run in blocks of ``_ALTERNATING_BLOCK``.  Column j of the block
+    is one (start, sign) ascent, so each half-step is one product with M for
+    every live ascent; an ascent leaves the block when it stops improving.
+    One (k, n) ``rng.integers`` draw yields the same starts as k draws of n.
+    """
     rng = np.random.default_rng(seed)
+    n = len(M)
     best = 0.0
-    for r in range(restarts):
-        b = np.ones(len(M)) if r == 0 else rng.integers(0, 2, size=len(M)).astype(float)
-        for sign in (1.0, -1.0):
-            best = max(best, _alternate(M, b.copy(), sign))
+    for first in range(0, restarts, _ALTERNATING_BLOCK):
+        count = min(_ALTERNATING_BLOCK, restarts - first)
+        starts = rng.integers(0, 2, size=(count - (first == 0), n)).astype(float)
+        if first == 0:
+            starts = np.vstack([np.ones(n), starts])
+        sign = np.repeat([1.0, -1.0], count)
+        prev = np.zeros(2 * count)
+        MB = M @ np.hstack([starts.T, starts.T])
+        while sign.size:
+            A = (MB * sign > 0.0).astype(float)
+            MB = M @ ((M @ A) * sign > 0.0).astype(float)
+            val = sign * np.einsum("ij,ij->j", A, MB)
+            done = val <= prev + 1e-15
+            if done.any():
+                best = max(best, float(np.maximum(prev[done], val[done]).max()))
+                live = ~done
+                MB, sign, val = MB[:, live], sign[live], val[live]
+            prev = val
     return best
 
 

@@ -572,10 +572,14 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     hits = int(hit.sum())
     if hits == 0:
         return _estimate(-math.inf, math.inf, num_samples, 0, "tilted")
-    lw = logw[hit]
-    l1 = float(logsumexp(lw)) - math.log(num_samples)
-    l2 = float(logsumexp(2.0 * lw)) - math.log(num_samples)
-    rel_var = max(math.exp(l2 - 2.0 * l1) - 1.0, 0.0)
+    l1 = float(logsumexp(logw[hit])) - math.log(num_samples)
+    # The relative variance N sum w^2 / (sum w)^2 - 1 does not depend on the
+    # common factor of the weights, so take them relative to one hit: exact
+    # up to one product, where the log weights themselves may be so large
+    # (about -1.9e17 at n = 2^32) that log N is below one ulp of them.
+    rel = -theta * (total[hit] - total[hit].min())
+    log_ratio = float(logsumexp(2.0 * rel)) - 2.0 * float(logsumexp(rel)) + math.log(num_samples)
+    rel_var = max(math.exp(log_ratio) - 1.0, 0.0)
     stderr = math.sqrt(rel_var / num_samples)
     return _estimate(l1, stderr, num_samples, hits, "tilted")
 

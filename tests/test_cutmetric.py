@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_samplers import _traced_peak_mib
 
 from stepldp import coloured, cutmetric
 from stepldp.cutmetric import (
@@ -80,6 +81,83 @@ class TestCutNorm:
         f = SignedStepFn(PartWeights([0.5, 0.5]), np.zeros((2, 2)))
         assert cut_norm_exact(f) == 0.0
         assert cut_norm_alternating(f, restarts=4, seed=0) == 0.0
+
+
+def oracle_alternating_cut_norm(M, restarts, seed):
+    """The per-start loop: each (start, sign) ascent alone, by matrix-vector products."""
+    def alternate(M, b, sign):
+        prev = 0.0
+        while True:
+            a = ((M @ b) * sign > 0.0).astype(float)
+            b = ((M @ a) * sign > 0.0).astype(float)
+            val = sign * float(a @ M @ b)
+            if val <= prev + 1e-15:
+                return max(prev, val, 0.0)
+            prev = val
+
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for r in range(restarts):
+        b = np.ones(len(M)) if r == 0 else rng.integers(0, 2, size=len(M)).astype(float)
+        for sign in (1.0, -1.0):
+            best = max(best, alternate(M, b.copy(), sign))
+    return best
+
+
+def _gnp_mass(rng, n, q, dirichlet):
+    """Mass matrix of G(n, q) minus q on uniform or Dirichlet part weights."""
+    adj = np.triu((rng.random((n, n)) < q).astype(float), 1)
+    w = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    return np.outer(w, w) * (adj + adj.T - q)
+
+
+class TestAlternatingBatch:
+    """The block ascent against the per-start loop it replaced."""
+
+    def test_matches_the_per_start_loop(self):
+        rng = np.random.default_rng(18)
+        checked = 0
+        for n in (23, 30, 40, 64):
+            for dirichlet in (False, True):
+                for trial in range(40):
+                    M = _gnp_mass(rng, n, rng.uniform(0.1, 0.9), dirichlet)
+                    # every eighth matrix also runs past one block of starts
+                    for restarts in (1, 2, 32) if trial % 8 else (1, 2, 32, 33, 70):
+                        want = oracle_alternating_cut_norm(M, restarts, trial)
+                        got = cutmetric._alternating_cut_norm(M, restarts, trial)
+                        assert abs(got - want) <= 1e-13 * want, (n, dirichlet, trial, restarts)
+                    checked += 1
+        assert checked >= 300
+
+    def test_hit_decisions_at_the_ball_radii(self):
+        # ball-mc's n=40 radius for G(40, q) against the constant q, q in [0.3, 0.5]
+        rng = np.random.default_rng(40)
+        hits = 0
+        for trial in range(200):
+            q = round(float(rng.uniform(0.3, 0.5)), 4)
+            eta = round(0.0496 + 0.025 * (q - 0.3), 4)
+            M = _gnp_mass(rng, 40, q, False)
+            hit = cutmetric._alternating_cut_norm(M) <= eta
+            assert hit == (oracle_alternating_cut_norm(M, 32, 0) <= eta), trial
+            hits += hit
+        assert 0 < hits < 200
+
+    def test_block_draw_matches_per_restart_draws(self):
+        # a block draws its random starts at once, as the loop drew them one by one
+        for n in (23, 40, 41, 64):
+            for k in (1, 31, 32):
+                one = np.random.default_rng(n).integers(0, 2, size=(k, n))
+                rng = np.random.default_rng(n)
+                assert np.array_equal(one, [rng.integers(0, 2, size=n) for _ in range(k)])
+
+    def test_memory_does_not_grow_with_restarts(self):
+        # 4,096 restarts of 40 parts: all ascents at once would hold arrays of
+        # 8,192 columns (2.5 MiB each); one block of 64 holds 20 KiB
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(-1, 1, (40, 40))
+        f = SignedStepFn(PartWeights(rng.dirichlet(np.ones(40))), (vals + vals.T) / 2)
+        peak = _traced_peak_mib(lambda: cut_norm_alternating(f, restarts=4096, seed=0))
+        assert peak <= 0.5
 
 
 class TestAlignedDistance:

@@ -452,6 +452,15 @@ class TestTilted:
             z = abs(est["logprob"] - exact) / est["stderrLog"]
             assert z < 3.0, (n, est, exact)
 
+    def test_stderr_at_huge_n(self):
+        # the log weights sit near -1.9e17, where log(num_samples) is below
+        # one ulp; 3 hits of 10 gave stderrLog 0.0
+        p = np.array([[0.4, 0.3], [0.3, 0.6]])
+        ev = EventSpec("density-ge", r=0.5)
+        est = tilted_density_logprob_block([2 ** 32 - 3, 2], p, ev, num_samples=10, seed=0)
+        assert est["method"] == "tilted" and est["hits"] == 3
+        assert est["stderrLog"] > 0.0
+
     def test_degenerate_threshold_falls_back_exact(self):
         p = np.array([[0.5]])
         ev = EventSpec("density-ge", r=1.0)
