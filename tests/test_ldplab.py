@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -632,3 +633,78 @@ class TestLdpCurve:
         ti = ldp_curve(fam, ev, [20], method="tilted", num_samples=20000, seed=1)[0]
         z = abs(ti["logprob"] - ex["logprob"]) / ti["stderrLog"]
         assert z < 3.0
+
+
+def _random_prob_matrix(rng, k):
+    vals = rng.uniform(0.05, 0.95, (k, k))
+    return (vals + vals.T) / 2.0
+
+
+def _atypical_event(rng, counts, p, kind):
+    """A density event whose threshold sits 0.02 to 0.3 past the mean density."""
+    classes = ldplab._pair_classes(counts, p)
+    mean = sum(q * m for q, m in classes) / sum(m for _, m in classes)
+    step = float(rng.uniform(0.02, 0.3))
+    if kind == "density-ge":
+        return EventSpec(kind, r=min(mean + step, 0.95))
+    return EventSpec(kind, r=max(mean - step, 0.05))
+
+
+def _law_values():
+    """Seeded values of the exact laws and the tilted estimator.
+
+    40 binomial tails from k_min at or past the mean; 40 block density laws
+    of atypical events, half on the single-class path (one pair
+    probability) and half on the FFT path (2 or 3 blocks of distinct
+    probabilities), each with a window that needs the law; 12 w-random
+    density laws; 20 tilted estimates of atypical events, logprob and
+    stderrLog.
+    """
+    rng = np.random.default_rng(19)
+    values = []
+    for _ in range(40):
+        m = int(rng.integers(1, 400))
+        p = float(rng.uniform(0.01, 0.99))
+        values.append(binomial_tail_logprob(m, p, int(rng.integers(math.ceil(m * p), m + 2))))
+    for trial in range(40):
+        kind = ("density-ge", "density-le")[trial // 2 % 2]
+        if trial % 2 == 0:
+            counts = [int(rng.integers(8, 200))]
+            p = np.full((1, 1), rng.uniform(0.01, 0.99))
+        else:
+            counts = [int(x) for x in rng.integers(4, 40, int(rng.integers(2, 4)))]
+            p = _random_prob_matrix(rng, len(counts))
+        ev = _atypical_event(rng, counts, p, kind)
+        free, window = ldplab._density_window(counts, p, ev)
+        assert ldplab._closed_form_logprob(free, window) is None
+        assert len(free) == (1 if trial % 2 == 0 else len(counts) * (len(counts) + 1) // 2)
+        values.append(density_logprob_block(counts, p, ev))
+    for n in range(3, 9):
+        for k in (2, 3):
+            weights = rng.dirichlet(np.ones(k))
+            u = make_step_graphon(weights, _random_prob_matrix(rng, k))
+            ev = EventSpec("density-ge", r=float(rng.uniform(0.2, 0.8)))
+            values.append(exact_event_logprob_wrandom(n, u, ev))
+    for trial in range(20):
+        counts = [int(x) for x in rng.integers(5, 30, int(rng.integers(1, 4)))]
+        p = _random_prob_matrix(rng, len(counts))
+        ev = _atypical_event(rng, counts, p, ("density-ge", "density-le")[trial % 2])
+        est = tilted_density_logprob_block(counts, p, ev, num_samples=300, seed=trial)
+        assert est["method"] == "tilted" and est["hits"] > 0
+        values += [est["logprob"], est["stderrLog"]]
+    return values
+
+
+class TestFrozenLaws:
+    """One digest over ``float.hex`` of the seeded values of ``_law_values``.
+
+    Recorded while ``scipy.special`` was imported with the module.
+    """
+
+    def test_law_values(self):
+        values = _law_values()
+        assert len(values) == 40 + 40 + 12 + 40
+        assert all(math.isfinite(v) for v in values)
+        digest = hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+        assert digest == (
+            "0dc96f90643cba188d28cf81d91bfb8c382fd50ea9e23aeab7b5fb4525edc9d9")
