@@ -20,6 +20,10 @@ its witness has at most 22 pieces, so a graph counts only once proved within
 eta.  Past 22 pieces (every graph on more than 22 vertices against a one-part
 target) the value is the alternating heuristic's, a lower bound on the
 witness's cut norm, and such points are not certified lower bounds.
+
+Only the exact binomial and density laws, the w-random exact law and the
+tilted estimator use ``scipy.special``, and each imports it where it needs
+it: a process that evaluates none of them never loads scipy.
 """
 
 import math
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_weights,
                       graph_to_graphon)
@@ -220,6 +223,8 @@ def _binomial_logpmf(m, p, theta=0.0):
         out = np.full(m + 1, -np.inf)
         out[m] = 0.0
         return out
+    from scipy.special import gammaln
+
     lm = _log_mgf(p, theta)
     return (
         gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
@@ -238,6 +243,8 @@ def binomial_tail_logprob(m, p, k_min):
     tail = logpmf[k_min:]
     if np.all(np.isneginf(tail)):
         return -math.inf
+    from scipy.special import logsumexp
+
     return float(logsumexp(tail))
 
 
@@ -422,6 +429,8 @@ def density_logprob_block(counts, p, event: EventSpec):
         return closed
     lo, hi = window
     if len(free) == 1:
+        from scipy.special import logsumexp
+
         prob, mult = free[0]
         return float(logsumexp(_binomial_logpmf(mult, prob)[lo : hi + 1]))
     return _fft_window_logprob(free, lo, hi)
@@ -488,6 +497,8 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     law is the multinomial mixture of block laws and the probability is the
     corresponding convex combination, evaluated term by term.
     """
+    from scipy.special import gammaln, logsumexp
+
     w = u.parts.weights
     logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
     terms = []
@@ -572,6 +583,8 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     hits = int(hit.sum())
     if hits == 0:
         return _estimate(-math.inf, math.inf, num_samples, 0, "tilted")
+    from scipy.special import logsumexp
+
     l1 = float(logsumexp(logw[hit])) - math.log(num_samples)
     # The relative variance N sum w^2 / (sum w)^2 - 1 does not depend on the
     # common factor of the weights, so take them relative to one hit: exact

@@ -8,9 +8,13 @@ appears as an identifier anywhere in the module or is listed in its
 ``__all__``.  The private-name check fails on any module-level ``def``,
 ``class`` or assignment named with one leading underscore that no other
 top-level statement of the package reads, by name or as an attribute.
+In fresh processes, the start-up checks find that ``import stepldp`` loads
+no scipy module and that only the commands that evaluate an exact law load
+``scipy.special``.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -19,6 +23,7 @@ import sys
 import pytest
 
 import stepldp
+from stepldp.graphon import graphon_to_json, make_step_graphon
 
 PACKAGE_DIR = pathlib.Path(stepldp.__file__).resolve().parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -54,18 +59,53 @@ def unused_imports(source):
     return [(name, line) for name, line in imported_names(tree) if name not in used]
 
 
-def test_import_loads_no_heavy_scipy_submodule():
-    # every process pays the package import; these three cost about as much
-    # as numpy itself, and the library needs none of them
+def _run_python(code, *args):
+    """Run ``python -c code args`` in a fresh process that imports this stepldp."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_DIR.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, stepldp; print(' '.join(m for m in "
-            "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code] + list(args), env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    # every process pays the package import, and scipy.special alone costs
+    # more than numpy; the laws that need it import it on first use
+    code = ("import sys, stepldp, stepldp.cli; print(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _run_python(code).strip() == ""
+
+
+def _write_graphon(path, weights, values):
+    path.write_text(json.dumps(graphon_to_json(make_step_graphon(weights, values))))
+    return str(path)
+
+
+_BLOCK_P = "0.7,0.1;0.1,0.7"
+
+
+@pytest.mark.parametrize("argv, loads_special", [
+    (["distance", "--u", "{u}", "--v", "{one}", "--restarts", "4"], False),
+    (["rate", "--p", _BLOCK_P, "--u", "{u}", "--budget", "4"], False),
+    (["rate", "--p", _BLOCK_P, "--u", "{u}", "--alpha", "0.5,0.5", "--budget", "4"], False),
+    (["sample", "--model", "block:1,1:" + _BLOCK_P, "--n", "10", "--seed", "0"], False),
+    (["coupling-demo", "--counts-a", "3,3", "--counts-b", "2,4", "--p", _BLOCK_P,
+      "--seed", "0"], False),
+    (["ldp-curve", "--model", "gnp:0.5", "--event", "ball:{one}:0.1", "--n", "6",
+      "--method", "mc", "--num-samples", "20", "--seed", "0"], False),
+    (["ldp-curve", "--model", "gnp:0.5", "--event", "density-ge:0.8", "--n", "10",
+      "--method", "exact", "--seed", "0"], True),
+], ids=["distance", "rate-R", "rate-J", "sample", "coupling-demo", "ldp-curve-mc-ball",
+        "ldp-curve-exact-density"])
+def test_commands_load_scipy_special_only_for_exact_laws(tmp_path, argv, loads_special):
+    files = {"u": _write_graphon(tmp_path / "u.json", [0.4, 0.6], [[0.8, 0.3], [0.3, 0.6]]),
+             "one": _write_graphon(tmp_path / "one.json", [1.0], [[0.5]])}
+    code = ("import json, sys; from stepldp import cli; rc = cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, 'scipy.special' in sys.modules]))")
+    out = _run_python(code, *[a.format(**files) for a in argv])
+    assert json.loads(out.splitlines()[-1]) == [0, loads_special]
 
 
 def test_package_modules_found():
@@ -87,8 +127,13 @@ def test_checker_flags_dead_names():
         "__all__ = ['pi']\n"
         "def f(x: StepGraphon):\n"
         "    return np.zeros(x) + xml.dom.Node\n"
+        "def g(x):\n"
+        "    from scipy.special import gammaln, logsumexp\n"
+        "\n"
+        "    return logsumexp(x)\n"
     )
-    assert unused_imports(source) == [("os", 1), ("inf", 4), ("LabeledGraph", 5)]
+    assert unused_imports(source) == [
+        ("os", 1), ("inf", 4), ("LabeledGraph", 5), ("gammaln", 10)]
 
 
 def defined_privates(node):

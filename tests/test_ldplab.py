@@ -698,7 +698,8 @@ def _law_values():
 class TestFrozenLaws:
     """One digest over ``float.hex`` of the seeded values of ``_law_values``.
 
-    Recorded while ``scipy.special`` was imported with the module.
+    Recorded while ``scipy.special`` was imported with the module; importing
+    it on the first call of a law left every value unchanged.
     """
 
     def test_law_values(self):
