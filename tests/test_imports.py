@@ -23,7 +23,7 @@ import sys
 import pytest
 
 import stepldp
-from stepldp.graphon import graphon_to_json, make_step_graphon
+from test_cli import write_graphon
 
 PACKAGE_DIR = pathlib.Path(stepldp.__file__).resolve().parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -78,11 +78,6 @@ def test_import_loads_no_heavy_scipy_submodule():
     assert _run_python(code).strip() == ""
 
 
-def _write_graphon(path, weights, values):
-    path.write_text(json.dumps(graphon_to_json(make_step_graphon(weights, values))))
-    return str(path)
-
-
 _BLOCK_P = "0.7,0.1;0.1,0.7"
 
 
@@ -100,8 +95,8 @@ _BLOCK_P = "0.7,0.1;0.1,0.7"
 ], ids=["distance", "rate-R", "rate-J", "sample", "coupling-demo", "ldp-curve-mc-ball",
         "ldp-curve-exact-density"])
 def test_commands_load_scipy_special_only_for_exact_laws(tmp_path, argv, loads_special):
-    files = {"u": _write_graphon(tmp_path / "u.json", [0.4, 0.6], [[0.8, 0.3], [0.3, 0.6]]),
-             "one": _write_graphon(tmp_path / "one.json", [1.0], [[0.5]])}
+    files = {"u": write_graphon(tmp_path / "u.json", [0.4, 0.6], [[0.8, 0.3], [0.3, 0.6]]),
+             "one": write_graphon(tmp_path / "one.json", [1.0], [[0.5]])}
     code = ("import json, sys; from stepldp import cli; rc = cli.main(sys.argv[1:]); "
             "print(json.dumps([rc, 'scipy.special' in sys.modules]))")
     out = _run_python(code, *[a.format(**files) for a in argv])
