@@ -40,6 +40,7 @@ DEFAULT_SEARCH_RESTARTS = 64
 _POLISH_TOL = 1e-12  # least improvement a cycle move must bring
 _POLISH_SWEEPS = 60
 _CUT_POOL_SIZE = 32  # recent best cuts a coupling search bounds candidates with
+_POOL_SCREEN_ROWS = 32  # candidates per whole-pool screen call (measured on solve)
 _BIJECTION_VERTEX_LIMIT = 8  # of graph_cut_distance_exact's n! search
 
 
@@ -64,7 +65,11 @@ class DistanceEstimate:
     ``evaluations`` counts the objective values the search computed (memo
     hits excluded) and ``pruned`` the candidates its polish walked past
     because the batched screen certified, from the pooled cuts, that they
-    could not improve; neither is part of the JSON form.
+    could not improve; neither is part of the JSON form.  The restarts of a
+    block share one memo and one pool, in the order their lockstep walks
+    evaluate, so both counts depend on that order (unlike the value, the
+    witness and ``restarts_used``); they are deterministic for a given
+    input, seed and restart count.
     """
 
     def __init__(self, upper, witness, restarts_used, evaluations=0, pruned=0):
@@ -112,61 +117,107 @@ def _subset_bits(m, start, stop):
     return bits
 
 
-def _best_cut(t):
-    """Largest |sum over A x B| given t[A, j] = sum_{i in A} M[i, j].
+# The enumeration's work rows: grown on first need, then reused by every call
+# (the package runs one search at a time per process).
+_ENUM_WORK = np.empty(0)
 
-    Returns the value and the index of a row A attaining it.  For each
-    subset A the best B takes every positive (or every negative) column sum,
-    so only one side is enumerated.  numpy does not fix which zero
-    ``maximum``/``minimum`` return for a -0.0 entry; the sign of a zero
-    changes no nonzero row sum, and the final ``+ 0.0`` returns 0.0 for the
-    zero function.
+
+def _enum_work(size):
+    global _ENUM_WORK
+    if _ENUM_WORK.size < size:
+        _ENUM_WORK = np.empty(size)
+    return _ENUM_WORK[:size]
+
+
+def _row_sums(c):
+    """``c.sum(axis=1)`` of a (q, n, r) array, byte for byte; overwrites c.
+
+    numpy adds the n < 8 terms of a row left to right, and longer rows (up
+    to 128 terms) into eight interleaved partial sums, which it adds in
+    pairs before the tail; the reduction returns 0.0 plus that sum.  Here
+    each step runs on whole columns, so all q r rows take O(n) array
+    operations, not one reduction each.
     """
-    buf = np.maximum(t, 0.0)
-    sums = buf.sum(axis=1)
-    top = int(sums.argmax())
-    pos = float(sums[top])
-    np.minimum(t, 0.0, out=buf)
-    sums = buf.sum(axis=1)
-    low = int(sums.argmin())
-    neg = float(sums[low])
-    if -neg > pos:
-        return -neg + 0.0, low
-    return pos + 0.0, top
+    n = c.shape[1]
+    head = 1
+    if n >= 8:
+        head = n - n % 8
+        for i in range(8, head, 8):
+            c[:, :8] += c[:, i:i + 8]
+        np.add(c[:, 0:8:2], c[:, 1:8:2], out=c[:, 0:8:2])
+        np.add(c[:, 0:8:4], c[:, 2:8:4], out=c[:, 0:8:4])
+        c[:, 0] += c[:, 4]
+    s = c[:, 0]
+    for j in range(head, n):
+        s += c[:, j]
+    s += 0.0
+    return s
 
 
-def _enumerate_cut(M):
-    """Exact max over subset pairs of |sum over A x B| for a mass matrix.
+def _kernel_cuts(H):
+    """Exact max over subset pairs of |sum over A x B| for each kernel of a stack.
 
-    Returns the value and a row set A attaining it, as a boolean vector.
+    H has shape (P, n, n).  Returns the values, shape (P,), and for each the
+    number of a row set A attaining it (bit i set when part i is in A).  For
+    each A the best B takes every positive (or every negative) column sum, so
+    only one side is enumerated; each product serves a chunk of kernels and
+    subsets at once, at most ``_ENUM_CHUNK`` (kernel, subset) rows.  Column
+    sums and row sums, ties (the first subset, positive side first) and
+    zeros (``+ 0.0``: numpy does not fix which zero ``maximum``/``minimum``
+    return for -0.0) are those of one ``bits @ H[p]`` product per kernel
+    and subset chunk, reduced by ``.sum(axis=1)``.
     """
-    m = M.shape[0]
-    total = 1 << m
-    best, arg = 0.0, None
-    for start in range(0, total, _ENUM_CHUNK):
-        bits = _subset_bits(m, start, min(start + _ENUM_CHUNK, total))
-        val, row = _best_cut(bits @ M)
-        if arg is None or val > best:
-            best, arg = val, bits[row] > 0.0
-    return best, arg
+    P, n = H.shape[:2]
+    total = 1 << n
+    rows = min(total, _ENUM_CHUNK)
+    per = max(1, _ENUM_CHUNK // rows)
+    values = np.empty(P)
+    masks = np.empty(P, dtype=np.int64)
+    for first in range(0, P, per):
+        q = min(per, P - first)
+        size = q * n * rows
+        lhs = np.ascontiguousarray(H[first:first + q].transpose(0, 2, 1)).reshape(q * n, n)
+        work = _enum_work(2 * size)
+        t = work[:size].reshape(q, n, rows)
+        c = work[size:].reshape(q, n, rows)
+        at = np.arange(q)
+        for start in range(0, total, rows):
+            np.matmul(lhs, _subset_bits(n, start, start + rows).T, out=t.reshape(q * n, rows))
+            np.maximum(t, 0.0, out=c)
+            sums = _row_sums(c)
+            top = sums.argmax(axis=1)
+            pos = sums[at, top]
+            np.minimum(t, 0.0, out=c)
+            sums = _row_sums(c)
+            low = sums.argmin(axis=1)
+            neg = -sums[at, low]
+            use = neg > pos
+            val = np.where(use, neg, pos) + 0.0
+            row = np.where(use, low, top) + start
+            if start:
+                keep = val > values[first:first + q]
+                val = np.where(keep, val, values[first:first + q])
+                row = np.where(keep, row, masks[first:first + q])
+            values[first:first + q] = val
+            masks[first:first + q] = row
+    return values, masks
 
 
 def _enumerate_cut_norm(M):
-    """The value of ``_enumerate_cut``."""
-    return _enumerate_cut(M)[0]
+    """Exact max over subset pairs of |sum over A x B| for a mass matrix."""
+    return float(_kernel_cuts(M[None])[0][0])
 
 
 def _stack_value(const, H):
     """Exact const + max_p ||H[p]||_cut of a kernel stack H of shape (P, n, n).
 
-    Returns the value and the (kernel index, row set) of a maximizing cut.
+    Returns the value and the (kernel index, row set) of a maximizing cut,
+    the first kernel's on ties; the row set is a boolean vector.
     """
-    best, arg = 0.0, None
-    for p in range(H.shape[0]):
-        val, row = _enumerate_cut(H[p])
-        if arg is None or val > best:
-            best, arg = val, (p, row)
-    return best + const, arg
+    values, masks = _kernel_cuts(H)
+    p = int(values.argmax())
+    row = (int(masks[p]) >> np.arange(H.shape[1])) & 1 > 0
+    return float(values[p]) + const, (p, row)
 
 
 def _objective_value(stack):
@@ -432,16 +483,21 @@ class _SearchObjective:
         self.memo[key] = val
         return val
 
-    def screen(self, cands, threshold):
-        """Flags the couplings cands[r] whose value is certified >= threshold.
+    def screen(self, cands, threshold, own):
+        """Flags the couplings cands[r] whose value is certified >= threshold[r].
 
-        A flagged candidate could not pass a ``< threshold`` test, so a
+        A flagged candidate could not pass a ``< threshold[r]`` test, so a
         caller may skip it.  Memoized candidates and those past the piece
         limit are never flagged.  A normalized objective also leaves
         unflagged a candidate whose mass is not within half of
         NORMALIZATION_TOL of one, so that its stack keeps the grid's masses.
-        The latest pooled cut alone certifies most skips in polish, so it
-        screens every candidate first and the whole pool the rest.
+        ``own[r]`` numbers a pooled cut (``pooled - 1`` when it joined) that
+        likely bounds cands[r] well, such as the latest of the walk that
+        offers it: that cut alone certifies most skips in polish, so each
+        candidate is screened with its own first and with the whole pool
+        after, at most _POOL_SCREEN_ROWS x _CUT_POOL_SIZE (cut, candidate)
+        pairs per ``screen_bounds`` call, so its work rows do not grow with
+        the number of candidates.
         """
         skip = np.zeros(len(cands), dtype=bool)
         if not len(cands) or not self.pooled:
@@ -453,20 +509,20 @@ class _SearchObjective:
             open_ &= np.abs(total - 1.0) <= NORMALIZATION_TOL / 2.0
         open_ &= [x.tobytes() not in self.memo for x in X]
         rows = np.flatnonzero(open_)
+        if rows.size:
+            bound, margin = self.screen_bounds(X[rows], total[rows], own[rows] % _CUT_POOL_SIZE,
+                                               paired=True)
+            skip[rows[bound - margin >= threshold[rows]]] = True
+            rows = rows[~skip[rows]]
         used = min(self.pooled, _CUT_POOL_SIZE)
-        stages = [np.array([(self.pooled - 1) % _CUT_POOL_SIZE])]
-        if used > 1:
-            stages.append(np.arange(used))
-        for slots in stages:
-            if not rows.size:
-                break
-            bound, margin = self.screen_bounds(X[rows], total[rows], slots)
-            certified = bound - margin >= threshold
-            skip[rows[certified]] = True
-            rows = rows[~certified]
+        step = _POOL_SCREEN_ROWS * _CUT_POOL_SIZE // used
+        for first in range(0, rows.size if used > 1 else 0, step):
+            part = rows[first:first + step]
+            bound, margin = self.screen_bounds(X[part], total[part], np.arange(used))
+            skip[part[bound - margin >= threshold[part]]] = True
         return skip
 
-    def screen_bounds(self, X, total, slots):
+    def screen_bounds(self, X, total, slots, paired=False):
         """Lower bounds from the cuts in pool ``slots`` on candidates X, and
         their margins.
 
@@ -475,45 +531,21 @@ class _SearchObjective:
         for either sign, then one alternating step (the best A' for that B);
         every value is |H[p](A', B)| of a real cut of the candidate, so their
         maximum plus the linear term bounds its exact value from below, up to
-        the margin.  The pooled cuts that share a kernel take each step in one
-        product, with the candidates folded into its rows.
+        the margin.  Every candidate is read with every cut in ``slots``, or,
+        if ``paired``, row r with the cut in slots[r] alone.  The cuts that
+        share a kernel take each step in one product, with the candidates
+        folded into its rows.
         """
         n, cells = X.shape
-        pool, pool_kernel = self.pool[slots], self.pool_kernel[slots]
-        ones = np.ones(cells)
+        kernels = self.pool_kernel[slots]
         found = np.zeros(n)  # the empty cut's value
-        for p in np.unique(pool_kernel):
-            K, KT = self.kernel(int(p))
-            A = pool[pool_kernel == p]
-            q = A.shape[0]
-            size = q * n * cells
-            # reused work rows: fresh arrays of this size cost more in page
-            # faults than the arithmetic, and same-shape operands beat
-            # broadcast ones
-            if self._work.shape[1] < 2 * size:
-                self._work = np.empty((3, 2 * size))
-            xq = self._work[2, :size].reshape(q, n, cells)
-            np.copyto(xq, X)
-            y = self._work[0, :size].reshape(q, n, cells)
-            np.multiply(A[:, None, :], xq, out=y)
-            # column sums of each pooled A, short of the column's own mass
-            t = self._work[1, :size].reshape(q * n, cells)
-            np.matmul(y.reshape(-1, cells), K, out=t)
-            t = t.reshape(q, n, cells)
-            # B = the positive (then the negative) columns, as masses
-            b = self._work[0, :2 * size].reshape(2, q, n, cells)
-            np.multiply(t > 0.0, xq, out=b[0])
-            np.multiply(t < 0.0, xq, out=b[1])
-            # row sums over B; the best A' for each B takes the rows of its sign
-            s = self._work[1, :2 * size].reshape(2 * q * n, cells)
-            np.matmul(b.reshape(-1, cells), KT, out=s)
-            s = s.reshape(2, q, n, cells)
-            np.multiply(s, xq, out=s)
-            np.maximum(s[0], 0.0, out=s[0])
-            np.minimum(s[1], 0.0, out=s[1])
-            r = (s.reshape(-1, cells) @ ones).reshape(2, q, n)
-            np.maximum(found, r[0].max(axis=0), out=found)
-            np.maximum(found, -r[1].min(axis=0), out=found)
+        for p in np.unique(kernels):
+            if paired:
+                at = np.flatnonzero(kernels == p)
+                found[at] = self._cut_steps(X[at], self.pool[slots[at]][None], int(p))
+            else:
+                A = self.pool[slots[kernels == p]][:, None, :]
+                np.maximum(found, self._cut_steps(X, A, int(p)), out=found)
         const = 0.0 if self.linear is None else X @ self.linear
         bound = found + const
         # Rounding margin.  Let u = 2^-53, N the cell count, n <= N the piece
@@ -535,6 +567,41 @@ class _SearchObjective:
         # the enumeration of a skipped candidate would not come out below t.
         scale = total * total * self.entry_bound + np.abs(const) + np.abs(bound)
         return bound, (2 * cells + 4) * np.finfo(float).eps * scale
+
+    def _cut_steps(self, X, A, p):
+        """The best value of the cuts A, of kernel p, each with its best B and
+        one alternating step, on each candidate X[r]: A is (q, 1, cells) to
+        read every cut on every candidate, or (1, n, cells) for one each."""
+        n, cells = X.shape
+        K, KT = self.kernel(p)
+        q = A.shape[0]
+        size = q * n * cells
+        # reused work rows: fresh arrays of this size cost more in page
+        # faults than the arithmetic, and same-shape operands beat
+        # broadcast ones
+        if self._work.shape[1] < 2 * size:
+            self._work = np.empty((3, 2 * size))
+        xq = self._work[2, :size].reshape(q, n, cells)
+        np.copyto(xq, X)
+        y = self._work[0, :size].reshape(q, n, cells)
+        np.multiply(A, xq, out=y)
+        # column sums of each A, short of the column's own mass
+        t = self._work[1, :size].reshape(q * n, cells)
+        np.matmul(y.reshape(-1, cells), K, out=t)
+        t = t.reshape(q, n, cells)
+        # B = the positive (then the negative) columns, as masses
+        b = self._work[0, :2 * size].reshape(2, q, n, cells)
+        np.multiply(t > 0.0, xq, out=b[0])
+        np.multiply(t < 0.0, xq, out=b[1])
+        # row sums over B; the best A' for each B takes the rows of its sign
+        s = self._work[1, :2 * size].reshape(2 * q * n, cells)
+        np.matmul(b.reshape(-1, cells), KT, out=s)
+        s = s.reshape(2, q, n, cells)
+        np.multiply(s, xq, out=s)
+        np.maximum(s[0], 0.0, out=s[0])
+        np.minimum(s[1], 0.0, out=s[1])
+        r = (s.reshape(-1, cells) @ np.ones(cells)).reshape(2, q, n)
+        return np.maximum(r[0].max(axis=0), -r[1].min(axis=0))
 
 
 class _CutObjective(_SearchObjective):
@@ -559,80 +626,128 @@ class _CutObjective(_SearchObjective):
         return float(np.abs(self.kernel(0)[0]).max())
 
 
-# live cycle moves whose stops one screen call bounds (measured on solve)
+# live cycle moves whose stops a walk offers to one screen call (measured on solve)
 _SCREEN_MOVES = 16
+# restarts whose polish walks advance in lockstep, sharing each screen call
+_LOCKSTEP_WALKS = 16
 
 
-def _polish(c, objective, moves, support_cap):
-    """First-improvement sweeps over 2x2 cycle moves.
+class _Walk:
+    """One restart's first-improvement sweeps over 2x2 cycle moves.
 
     Each accepted move walks along a transportation-polytope edge; candidate
     stops are the two endpoints and their midpoints, accepted when their
-    objective value lies ``_POLISH_TOL`` below the current best.  ``moves``
-    holds one (a, b, i, j) row per move, walked in order; after an accepted
-    move the walk goes on from the following move.  ``_first_improvement``
-    screens the stops in batches, and ``objective.pruned`` counts the stops
-    it skips as certified to be no improvement.  Candidates that would
-    spread mass over more cells than ``support_cap`` are skipped.  The cap
-    keeps every cut-search candidate exact; coloured searches from 4 colours
-    on still evaluate some candidates by a heuristic (see
-    ``dk_distance_search``), so their polish compares heuristic values.
+    objective value lies ``_POLISH_TOL`` below the current best.  Moves are
+    walked in order, and after an accepted move the walk goes on from the
+    following move; a sweep that accepts nothing ends the walk, as does the
+    ``_POLISH_SWEEPS``-th.  The walk offers the stops of its next
+    ``_SCREEN_MOVES`` live moves at a time (``offer``), and ``take`` then
+    evaluates those the screen left unflagged, in order, up to the first
+    improvement, so it accepts the stop a walk evaluating every stop would.
+    Stops that spread mass over more cells than the support cap are dropped.
+    The cap keeps every cut-search candidate exact; coloured searches from 4
+    colours on still evaluate some candidates by a heuristic (see
+    ``dk_distance_search``), so their walks compare heuristic values.
     """
-    best = objective(c)
-    for _ in range(_POLISH_SWEEPS):
-        improved = False
-        nxt = 0
-        while nxt < len(moves):
-            found = _first_improvement(c, best, objective, moves[nxt:], support_cap)
-            if found is None:
-                break
-            c, best, after = found
-            nxt += after
-            improved = True
-        if not improved:
-            break
-    return c, best
 
+    def __init__(self, c, objective, moves):
+        self.c, self.best = c, objective(c)
+        self.own = objective.pooled - 1  # the latest pooled cut as it evaluated
+        self.sweep, self.improved = 0, False
+        self.moves = moves
+        self._scan(0)
 
-def _first_improvement(c, best, objective, moves, support_cap):
-    """The first stop of the moves on coupling c whose value is below best.
+    def _scan(self, nxt):
+        """Line up the live moves from move nxt on, on the current coupling."""
+        a, b, i, j = self.moves.T
+        self.lo = -np.minimum(self.c[a, i], self.c[b, j])
+        self.hi = np.minimum(self.c[a, j], self.c[b, i])
+        live = np.flatnonzero(self.hi - self.lo > 0.0)
+        self.live = live[live >= nxt]
+        self.pos = 0
 
-    The stops of the next ``_SCREEN_MOVES`` live moves are built on c at
-    once and screened in one call; the walk then takes them in order and
-    evaluates only those the screen could not certify to be no improvement,
-    so the stop it finds is the one a walk evaluating every stop would find.
-    ``objective.pruned`` counts the stops the walk skips.  Returns (stop,
-    value, index of the move after its own), or None.
-    """
-    a, b, i, j = moves.T
-    lo = -np.minimum(c[a, i], c[b, j])
-    hi = np.minimum(c[a, j], c[b, i])
-    live = np.flatnonzero(hi - lo > 0.0)
-    threshold = best - _POLISH_TOL
-    for start in range(0, live.size, _SCREEN_MOVES):
-        chunk = live[start:start + _SCREEN_MOVES]
-        theta = np.stack([hi[chunk], lo[chunk], hi[chunk] / 2.0, lo[chunk] / 2.0], axis=1).ravel()
+    def offer(self, support_cap):
+        """The next chunk's stops and, for each, the move after its own; None
+        once the walk has ended."""
+        while self.pos >= self.live.size:
+            self.sweep += 1
+            if not self.improved or self.sweep == _POLISH_SWEEPS:
+                return None
+            self.improved = False
+            self._scan(0)
+        chunk = self.live[self.pos:self.pos + _SCREEN_MOVES]
+        self.pos += _SCREEN_MOVES
+        hi, lo = self.hi[chunk], self.lo[chunk]
+        theta = np.stack([hi, lo, hi / 2.0, lo / 2.0], axis=1).ravel()
         move = np.repeat(chunk, 4)
         keep = theta != 0.0
         theta, move = theta[keep], move[keep]
-        stops = np.repeat(c[None], theta.size, axis=0)
+        a, b, i, j = self.moves[move].T
+        stops = np.repeat(self.c[None], theta.size, axis=0)
         rows = np.arange(theta.size)
-        stops[rows, a[move], i[move]] += theta
-        stops[rows, a[move], j[move]] -= theta
-        stops[rows, b[move], i[move]] -= theta
-        stops[rows, b[move], j[move]] += theta
+        stops[rows, a, i] += theta
+        stops[rows, a, j] -= theta
+        stops[rows, b, i] -= theta
+        stops[rows, b, j] += theta
         np.maximum(stops, 0.0, out=stops)
         fits = np.count_nonzero(stops.reshape(theta.size, -1), axis=1) <= support_cap
-        stops, move = stops[fits], move[fits]
-        skip = objective.screen(stops, threshold)
-        for stop, after, certified in zip(stops, move + 1, skip):
+        return stops[fits], move[fits] + 1
+
+    def take(self, stops, after, skip, objective):
+        """Evaluate the unflagged stops in order and accept the first that
+        improves; ``objective.pruned`` counts the flagged stops walked past."""
+        threshold = self.best - _POLISH_TOL
+        for stop, nxt, certified in zip(stops, after, skip):
             if certified:
                 objective.pruned += 1
                 continue
             val = objective(stop)
+            self.own = objective.pooled - 1
             if val < threshold:
-                return stop.copy(), val, int(after)
-    return None
+                self.c, self.best, self.improved = stop.copy(), val, True
+                self._scan(int(nxt))
+                return
+
+
+def _lockstep_polish(starts, objective, moves, support_cap):
+    """Polish the starts of a block of restarts together.
+
+    Each step every live walk (see ``_Walk``) offers its next chunk of
+    stops, one ``objective.screen`` call bounds them all, each row against
+    its own walk's threshold and first with its walk's latest cut, and the
+    walks then take their own stops in restart order.  The screen only
+    flags stops certified to be no improvement, so every walk accepts the
+    moves it would accept alone; the pool and memo the walks share change
+    only ``evaluations`` and ``pruned``.  A walk that ends at a value <= 0
+    retires every later walk, since the restart loop stops there.  Returns
+    the (coupling, value) of each walk up to the first that ended at <= 0,
+    in restart order.
+    """
+    walks = [_Walk(c, objective, moves) for c in starts]
+    live = range(len(walks))
+    while True:
+        offers = []
+        for w in live:
+            if w >= len(walks):  # retired
+                break
+            offer = walks[w].offer(support_cap)
+            if offer is not None:
+                offers.append((w, offer))
+            elif walks[w].best <= 0.0:
+                del walks[w + 1:]
+        if not offers:
+            break
+        live = [w for w, _ in offers]
+        stops = np.concatenate([stop for _, (stop, _) in offers])
+        counts = [len(stop) for _, (stop, _) in offers]
+        thresholds = np.repeat([walks[w].best - _POLISH_TOL for w, _ in offers], counts)
+        own = np.repeat([walks[w].own for w, _ in offers], counts)
+        skip = objective.screen(stops, thresholds, own)
+        at = 0
+        for w, (stop, after) in offers:
+            walks[w].take(stop, after, skip[at:at + len(stop)], objective)
+            at += len(stop)
+    return [(walk.c, walk.best) for walk in walks]
 
 
 def _seed_list(seed):
@@ -645,20 +760,20 @@ def _derived_rng(seed, *extra):
     return np.random.default_rng(_seed_list(seed) + list(extra))
 
 
-def _multistart(restarts, seed, run):
-    """The best of ``restarts`` local searches over a transportation polytope.
+def _multistart(results):
+    """The best of a sequence of local searches over a transportation polytope.
 
-    Start r calls ``run(r, _derived_rng(seed, r))``, which builds its start,
-    runs its local step and returns (coupling matrix, value).  Ties in value
-    go to the lexicographically smallest support, and the search stops once
-    the value is at most 0.  Returns (value, coupling matrix, starts used).
-    This one loop drives the cut, coloured, J and R searches.
+    ``results`` yields each restart's (coupling matrix, value) in restart
+    order, restart r built from its own ``_derived_rng(seed, r)``.  Ties in
+    value go to the lexicographically smallest support, and the loop stops
+    reading once the value is at most 0.  Returns (value, coupling matrix,
+    restarts used).  This one loop drives the cut, coloured, J and R
+    searches.
     """
     best_val = best_c = best_support = None
     used = 0
-    for r in range(restarts):
-        c, val = run(r, _derived_rng(seed, r))
-        used = r + 1
+    for c, val in results:
+        used += 1
         key = _support_key(c)
         if best_val is None or val < best_val or (val == best_val and key < best_support):
             best_val, best_c, best_support = val, c, key
@@ -673,15 +788,22 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
 
     Starts: a greedy fill along the cost matrix ``start_cost()`` (cheapest
     cells first), the northwest corner, the independent product when its
-    support fits the support cap, then random greedy vertices; each is
-    polished and ``_multistart`` keeps the best.  A one-part side leaves one
-    coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and moves
-    keep the marginals, so candidates go unvalidated: ``objective`` (a
-    ``_SearchObjective`` of u against v) reads its formula on their cells,
-    and only the witness is checked.  Candidates spread over at most the
-    support cap's cells: the objective's piece limit, but at least 8 so that
-    small exact regimes (4 colours on) leave moves room, and at most
+    support fits the support cap, then random greedy vertices.  The starts
+    of each block of ``_LOCKSTEP_WALKS`` restarts are polished together
+    (``_lockstep_polish``), and ``_multistart`` keeps the best; a later
+    block starts only if the restart loop reads on.  A one-part side leaves
+    one coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and
+    moves keep the marginals, so candidates go unvalidated: ``objective``
+    (a ``_SearchObjective`` of u against v) reads its formula on their
+    cells, and only the witness is checked.  Candidates spread over at most
+    the support cap's cells: the objective's piece limit, but at least 8 so
+    that small exact regimes (4 colours on) leave moves room, and at most
     max(m + k + 2, 12), a few more than a polytope vertex's m + k - 1.
+
+    The value, witness and restarts used do not depend on the blocks.  The
+    ``evaluations`` and ``pruned`` counts do, since the walks share one
+    memo and one pool of cuts in the order they evaluate; they are
+    deterministic for a given input, seed and restart count.
     """
     rows = u.parts.weights
     cols = v.parts.weights
@@ -690,20 +812,25 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
     moves = np.array(_cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
     one_point = m == 1 or k == 1
 
-    def run(r, rng):
+    def start(r, rng):
         if one_point:
-            c0 = np.outer(rows, cols)
-        elif r == 0:
-            c0 = _greedy_fill(rows, cols, np.argsort(start_cost(), axis=None, kind="stable"))
-        elif r == 1:
-            c0 = _greedy_fill(rows, cols, np.arange(m * k))
-        elif r == 2 and m * k <= support_cap:
-            c0 = np.outer(rows, cols)
-        else:
-            c0 = _greedy_fill(rows, cols, rng.permutation(m * k))
-        return _polish(c0, objective, moves, support_cap)
+            return np.outer(rows, cols)
+        if r == 0:
+            return _greedy_fill(rows, cols, np.argsort(start_cost(), axis=None, kind="stable"))
+        if r == 1:
+            return _greedy_fill(rows, cols, np.arange(m * k))
+        if r == 2 and m * k <= support_cap:
+            return np.outer(rows, cols)
+        return _greedy_fill(rows, cols, rng.permutation(m * k))
 
-    best_val, best_c, used = _multistart(1 if one_point else restarts, seed, run)
+    def results():
+        total = 1 if one_point else restarts
+        for first in range(0, total, _LOCKSTEP_WALKS):
+            block = range(first, min(first + _LOCKSTEP_WALKS, total))
+            starts = [start(r, _derived_rng(seed, r)) for r in block]
+            yield from _lockstep_polish(starts, objective, moves, support_cap)
+
+    best_val, best_c, used = _multistart(results())
     witness = OverlapCoupling(best_c, u.parts, v.parts)
     return DistanceEstimate(best_val, witness, used, objective.evaluations, objective.pruned)
 
@@ -753,13 +880,13 @@ def graph_cut_distance_exact(g, h) -> float:
     A = g.adjacency()
     B = h.adjacency()
     scale = 1.0 / (n * n)
-    bits = _subset_bits(n, 0, 1 << n)
+    perms = itertools.permutations(range(n))
+    per = max(1, _ENUM_CHUNK >> n)  # relabelings enumerated together
     best = np.inf
-    for perm in itertools.permutations(range(n)):
-        pi = np.asarray(perm)
-        val = _best_cut(bits @ ((A - B[np.ix_(pi, pi)]) * scale))[0]
-        if val < best:
-            best = val
-            if best == 0.0:
-                break
+    while best > 0.0:
+        pi = np.array(list(itertools.islice(perms, per)), dtype=np.intp)
+        if not pi.size:
+            break
+        H = (A - B[pi[:, :, None], pi[:, None, :]]) * scale
+        best = min(best, float(_kernel_cuts(H)[0].min()))
     return best

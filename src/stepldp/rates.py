@@ -412,7 +412,7 @@ def _descend_supports(q, feasible, moves, budget, seed, start):
         return _quadratic_descent(start(r, feasible[idx], rng), lines[idx], rng,
                                   walk_steps=0 if r == 0 else 2 * walk)
 
-    _, c, used = _multistart(budget, seed, run)
+    _, c, used = _multistart(run(r, _derived_rng(seed, r)) for r in range(budget))
     c = np.maximum(c, 0.0)
     return _coupling_cost(c, q), c, used
 

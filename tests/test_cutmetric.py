@@ -404,6 +404,109 @@ class TestEnumerationKernel:
                 assert g.tobytes() == x.tobytes()
 
 
+def loop_best_cut(t):
+    """The enumeration's reduction before kernels were stacked: each side of
+    one (subsets, parts) product summed by ``.sum(axis=1)``."""
+    buf = np.maximum(t, 0.0)
+    sums = buf.sum(axis=1)
+    top = int(sums.argmax())
+    pos = float(sums[top])
+    np.minimum(t, 0.0, out=buf)
+    sums = buf.sum(axis=1)
+    low = int(sums.argmin())
+    neg = float(sums[low])
+    if -neg > pos:
+        return -neg + 0.0, low
+    return pos + 0.0, top
+
+
+def loop_stack_value(const, H):
+    """``_stack_value`` as it was: one product per kernel and subset chunk,
+    the first strictly larger value kept."""
+    m = H.shape[1]
+    total = 1 << m
+    best, arg = 0.0, None
+    for p in range(H.shape[0]):
+        for start in range(0, total, cutmetric._ENUM_CHUNK):
+            bits = cutmetric._subset_bits(m, start, min(start + cutmetric._ENUM_CHUNK, total))
+            val, row = loop_best_cut(bits @ H[p])
+            if arg is None or val > best:
+                best, arg = val, (p, bits[row] > 0.0)
+    return best + const, arg
+
+
+def _stack(rng, kernels, m, kind):
+    """A random kernel stack: masses times values in [-1, 1]; ``ties`` rounds
+    the values to multiples of 1/4 on equal masses, ``zeros`` sets a third of
+    the entries to signed zeros."""
+    w = np.full(m, 1.0 / m) if kind == "ties" else rng.dirichlet(np.ones(m))
+    vals = rng.uniform(-1.0, 1.0, (kernels, m, m))
+    if kind == "ties":
+        vals = np.round(4.0 * vals) / 4.0
+    H = np.outer(w, w) * vals
+    if kind == "zeros":
+        mask = rng.random(H.shape) < 1.0 / 3.0
+        H[mask] = np.where(rng.random(H.shape) < 0.5, -0.0, 0.0)[mask]
+    return H
+
+
+class TestStackedEnumeration:
+    """The stacked enumeration against numpy's own row sums and the per-kernel
+    loop it replaced.  Both hold only while numpy sums a short row as it does
+    now; if its summation order changes, these fail by name."""
+
+    @staticmethod
+    def _rows(rng, kind, n):
+        r = 257
+        if kind == "random":
+            return rng.uniform(-1.0, 1.0, (r, n))
+        if kind == "signed zeros":
+            t = rng.uniform(-1.0, 1.0, (r, n))
+            t[rng.random((r, n)) < 0.5] = 0.0
+            t[rng.random((r, n)) < 0.3] = -0.0
+            t[:8] = -0.0
+            t[8:16] = np.where(rng.random((8, n)) < 0.5, 0.0, -0.0)
+            return t
+        if kind == "ties":
+            return rng.integers(-3, 4, (r, n)) / 8.0
+        # mixed magnitudes: the order of additions shows in the last bits
+        return rng.uniform(-1.0, 1.0, (r, n)) * 10.0 ** rng.integers(-17, 17, (r, n))
+
+    @pytest.mark.parametrize("kind", ["random", "signed zeros", "ties", "mixed magnitudes"])
+    def test_row_sums_are_numpy_row_sums(self, kind):
+        rng = np.random.default_rng(47)
+        for n in range(1, cutmetric.EXACT_PART_LIMIT + 1):
+            t = self._rows(rng, kind, n)
+            got = cutmetric._row_sums(np.ascontiguousarray(t.T)[None].copy())[0]
+            assert got.tobytes() == t.sum(axis=1).tobytes(), n
+
+    @pytest.mark.parametrize("kernels, m", [(1, 1), (1, 5), (1, 12), (8, 3), (8, 9),
+                                            (8, 14), (1 << 15, 4), (1, 17), (2, 17)])
+    def test_stack_matches_the_per_kernel_loop(self, kernels, m):
+        rng = np.random.default_rng(48 + kernels + m)
+        kinds = ["random", "ties", "zeros"] if kernels < 1 << 15 and m < 17 else ["ties"]
+        for kind in kinds:
+            H = _stack(rng, kernels, m, kind)
+            if m == 17:
+                H[:, -1, :] = H[:, :, -1] = 0.0  # the second chunk ties the first
+            value, (p, row) = cutmetric._stack_value(0.25, H)
+            want, (wp, wrow) = loop_stack_value(0.25, H)
+            assert repr(value) == repr(want)
+            assert p == wp
+            assert row.tolist() == wrow.tolist()
+
+    def test_graph_exact_matches_the_permutation_loop(self):
+        rng = np.random.default_rng(49)
+        for n in (1, 2, 5, 6):
+            g, h = (LabeledGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < 0.5]) for _ in range(2))
+            A, B = g.adjacency(), h.adjacency()
+            bits = cutmetric._subset_bits(n, 0, 1 << n)
+            want = min(loop_best_cut(bits @ ((A - B[np.ix_(pi, pi)]) / (n * n)))[0]
+                       for pi in map(list, itertools.permutations(range(n))))
+            assert repr(graph_cut_distance_exact(g, h)) == repr(want)
+
+
 def _search_digest(results):
     """sha256 over (repr(value), witness bytes, restarts used) of each result."""
     h = hashlib.sha256()
@@ -652,6 +755,12 @@ def oracle_polish(c, objective, moves, support_cap):
     return c, best
 
 
+def oracle_lockstep_polish(starts, objective, moves, support_cap):
+    """The restarts of a block polished one after another by ``oracle_polish``,
+    each only when the restart loop reads its result."""
+    return (oracle_polish(c, objective, moves, support_cap) for c in starts)
+
+
 def _oracle_pairs():
     """Seeded search inputs: (kind, a, b, restarts, seed).
 
@@ -723,7 +832,7 @@ class TestPrunedSearchOracle:
             est = _run(*case)
             pruned.append(est.pruned)
             got.append((repr(est.upper), est.witness.matrix.tobytes(), est.restarts_used))
-        monkeypatch.setattr(cutmetric, "_polish", oracle_polish)
+        monkeypatch.setattr(cutmetric, "_lockstep_polish", oracle_lockstep_polish)
         for case, mine in zip(pairs, got):
             est = _run(*case)
             assert est.pruned == 0
@@ -789,11 +898,11 @@ class TestPrunedSearchOracle:
         skipped = {"plain": 0, "coloured": 0}
         kind = [None]
 
-        def enumerating_screen(self, cands, threshold):
-            skip = screen(self, cands, threshold)
-            for cand in cands[skip]:
+        def enumerating_screen(self, cands, threshold, own):
+            skip = screen(self, cands, threshold, own)
+            for cand, limit in zip(cands[skip], threshold[skip]):
                 value = cutmetric._objective_value(self.stack(*_matrix_pieces(cand)))
-                assert value >= threshold
+                assert value >= limit
             skipped[kind[0]] += int(skip.sum())
             return skip
 
@@ -872,6 +981,18 @@ class TestPrunedSearchOracle:
         b = ColouredStepGraphon(v, [1], num_colours=2)
         est = dk_distance_search(a, b, restarts=16, seed=0)
         assert (est.restarts_used, est.evaluations, est.pruned) == (1, 1, 0)
+
+    def test_a_zero_retires_the_rest_of_its_block(self):
+        rng = np.random.default_rng(46)
+        u = _random_graphon(rng, 4)
+        perm = [2, 0, 3, 1]
+        w = make_step_graphon(u.parts.weights[perm], u.values[np.ix_(perm, perm)])
+        est = cut_distance_search(u, w, restarts=64, seed=0)
+        assert (est.upper, est.restarts_used) == (0.0, 1)
+        # the block's other walks stop with the zero, and no later block starts
+        block = cut_distance_search(u, w, restarts=cutmetric._LOCKSTEP_WALKS, seed=0)
+        assert (block.upper, block.restarts_used) == (0.0, 1)
+        assert est.evaluations == block.evaluations
 
 _TWO_PART_TARGET = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
 

@@ -3,11 +3,13 @@
 The package has no linter configuration, so these tests keep dead code
 out.  The import check parses each module of ``stepldp`` (the package
 ``__init__`` is a re-export list and is skipped) and fails on any imported
-name that the module never references.  A name counts as referenced when it
-appears as an identifier anywhere in the module or is listed in its
-``__all__``.  The private-name check fails on any module-level ``def``,
-``class`` or assignment named with one leading underscore that no other
-top-level statement of the package reads, by name or as an attribute.
+name that its scope never references.  A module-level import counts as
+referenced when its name appears as an identifier anywhere in the module or
+is listed in its ``__all__``; an import inside a function only when its name
+appears inside that function (nested functions included).  The
+private-name check fails on any module-level ``def``, ``class`` or
+assignment named with one leading underscore that no other top-level
+statement of the package reads, by name or as an attribute.
 In fresh processes, the start-up checks find that ``import stepldp`` loads
 no scipy module and that only the commands that evaluate an exact law load
 ``scipy.special``.
@@ -30,10 +32,23 @@ SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
-def imported_names(tree):
-    """(bound name, line) for every name an import statement binds."""
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scope_nodes(scope):
+    """The nodes of a module or function, short of nested function bodies."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def imported_names(nodes):
+    """(bound name, line) for every name an import statement among nodes binds."""
     out = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 out.append((alias.asname or alias.name.split(".")[0], node.lineno))
@@ -54,9 +69,14 @@ def referenced_names(tree):
 
 
 def unused_imports(source):
+    """(name, line) of each imported name its own scope never references."""
     tree = ast.parse(source)
-    used = referenced_names(tree)
-    return [(name, line) for name, line in imported_names(tree) if name not in used]
+    out = []
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)]:
+        used = referenced_names(scope)
+        out += [(name, line) for name, line in imported_names(scope_nodes(scope))
+                if name not in used]
+    return sorted(out, key=lambda item: item[1])
 
 
 def _run_python(code, *args):
@@ -129,6 +149,19 @@ def test_checker_flags_dead_names():
     )
     assert unused_imports(source) == [
         ("os", 1), ("inf", 4), ("LabeledGraph", 5), ("gammaln", 10)]
+
+
+def test_checker_scopes_local_imports():
+    # a local import is read only inside its own function: another
+    # function's parameter of the same name does not use it
+    source = "def g():\n    from m import a\n    return 1\ndef h(a):\n    return a\n"
+    assert unused_imports(source) == [("a", 2)]
+    # a nested function reads its enclosing function's import
+    source = ("def g():\n    from m import a\n\n    def inner():\n        return a\n\n"
+              "    return inner\n")
+    assert unused_imports(source) == []
+    # a module-level import is read from any function
+    assert unused_imports("import a\ndef h():\n    return a\n") == []
 
 
 def defined_privates(node):
