@@ -10,8 +10,6 @@ value, never increases distances (both maps are 1-Lipschitz), which is what
 makes the colour layer useful for rate-function bookkeeping.
 """
 
-import functools
-
 import numpy as np
 
 from .graphon import (
@@ -24,20 +22,13 @@ from .graphon import (
     overlay_partitions,
 )
 from .cutmetric import (
-    DEFAULT_ALTERNATING_RESTARTS,
     DEFAULT_SEARCH_RESTARTS,
     DistanceEstimate,
-    _SearchObjective,
+    _CutObjective,
     _coupling_search,
     _objective_value,
     _profile_cost,
-    _subset_bits,
 )
-
-# The sup term enumerates sign patterns (one per ordered colour pair) on top
-# of part subsets, so exactness is budgeted jointly: 2^(k^2 + m) work.
-DK_EXACT_PART_LIMIT = 18
-_DK_ENUM_BUDGET = 22
 
 
 class ColouredStepGraphon:
@@ -97,116 +88,14 @@ def coloured_refinement(a: ColouredStepGraphon, b: ColouredStepGraphon):
     return PartWeights(w), va, vb, a.colours[ia], b.colours[ib]
 
 
-def _class_symmetric_difference(w, ca, cb, k):
-    """Sum over colours of the measure where exactly one side has the colour."""
-    total = 0.0
-    for i in range(k):
-        total += float(w[(ca == i) != (cb == i)].sum())
-    return total
-
-
-def _dk_sup_alternating(w, va, vb, ca, cb, k, restarts, seed):
-    """Monotone lower bound on the sup term for large refinements.
-
-    State is a pair of part-inclusion vectors; each pass re-reads the per
-    colour-pair signs from the current sums (exact), then re-optimizes one
-    side against those signs (exact), so the tracked value never decreases.
-    """
-    m = w.size
-    mass = w[:, None] * w[None, :]
-    # per ordered colour pair (i,j), the bilinear kernel restricted to it
-    kernels = np.zeros((k, k, m, m))
-    for i in range(k):
-        for j in range(k):
-            term = np.where((ca[:, None] == i) & (ca[None, :] == j), va, 0.0)
-            term -= np.where((cb[:, None] == i) & (cb[None, :] == j), vb, 0.0)
-            kernels[i, j] = mass * term
-    flat = kernels.reshape(k * k, m, m)
-
-    def pair_sums(x, y):
-        return np.einsum("pst,s,t->p", flat, x, y)
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for r in range(restarts):
-        if r == 0:
-            x = np.ones(m)
-            y = np.ones(m)
-        else:
-            x = rng.integers(0, 2, size=m).astype(float)
-            y = rng.integers(0, 2, size=m).astype(float)
-        prev = -1.0
-        while True:
-            s = pair_sums(x, y)
-            val = float(np.abs(s).sum())
-            if val <= prev + 1e-15:
-                break
-            prev = val
-            sig = np.where(s >= 0.0, 1.0, -1.0)
-            h = np.einsum("p,pst->st", sig, flat)
-            y = (x @ h > 0.0).astype(float)
-            s = pair_sums(x, y)
-            sig = np.where(s >= 0.0, 1.0, -1.0)
-            h = np.einsum("p,pst->st", sig, flat)
-            x = (h @ y > 0.0).astype(float)
-        best = max(best, prev)
-    return best
-
-
-class _DkObjective(_SearchObjective):
-    """The coloured objective of a coupling of a's parts with b's.
-
-    In the exact regime the sup term is the largest cut norm over the
-    sign-pattern kernels: for a fixed assignment of signs sig_p to ordered
-    colour pairs the objective is a plain bilinear cut problem, with kernel
-    sig_p[ca, ca'] U - sig_p[cb, cb'] V, and maximizing over sign
-    assignments recovers the sum of absolute values.  Negating every sign
-    yields the same cut norm, so the first sign is pinned, halving the
-    pattern count.  The symmetric difference is the const term, linear in
-    the coupling: a cell of two colours adds twice its mass.  Past the exact
-    regime, ``heuristic_restarts`` alternating starts bound the sup term
-    from below.
-    """
-
-    def __init__(self, a: ColouredStepGraphon, b: ColouredStepGraphon, heuristic_restarts):
-        if a.num_colours != b.num_colours:
-            raise ValueError(
-                "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
-            )
-        super().__init__(a.graphon.values, b.graphon.values)
-        k = self.num_colours = a.num_colours
-        self.ca, self.cb = a.colours, b.colours
-        self.piece_limit = min(DK_EXACT_PART_LIMIT, _DK_ENUM_BUDGET - k * k)
-        self.linear = 2.0 * (self.ca[:, None] != self.cb[None, :]).ravel()
-        self.heuristic_restarts = heuristic_restarts
-
-    @functools.cached_property
-    def signs(self):
-        """Sign matrices of the even masks below 2^(k^2), shape (2^(k^2-1), k, k).
-
-        Mask bits are read row-major; a set bit means -1.
-        """
-        k = self.num_colours
-        return (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
-
-    @functools.cached_property
-    def entry_bound(self):
-        return float(np.abs(self.U).max() + np.abs(self.V).max())
-
-    def diff(self, a, i, p):
-        sig = self.signs if p is None else self.signs[p]
-        ca, cb = self.ca[a], self.cb[i]
-        return (sig[..., ca[:, None], ca] * self.U[a[:, None], a]
-                - sig[..., cb[:, None], cb] * self.V[i[:, None], i])
-
-    def const(self, w, src, tgt):
-        return _class_symmetric_difference(w, self.ca[src], self.cb[tgt], self.num_colours)
-
-    def heuristic(self, w, src, tgt):
-        sup = _dk_sup_alternating(w, self.U[src[:, None], src], self.V[tgt[:, None], tgt],
-                                  self.ca[src], self.cb[tgt], self.num_colours,
-                                  self.heuristic_restarts, 0)
-        return sup + self.const(w, src, tgt)
+def _objective(a: ColouredStepGraphon, b: ColouredStepGraphon):
+    """The colour-aware search objective of a's parts against b's."""
+    if a.num_colours != b.num_colours:
+        raise ValueError(
+            "colour counts differ: %d vs %d" % (a.num_colours, b.num_colours)
+        )
+    return _CutObjective(a.graphon.values, b.graphon.values, a.colours, b.colours,
+                         a.num_colours)
 
 
 def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon) -> float:
@@ -214,35 +103,37 @@ def dk_norm(a: ColouredStepGraphon, b: ColouredStepGraphon) -> float:
 
     The sup term scans subset pairs of the common refinement, summing the
     absolute coloured cut integrals over ordered colour pairs; the second
-    term adds the symmetric-difference measure of the colour classes.  Exact
-    while the refinement is small (at most 18 parts, jointly budgeted with
-    the 2^(k^2) sign patterns); beyond that 32 alternating starts from seed
-    0 give a lower bound.
+    term adds the symmetric-difference measure of the colour classes.  This
+    is ``cutmetric._CutObjective`` on the refinement's pieces: exact up to
+    22 pieces with one colour (where it is the aligned cut norm) and up to
+    22 - k^2 from k = 2 colours on; past that, 32 alternating starts from
+    seed 0 bound the sup term from below.
     """
-    objective = _DkObjective(a, b, DEFAULT_ALTERNATING_RESTARTS)
     w, ia, ib = overlay_partitions(a.graphon.parts, b.graphon.parts)
-    return _objective_value(objective.stack(PartWeights(w).weights, ia, ib))
+    return _objective_value(_objective(a, b).stack(w, ia, ib))
 
 
 def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
                        restarts=DEFAULT_SEARCH_RESTARTS, seed=0) -> DistanceEstimate:
     """Search couplings for the smallest colour-aware discrepancy.
 
-    Same scheme as the plain cut-distance search: multi-start local search
-    over the transportation polytope of the two part-weight vectors, with
-    colours travelling along with their parts.  Starts include a greedy
-    matching that prefers parts with similar value profiles *and* equal
-    colours (a mismatched unit of mass costs 2 in the symmetric-difference
-    term).  Deterministic given the seed, and never worse under a larger
-    restart budget.
+    The plain cut-distance search, run on the coloured objective (with one
+    colour it is that search, bit for bit, on a canonically ordered pair):
+    multi-start local search over the transportation polytope of the two
+    part-weight vectors, with colours travelling along with their parts.
+    Starts include a greedy matching that prefers parts with similar value
+    profiles *and* equal colours (a mismatched unit of mass costs 2 in the
+    symmetric-difference term).  Deterministic given the seed, and never
+    worse under a larger restart budget.
 
     Up to 3 colours the support cap keeps every evaluated coupling in the
     exact regime (k^2 + pieces <= 22), so the value is the exact discrepancy
     of the returned coupling and an upper bound on the coloured cut
     distance.  From 4 colours on the cap is 8 pieces, and couplings with
-    more than 22 - k^2 pieces are evaluated by the alternating heuristic
-    alone (8 starts), a lower bound on that coupling's discrepancy, so the
-    value is then neither exact nor a certified upper bound.
+    more than 22 - k^2 pieces are evaluated by the alternating ascent alone
+    (32 starts on the k^2 colour-pair kernels), a lower bound on that
+    coupling's discrepancy, so the value is then neither exact nor a
+    certified upper bound.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -251,7 +142,7 @@ def dk_distance_search(a: ColouredStepGraphon, b: ColouredStepGraphon,
     def start_cost():
         return _profile_cost(u, v) + 2.0 * (a.colours[:, None] != b.colours[None, :])
 
-    return _coupling_search(u, v, _DkObjective(a, b, 8), start_cost, restarts, seed)
+    return _coupling_search(u, v, _objective(a, b), start_cost, restarts, seed)
 
 
 def gamma_block(a: ColouredStepGraphon, i: int, j: int, p) -> StepGraphon:

@@ -6,7 +6,9 @@ whole parts, so for small part counts it is computed exactly by subset
 enumeration.  The cut distance between two step graphons additionally
 minimizes over rearrangements, parameterized here by overlap couplings; the
 search bounds the distance from above, certified while its witness has at
-most EXACT_PART_LIMIT pieces.
+most EXACT_PART_LIMIT pieces.  The search objective also carries part
+colours, so the coloured metric of ``coloured`` is the same objective with
+more than one colour.
 """
 
 import functools
@@ -253,39 +255,67 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    return _alternating_cut_norm(_mass_matrix(f), restarts, seed)
+    return _alternating_cut_norm(_mass_matrix(f)[None], restarts, seed)
 
 
-def _alternating_cut_norm(M, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
-    """``cut_norm_alternating`` on a mass matrix, unvalidated.
+def _alternating_cut_norm(K, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
+    """Lower bound on the max over 0/1 vectors x, y of sum_p |x^T K[p] y|.
 
-    The starts run in blocks of ``_ALTERNATING_BLOCK``.  Column j of the block
-    is one (start, sign) ascent, so each half-step is one product with M for
-    every live ascent; an ascent leaves the block when it stops improving.
-    One (k, n) ``rng.integers`` draw yields the same starts as k draws of n.
+    K is a (P, n, n) stack: one mass matrix for ``cut_norm_alternating``,
+    one kernel per ordered colour pair for the coloured metric.  An ascent
+    holds y and a sign S_p per kernel.  Its x half-step takes the best x,
+    [sum_p S_p K[p] y > 0], and re-reads each S_p as the sign of x^T K[p] y
+    (a zero sum keeps it); its y half-step does the same on the stored
+    transposes, and its value is sum_p S_p x^T K[p] y under the signs it
+    maximized.  A lone kernel keeps its sign (a half-step takes the rows
+    of that sign), so with P = 1 no sign is read.
+
+    The starts, the full part set and then random 0/1 vectors, run in
+    blocks of ``_ALTERNATING_BLOCK``; each ascends from S0 and from -S0, S0
+    the signs of y^T K[p] y (ties +), the copy with first sign + in the
+    first half of the block (BLAS rounds a column by its place).  A column
+    leaves the block once it improves by at most 1e-15.  One (k, n)
+    ``rng.integers`` draw yields the same starts as k draws of n.
     """
     rng = np.random.default_rng(seed)
-    n = len(M)
+    n = K.shape[1]
+    KT = np.ascontiguousarray(K.transpose(0, 2, 1))
     best = 0.0
     for first in range(0, restarts, _ALTERNATING_BLOCK):
         count = min(_ALTERNATING_BLOCK, restarts - first)
         starts = rng.integers(0, 2, size=(count - (first == 0), n)).astype(float)
         if first == 0:
             starts = np.vstack([np.ones(n), starts])
-        sign = np.repeat([1.0, -1.0], count)
+        Y = np.hstack([starts.T, starts.T])
+        KY = K @ Y
+        S = np.ones((1, 2 * count))
+        if len(K) > 1:
+            S = np.where(np.einsum("ij,pij->pj", Y, KY) >= 0.0, 1.0, -1.0)
+        S *= S[0]
+        S[:, count:] = -S[:, :count]
         prev = np.zeros(2 * count)
-        MB = M @ np.hstack([starts.T, starts.T])
-        while sign.size:
-            A = (MB * sign > 0.0).astype(float)
-            MB = M @ ((M @ A) * sign > 0.0).astype(float)
-            val = sign * np.einsum("ij,ij->j", A, MB)
+        while prev.size:
+            X = (_signed_sum(S, KY) > 0.0).astype(float)
+            if len(K) > 1:
+                sums = np.einsum("ij,pij->pj", X, KY)
+                S = np.where(sums == 0.0, S, np.sign(sums))
+            KY = K @ (_signed_sum(S, KT @ X) > 0.0).astype(float)
+            sums = np.einsum("ij,pij->pj", X, KY)
+            val = _signed_sum(S, sums)
+            if len(K) > 1:
+                S = np.where(sums == 0.0, S, np.sign(sums))
             done = val <= prev + 1e-15
             if done.any():
                 best = max(best, float(np.maximum(prev[done], val[done]).max()))
                 live = ~done
-                MB, sign, val = MB[:, live], sign[live], val[live]
+                KY, S, val = KY[:, :, live], S[:, live], val[live]
             prev = val
     return best
+
+
+def _signed_sum(S, T):
+    """sum_p S[p] T[p] for S of shape (P, cols) and T of shape (P, ..., cols)."""
+    return T[0] * S[0] if len(T) == 1 else np.einsum("pj,p...j->...j", S, T)
 
 
 def cut_distance_upper(u: StepGraphon, v: StepGraphon, coupling: OverlapCoupling) -> float:
@@ -406,8 +436,8 @@ class _SearchObjective:
     ``piece_limit`` pieces, and ``entry_bound``, a bound on |diff| for every
     p.  It may give ``const(w, src, tgt)``, the objective's term outside the
     cut (zero by default), with ``linear``, the same term as a linear form on
-    the grid (None for zero), and ``normalized``, which says that pieces
-    whose mass is not one are rescaled.
+    the grid (None for zero).  ``_CutObjective`` is the one subclass the
+    package searches with; the tests fake others.
 
     ``stack(w, src, tgt)`` reads the formula on a candidate's pieces, as the
     kernel stack ``(const, H)`` whose exact value is const + max_p of the cut
@@ -426,7 +456,6 @@ class _SearchObjective:
     reads once the pool holds a cut.
     """
 
-    normalized = False
     linear = None
 
     def __init__(self, U, V):
@@ -444,8 +473,6 @@ class _SearchObjective:
 
     def stack(self, w, src, tgt):
         """The objective on the pieces (w, src, tgt) of a trusted coupling."""
-        if self.normalized:
-            w = _normalized(w, float(w.sum()))
         if w.size > self.piece_limit:
             return self.heuristic(w, src, tgt), None
         return self.const(w, src, tgt), (w[:, None] * w[None, :]) * self.diff(src, tgt, None)
@@ -488,9 +515,9 @@ class _SearchObjective:
 
         A flagged candidate could not pass a ``< threshold[r]`` test, so a
         caller may skip it.  Memoized candidates and those past the piece
-        limit are never flagged.  A normalized objective also leaves
-        unflagged a candidate whose mass is not within half of
-        NORMALIZATION_TOL of one, so that its stack keeps the grid's masses.
+        limit are never flagged, nor is a candidate whose mass is not within
+        half of NORMALIZATION_TOL of one, so that a stack that rescales its
+        pieces (``_CutObjective.stack``) keeps the grid's masses.
         ``own[r]`` numbers a pooled cut (``pooled - 1`` when it joined) that
         likely bounds cands[r] well, such as the latest of the walk that
         offers it: that cut alone certifies most skips in polish, so each
@@ -505,8 +532,7 @@ class _SearchObjective:
         X = cands.reshape(len(cands), -1)
         total = X.sum(axis=1)
         open_ = np.count_nonzero(X, axis=1) <= self.piece_limit
-        if self.normalized:
-            open_ &= np.abs(total - 1.0) <= NORMALIZATION_TOL / 2.0
+        open_ &= np.abs(total - 1.0) <= NORMALIZATION_TOL / 2.0
         open_ &= [x.tobytes() not in self.memo for x in X]
         rows = np.flatnonzero(open_)
         if rows.size:
@@ -605,25 +631,87 @@ class _SearchObjective:
 
 
 class _CutObjective(_SearchObjective):
-    """The cut norm of U - V, U rearranged along a coupling.
+    """The cut norm of U - V, U rearranged along a coupling, with part colours.
 
-    One kernel, U[a, a'] - V[i, i'], on pieces rescaled to mass one; past
-    EXACT_PART_LIMIT pieces the alternating heuristic evaluates it.
+    U's parts carry colours ca and V's cb, below ``colours`` (by default one
+    colour: the plain cut norm).  The colour-aware sup term sums |cut| over
+    the k^2 ordered colour pairs; for one sign per pair, a k x k matrix sig,
+    that is the cut norm of
+
+        diff = sig[ca, ca'] U - sig[cb, cb'] V,
+
+    so the stack holds one kernel per sign matrix, the first sign pinned
+    (2^(k^2 - 1) kernels; 1.0 U - 1.0 V with one colour).  The const term is
+    the colour-class symmetric difference: a cell of two colours adds twice
+    its mass.  The sign patterns share the enumeration budget from two
+    colours on, so the piece limit is 22 with one colour and 22 - k^2 after.
+    Past it the alternating ascent reads diff with sig each pair's 0/1
+    indicator, one kernel per pair.
     """
 
-    piece_limit = EXACT_PART_LIMIT
-    normalized = True
+    def __init__(self, U, V, ca=None, cb=None, colours=1):
+        super().__init__(U, V)
+        self.ca = np.zeros(len(U), dtype=np.intp) if ca is None else ca
+        self.cb = np.zeros(len(V), dtype=np.intp) if cb is None else cb
+        k = self.colours = colours
+        self.piece_limit = EXACT_PART_LIMIT - (k * k if k > 1 else 0)
+        if k > 1:
+            self.linear = 2.0 * (self.ca[:, None] != self.cb[None, :]).ravel()
+
+    def stack(self, w, src, tgt):
+        """The base stack on the pieces rescaled to mass one (unless their
+        mass is within NORMALIZATION_TOL of it)."""
+        return super().stack(_normalized(w, float(w.sum())), src, tgt)
+
+    def _read(self, a, i, sig):
+        """sig[ca, ca'] U - sig[cb, cb'] V on the cells (a, i), for each
+        matrix of a (..., k, k) stack sig."""
+        if self.colours == 1:  # sig is 1.0, and 1.0 U - 1.0 V is 1.0 (U - V)
+            return sig[..., :1, :1] * (self.U[a[:, None], a] - self.V[i[:, None], i])
+        ca, cb = self.ca[a], self.cb[i]
+        return (sig[..., ca[:, None], ca] * self.U[a[:, None], a]
+                - sig[..., cb[:, None], cb] * self.V[i[:, None], i])
 
     def diff(self, a, i, p):
-        d = self.U[a[:, None], a] - self.V[i[:, None], i]
-        return d[None] if p is None else d
+        signs = _sign_matrices(self.colours)
+        return self._read(a, i, signs if p is None else signs[p])
+
+    def const(self, w, src, tgt):
+        if self.linear is None:
+            return 0.0
+        ca, cb = self.ca[src], self.cb[tgt]
+        total = 0.0
+        for colour in range(self.colours):
+            total += float(w[(ca == colour) != (cb == colour)].sum())
+        return total
 
     def heuristic(self, w, src, tgt):
-        return _alternating_cut_norm((w[:, None] * w[None, :]) * self.diff(src, tgt, 0))
+        k = self.colours
+        pairs = np.eye(k * k).reshape(-1, k, k)
+        sup = _alternating_cut_norm((w[:, None] * w[None, :]) * self._read(src, tgt, pairs))
+        return sup + self.const(w, src, tgt)
 
     @functools.cached_property
     def entry_bound(self):
-        return float(np.abs(self.kernel(0)[0]).max())
+        """The largest |diff| over every sign matrix: on a pair of grid cells
+        whose colour pairs agree the signs are equal, so |U - V|, and
+        elsewhere independent, so |U| + |V|."""
+        U, V = self.U[:, None, :, None], self.V[None, :, None, :]
+        agree = self.ca[:, None] == self.cb[None, :]
+        same = agree[:, :, None, None] & agree[None, None, :, :]
+        return float(np.where(same, np.abs(U - V), np.abs(U) + np.abs(V)).max())
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_matrices(k):
+    """Sign matrices of the even masks below 2^(k^2), shape (2^(k^2-1), k, k).
+
+    Mask bits are read row-major; a set bit means -1.  Read-only, and built
+    on first use per colour count (4 MB at 4 colours).
+    """
+    signs = (1.0 - 2.0 * _subset_bits(k * k, 0, 1 << (k * k))[::2]).reshape(-1, k, k)
+    signs.flags.writeable = False
+    return signs
 
 
 # live cycle moves whose stops a walk offers to one screen call (measured on solve)
@@ -645,9 +733,11 @@ class _Walk:
     evaluates those the screen left unflagged, in order, up to the first
     improvement, so it accepts the stop a walk evaluating every stop would.
     Stops that spread mass over more cells than the support cap are dropped.
-    The cap keeps every cut-search candidate exact; coloured searches from 4
-    colours on still evaluate some candidates by a heuristic (see
-    ``dk_distance_search``), so their walks compare heuristic values.
+    The cap keeps every candidate within the objective's piece limit up to 3
+    colours (the cut search is the one-colour case); from 4 colours on, the
+    cap admits 8 pieces and the limit is 22 - k^2, so the walk compares the
+    values the alternating ascent gives past the limit, lower bounds (see
+    ``dk_distance_search``).
     """
 
     def __init__(self, c, objective, moves):

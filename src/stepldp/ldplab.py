@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
+# ball events are enumerated on at most this many vertices: one check of a
+# 200-vertex graph takes about 1.3 s, growing about as n^2
+ENUM_VERTEX_LIMIT = 200
 # the FFT of an exact multi-class density law is at most this long, so a
 # layout has at most 2^21 - 1 free pairs (n = 2048 when every pair is free)
 # and each transform array stays near 16 MB
@@ -446,7 +449,8 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     Density events go through the closed-form edge-count distribution.  Any
     other event enumerates all subsets of the undetermined pairs (those with
     probability strictly between 0 and 1; pairs at 0 or 1 are fixed), so it
-    is only usable while the undetermined pair count stays at most 21.
+    is only usable while the undetermined pair count stays at most 21 and
+    the graphs have at most ``ENUM_VERTEX_LIMIT`` vertices.
     """
     if event.is_density:
         return density_logprob_block(counts, p, event)
@@ -458,6 +462,7 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
             % (ENUM_FREE_LIMIT, f)
         )
     n = int(a.sum())
+    _check_enum_vertices(n)
     types = np.repeat(np.arange(a.size), a)
     iu, ju = np.triu_indices(n, k=1)
     q = p[types[iu], types[ju]]
@@ -479,6 +484,12 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
                 total = np.logaddexp(total, logp_masks[row])
     # a certain event sums every mask, which can round just above 0
     return min(float(total), 0.0)
+
+
+def _check_enum_vertices(n):
+    if n > ENUM_VERTEX_LIMIT:
+        raise ValueError("event enumeration checks graphs of at most %d vertices, got n=%d"
+                         % (ENUM_VERTEX_LIMIT, n))
 
 
 def _compositions(n, w):
@@ -675,7 +686,8 @@ def predicted_rate(family, event: EventSpec, budget, seed):
 # ---------------------------------------------------------------------------
 # the size sweep
 
-# auto enumerates a ball event on a block layout up to 2^16 edge subsets
+# auto enumerates a ball event on a block layout up to 2^16 edge subsets and
+# ENUM_VERTEX_LIMIT vertices
 AUTO_ENUM_FREE_PAIRS = 16
 
 # the keys of a curve point, in the order of the curve.csv columns
@@ -696,9 +708,10 @@ def check_method(family, event: EventSpec, method, n_values=()):
     layout covers density events only (enum reads the same law for them),
     at sizes whose law ``_exact_law_refusal`` admits; the step-graphon law
     enumerates block counts, so it covers every event.  Enumerating a
-    non-density event needs at most ``ENUM_FREE_LIMIT`` free pairs in the
-    layout of each size, or in every block-count layout of it under random
-    vertex types.  A density needs at least two vertices.
+    non-density event needs sizes of at most ``ENUM_VERTEX_LIMIT`` vertices
+    and at most ``ENUM_FREE_LIMIT`` free pairs in the layout of each size,
+    or in every block-count layout of it under random vertex types.  A
+    density needs at least two vertices.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
@@ -730,6 +743,7 @@ def check_method(family, event: EventSpec, method, n_values=()):
                 if free > ENUM_FREE_LIMIT:
                     raise ValueError("event enumeration needs at most %d undetermined pairs, "
                                      "got %d at n=%d" % (ENUM_FREE_LIMIT, free, n))
+                _check_enum_vertices(n)
 
 
 def ldp_curve(family, event: EventSpec, n_values, method="auto",
@@ -772,7 +786,8 @@ def _point(family, n, event, method, num_samples, seed):
             refusal = _exact_law_refusal(*_density_window(counts, p, event))
             method = "tilted" if refusal else "exact"
         elif method == "auto":
-            method = "enum" if _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS else "mc"
+            enum = n <= ENUM_VERTEX_LIMIT and _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS
+            method = "enum" if enum else "mc"
         if method in ("exact", "enum"):
             return _estimate(exact_event_logprob_block(counts, p, event), 0.0, 0, 0, method)
         if method == "tilted":

@@ -586,6 +586,10 @@ class TestInvalidInputExitsBeforeTheConfigLine:
         (["ldp-curve", "--model", "wrandom:{t1}", "--event", "ball:{t1}:0.3", "--n", "8",
           "--method", "exact"],
          "event enumeration needs at most 21 undetermined pairs, got 28 at n=8"),
+        # no free pair, but 9.3 GiB of pair arrays once the enumeration ran
+        (["ldp-curve", "--model", "gnp:0", "--event", "ball:{t1}:0.3", "--n", "100000",
+          "--method", "enum"],
+         "event enumeration checks graphs of at most 200 vertices, got n=100000"),
     ])
     def test_exits_2_with_the_validators_message(self, tmp_path, capsys, argv, message):
         t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])

@@ -602,6 +602,27 @@ class TestLdpCurve:
             with pytest.raises(ValueError, match="tilted sampling handles density events only"):
                 check_method(fam, ball, "tilted")
 
+    def test_ball_enumeration_refuses_large_graphs(self, monkeypatch):
+        # G(n, 0) has no free pair at any n, so only the vertex bound stops
+        # an enumeration that would build n(n-1)/2 pair arrays
+        two = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        ball = EventSpec("ball", target=two, eta=0.3)
+        limit = ldplab.ENUM_VERTEX_LIMIT
+        message = "event enumeration checks graphs of at most %d vertices, got n=100000" % limit
+        for method in ("enum", "exact"):
+            fam = GnpFamily(0.0) if method == "enum" else WRandomFamily(two)
+            with pytest.raises(ValueError, match=message):
+                check_method(fam, ball, method, [4, 100000])
+            check_method(fam, ball, method, [limit])
+        with pytest.raises(ValueError, match=message):
+            exact_event_logprob_block([100000], [[0.0]], ball)
+        with pytest.raises(ValueError, match="at most %d vertices, got n=%d" % (limit, limit + 1)):
+            exact_event_logprob_block([limit // 2, limit // 2 + 1], np.eye(2), ball)
+        # auto samples past the bound instead of enumerating
+        monkeypatch.setattr(ldplab, "ENUM_VERTEX_LIMIT", 4)
+        pts = ldp_curve(GnpFamily(0.0), ball, [4, 5], method="auto", num_samples=3, seed=0)
+        assert [pt["method"] for pt in pts] == ["enum", "mc"]
+
     def test_block_family(self):
         fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7)))
         ev = EventSpec("density-le", r=0.2)
