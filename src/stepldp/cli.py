@@ -310,6 +310,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu":  # tolist gives Python ints and bools already
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -440,8 +442,8 @@ def cmd_coupling_demo(resolved, values):
         write_report(values["out"], "coupling-demo", resolved, {
             "epsilon": pair.epsilon,
             "bound": pair.bound,
-            "alignedA": [int(x) for x in pair.aligned_a],
-            "alignedB": [int(x) for x in pair.aligned_b],
+            "alignedA": pair.aligned_a,
+            "alignedB": pair.aligned_b,
             "edgesA": pair.graph_a.edge_count(),
             "edgesB": pair.graph_b.edge_count(),
         }, edges)

@@ -854,7 +854,7 @@ def _multistart(results):
     """The best of a sequence of local searches over a transportation polytope.
 
     ``results`` yields each restart's (coupling matrix, value) in restart
-    order, restart r built from its own ``_derived_rng(seed, r)``.  Ties in
+    order, restart r drawing from its own ``_derived_rng(seed, r)``.  Ties in
     value go to the lexicographically smallest support, and the loop stops
     reading once the value is at most 0.  Returns (value, coupling matrix,
     restarts used).  This one loop drives the cut, coloured, J and R
@@ -878,8 +878,10 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
 
     Starts: a greedy fill along the cost matrix ``start_cost()`` (cheapest
     cells first), the northwest corner, the independent product when its
-    support fits the support cap, then random greedy vertices.  The starts
-    of each block of ``_LOCKSTEP_WALKS`` restarts are polished together
+    support fits the support cap, then random greedy vertices, restart r
+    permuting the cells with ``_derived_rng(seed, r)`` (built only there, as
+    the other starts draw nothing).  The starts of each block of
+    ``_LOCKSTEP_WALKS`` restarts are polished together
     (``_lockstep_polish``), and ``_multistart`` keeps the best; a later
     block starts only if the restart loop reads on.  A one-part side leaves
     one coupling, ``np.outer(rows, cols)``, evaluated once.  Starts and
@@ -902,7 +904,7 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
     moves = np.array(_cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
     one_point = m == 1 or k == 1
 
-    def start(r, rng):
+    def start(r):
         if one_point:
             return np.outer(rows, cols)
         if r == 0:
@@ -911,13 +913,13 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
             return _greedy_fill(rows, cols, np.arange(m * k))
         if r == 2 and m * k <= support_cap:
             return np.outer(rows, cols)
-        return _greedy_fill(rows, cols, rng.permutation(m * k))
+        return _greedy_fill(rows, cols, _derived_rng(seed, r).permutation(m * k))
 
     def results():
         total = 1 if one_point else restarts
         for first in range(0, total, _LOCKSTEP_WALKS):
             block = range(first, min(first + _LOCKSTEP_WALKS, total))
-            starts = [start(r, _derived_rng(seed, r)) for r in block]
+            starts = [start(r) for r in block]
             yield from _lockstep_polish(starts, objective, moves, support_cap)
 
     best_val, best_c, used = _multistart(results())

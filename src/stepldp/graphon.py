@@ -154,21 +154,25 @@ class LabeledGraph:
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         u, v = e[:, 0], e[:, 1]
-        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if bad.any():
-            i = int(np.argmax(bad))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # one check over the contiguous ends: two distinct vertices of 0..n-1 per pair
+        if lo.size and not (lo.min() >= 0 and hi.max() < n and np.less(lo, hi).all()):
+            i = int(np.argmax((lo == hi) | (lo < 0) | (hi >= n)))  # the first offender
             a, b = int(u[i]), int(v[i])
             if a == b:
                 raise ValueError("loops are not allowed (vertex %d)" % a)
             raise ValueError("edge (%d, %d) outside vertex range 0..%d" % (a, b, n - 1))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        key = lo * n + hi
-        if np.any(key[1:] <= key[:-1]):
-            key = np.unique(key)
-            lo, hi = np.divmod(key, n)
-        canon = np.empty((key.size, 2), dtype=np.int32)
+        canon = np.empty((lo.size, 2), dtype=np.int32)
         canon[:, 0] = lo
         canon[:, 1] = hi
+        key = lo  # lo * n + hi, in place: rows in order have increasing keys
+        key *= n
+        key += hi
+        if np.any(key[1:] <= key[:-1]):
+            lo, hi = np.divmod(np.unique(key), n)
+            canon = np.empty((lo.size, 2), dtype=np.int32)
+            canon[:, 0] = lo
+            canon[:, 1] = hi
         canon.flags.writeable = False
         self.n = n
         self.edges = canon
@@ -454,15 +458,17 @@ def graph_to_edgelist(g: LabeledGraph) -> str:
     """Plain-text edge list: first line the vertex count, then "u v" pairs.
 
     Each edge appears once with u < v, and the pairs are in lexicographic
-    order, so a graph has exactly one edge-list text.
+    order, so a graph has exactly one edge-list text.  Every vertex has two
+    byte labels, b"%d " as a first end and b"%d\n" as a second, in one
+    fixed-width table; the edge rows gather their labels from it in one
+    take, and deleting the NUL padding of the shorter labels leaves the text.
     """
-    # one label string per vertex, looked up per edge end and joined once
-    heads = np.array(["%d " % u for u in range(g.n)], dtype=object)
-    tails = np.array(["%d\n" % v for v in range(g.n)], dtype=object)
-    pieces = np.empty((len(g.edges), 2), dtype=object)
-    pieces[:, 0] = heads[g.edges[:, 0]]
-    pieces[:, 1] = tails[g.edges[:, 1]]
-    return "%d\n" % g.n + "".join(pieces.ravel().tolist())
+    n = g.n
+    labels = np.array([b"%d " % u for u in range(n)] + [b"%d\n" % v for v in range(n)])
+    ends = g.edges.copy()
+    ends[:, 1] += n  # second ends read the b"%d\n" half of the table
+    text = labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
+    return (b"%d\n" % n + text).decode("ascii")
 
 
 def graph_from_edgelist(text: str) -> LabeledGraph:

@@ -60,6 +60,10 @@ ENUM_FREE_LIMIT = 21  # at most 2^21 edge subsets are ever enumerated
 # ball events are enumerated on at most this many vertices: one check of a
 # 200-vertex graph takes about 1.3 s, growing about as n^2
 ENUM_VERTEX_LIMIT = 200
+# Monte Carlo samples ball events on at most this many vertices: one check
+# takes about 3.3 s at n = 400 and 18 s at n = 800 (peak RSS 83 and 219 MB),
+# so a 16-sample point stays within a minute
+MC_VERTEX_LIMIT = 400
 # the FFT of an exact multi-class density law is at most this long, so a
 # layout has at most 2^21 - 1 free pairs (n = 2048 when every pair is free)
 # and each transform array stays near 16 MB
@@ -710,8 +714,10 @@ def check_method(family, event: EventSpec, method, n_values=()):
     enumerates block counts, so it covers every event.  Enumerating a
     non-density event needs sizes of at most ``ENUM_VERTEX_LIMIT`` vertices
     and at most ``ENUM_FREE_LIMIT`` free pairs in the layout of each size,
-    or in every block-count layout of it under random vertex types.  A
-    density needs at least two vertices.
+    or in every block-count layout of it under random vertex types.
+    Sampling a non-density event (mc, or auto where it does not enumerate)
+    needs sizes of at most ``MC_VERTEX_LIMIT`` vertices.  A density needs at
+    least two vertices.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
@@ -744,6 +750,11 @@ def check_method(family, event: EventSpec, method, n_values=()):
                     raise ValueError("event enumeration needs at most %d undetermined pairs, "
                                      "got %d at n=%d" % (ENUM_FREE_LIMIT, free, n))
                 _check_enum_vertices(n)
+    if method in ("auto", "mc") and not event.is_density:
+        for n in n_values:
+            if n > MC_VERTEX_LIMIT:
+                raise ValueError("Monte Carlo checks ball events on at most %d vertices, "
+                                 "got n=%d" % (MC_VERTEX_LIMIT, n))
 
 
 def ldp_curve(family, event: EventSpec, n_values, method="auto",

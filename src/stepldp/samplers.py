@@ -7,6 +7,7 @@ common vertex set.  All randomness flows through numpy generators seeded
 explicitly; a fixed seed reproduces the exact same graphs.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 
 import numpy as np
@@ -83,6 +84,11 @@ def apportion_counts(n, weights):
     return base
 
 
+# coins are compared with their thresholds this many pairs at a time, so no
+# threshold array of the coin array's size is ever formed
+_PAIR_CHUNK = 1 << 15
+
+
 def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     """Independent Bernoulli edges on vertices with the given block types.
 
@@ -92,14 +98,20 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     probabilities 0 and 1 are exact.  With ``aligned`` (increasing vertex
     indices) and ``shared_coins`` (one coin per pair of aligned positions, in
     the same row-major order), the pairs of two aligned vertices use the
-    shared coin instead of their own.  Returns the edges as an (E, 2) array
-    of rows (s, t) in lexicographic order.
+    shared coin instead of their own.  Returns the edges as an (E, 2) int64
+    array of rows (s, t) in lexicographic order.
 
     Row s of the triangle starts at rank start[s] = s(2n - s - 1)/2, and its
-    thresholds are the slice P[types[s], s+1:] of P = p[:, types]; the slices
-    are joined once and compared once, so no per-pair index or probability
-    array is formed.  A hit at rank r in row s is the pair
-    (s, r - start[s] + s + 1).  Fewer than two vertices draw no coin.
+    thresholds are the slice P[types[s], s+1:] of P = p[:, types].  The coins
+    are read ``_PAIR_CHUNK`` ranks at a time, a chunk possibly starting or
+    ending inside a row: the slices of the rows a chunk covers are joined
+    into one buffer and compared with its coins, so no per-pair index or
+    probability array is formed.  The aligned pairs of a chunk are the same
+    slices of the aligned-vertex mask, taken in the aligned rows only, and
+    they take the next shared coins in order.  A hit at rank r in row s is
+    the pair (s, r - start[s] + s + 1); the rows of every chunk's hits are
+    written into one preallocated edge array.  Fewer than two vertices draw
+    no coin.
     """
     n = types.size
     if n < 2:
@@ -107,20 +119,56 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     rows = np.arange(n + 1)
     start = rows * (2 * n - rows - 1) // 2  # start[n] is the number of pairs
     shift = start[:n] - rows[:n] - 1  # pair (s, t) has rank t + shift[s]
-    coins = rng.random(start[n])
-    if shared_coins is not None and shared_coins.size:
-        # aligned row i's shared coins pair it with aligned[i+1:], in order
-        ranks = [aligned[i + 1:] + o for i, o in enumerate(shift[aligned[:-1]].tolist())]
-        coins[np.concatenate(ranks)] = shared_coins
+    total = int(start[n])
+    coins = rng.random(total)
     by_type = list(p[:, types])
-    hit = coins < np.concatenate([by_type[t][s:]
-                                  for s, t in enumerate(types[:-1].tolist(), 1)])
-    # drop the O(n²) arrays before the O(E) edge rows are built
-    del coins
-    r = np.flatnonzero(hit)
-    del hit
-    s = np.repeat(rows[:n], np.diff(np.searchsorted(r, start)))
-    return np.column_stack((s, r - shift[s]))
+    thresholds = [by_type[t] for t in types.tolist()]  # row s reads thresholds[s][s+1:]
+    masks = None
+    if shared_coins is not None and shared_coins.size:
+        is_aligned = np.zeros(n, dtype=bool)
+        is_aligned[aligned] = True
+        unaligned = np.zeros(n, dtype=bool)
+        masks = [is_aligned if flag else unaligned for flag in is_aligned.tolist()]
+        used = 0
+    offsets = start.tolist()
+    buf = np.empty(min(total, _PAIR_CHUNK))
+    chunks = []
+    count = 0
+    for a in range(0, total, _PAIR_CHUNK):
+        b = min(a + _PAIR_CHUNK, total)
+        s0 = bisect_right(offsets, a) - 1
+        s1 = bisect_right(offsets, b - 1, s0) - 1
+
+        def window(per_row, out=None):
+            # per_row[s][s+1:] over rows s0..s1, cut to the ranks a..b-1
+            pieces = [per_row[s][s + 1:] for s in range(s0, s1 + 1)]
+            pieces[-1] = pieces[-1][:b - offsets[s1]]
+            pieces[0] = pieces[0][a - offsets[s0]:]
+            return np.concatenate(pieces, out=out)
+
+        chunk = coins[a:b]
+        if masks is not None:
+            mask = window(masks)
+            pairs = int(np.count_nonzero(mask))
+            chunk[mask] = shared_coins[used:used + pairs]
+            used += pairs
+        r = np.flatnonzero(chunk < window(thresholds, buf[:b - a]))
+        r += a
+        chunks.append((s0, s1, r))
+        count += r.size
+    # drop the O(n²) coins (and the last chunk's view of them) before the
+    # O(E) edge rows are built
+    del coins, chunk
+    edges = np.empty((count, 2), dtype=np.int64)
+    k = 0
+    for s0, s1, r in chunks:
+        cuts = np.searchsorted(r, start[s0:s1 + 2])  # where each row's hits begin
+        s = np.repeat(rows[s0:s1 + 1], cuts[1:] - cuts[:-1])
+        out = edges[k:k + r.size]
+        out[:, 0] = s
+        np.subtract(r, shift[s], out=out[:, 1])
+        k += r.size
+    return edges
 
 
 def sample_block(counts, p, seed):
@@ -185,13 +233,14 @@ def alignment_distance_bound(counts_a, counts_b):
 def _aligned_edges(graph, aligned):
     """Edges of the subgraph induced on ``aligned``, relabelled by position.
 
-    ``aligned`` is increasing, so the relabelling keeps the rows in
-    lexicographic order.
+    Returns the two ends' positions as two arrays.  ``aligned`` is
+    increasing, so the relabelled rows stay in lexicographic order.
     """
-    pos = np.full(graph.n, -1)
+    pos = np.full(graph.n, -1, dtype=np.int32)
     pos[aligned] = np.arange(aligned.size)
-    e = pos[graph.edges]
-    return e[(e >= 0).all(axis=1)]
+    first, second = pos[graph.edges[:, 0]], pos[graph.edges[:, 1]]
+    keep = (first >= 0) & (second >= 0)
+    return first[keep], second[keep]
 
 
 CoupledPair = namedtuple(
@@ -242,8 +291,8 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     g_a = build(a, aligned_a, np.random.default_rng(s_a))
     g_b = build(b, aligned_b, np.random.default_rng(s_b))
 
-    if c > 1 and not np.array_equal(_aligned_edges(g_a, aligned_a),
-                                    _aligned_edges(g_b, aligned_b)):
+    if c > 1 and not all(map(np.array_equal, _aligned_edges(g_a, aligned_a),
+                                 _aligned_edges(g_b, aligned_b))):
         raise RuntimeError("aligned subgraphs disagree; coupling is broken")
 
     diff = int(np.abs(a - b).sum())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -290,6 +291,39 @@ class TestCouplingDemoCommand:
         rc = cli.main(["coupling-demo", "--counts-a", "3,3",
                        "--counts-b", "4", "--p", "0.5", "--seed", "0"])
         assert rc == 2
+
+
+class TestFrozenSamplingArtifacts:
+    """sha256 of every file the sampling commands write at fixed seeds.
+
+    Recorded before the sampler compared its coins in chunks and the edge
+    lists were gathered from byte labels: any change to a coin, an edge or
+    a byte of the report shows here.
+    """
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["sample", "--model", "block:0.55,0.45:0.45,0.25;0.25,0.4", "--n", "2000",
+          "--seed", "7"], {
+            "report.json": "9da2114f779dc6069bb7e094c89fc743894145fa0a20793e7219c830d488ae5f",
+            "samples/sample_000.edges":
+                "49d1a36ed90539b1c6a528b953d9c86e8147005d77631897e4fafb70edc42111",
+        }),
+        (["coupling-demo", "--counts-a", "600,590", "--counts-b", "588,607",
+          "--p", "0.45,0.25;0.25,0.4", "--seed", "7"], {
+            "report.json": "3c6babd262fe858adea0b116842d9d15f0c47bc29572cf0621bbeeb9270f0ceb",
+            "samples/graph_a.edges":
+                "faafb8cf952a63aa79fa395cd1a0eaef14172a6a2d694df5a2be35a8265287ad",
+            "samples/graph_b.edges":
+                "a2132250fafa8f524539e05d6d8e51c338e19571af4f29c01f5bbf52848706c5",
+        }),
+    ])
+    def test_digests(self, tmp_path, monkeypatch, capsys, argv, digests):
+        monkeypatch.chdir(tmp_path)  # the report echoes --out, so it is relative
+        assert cli.main(argv + ["--out", "out"]) == 0
+        out = tmp_path / "out"
+        got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.rglob("*") if path.is_file()}
+        assert got == digests
 
 
 class TestLdpCurveCommand:
@@ -590,6 +624,12 @@ class TestInvalidInputExitsBeforeTheConfigLine:
         (["ldp-curve", "--model", "gnp:0", "--event", "ball:{t1}:0.3", "--n", "100000",
           "--method", "enum"],
          "event enumeration checks graphs of at most 200 vertices, got n=100000"),
+        # auto samples past the enumeration bound: 37 GiB of coins once it ran
+        (["ldp-curve", "--model", "gnp:0", "--event", "ball:{t1}:0.3", "--n", "100000"],
+         "Monte Carlo checks ball events on at most 400 vertices, got n=100000"),
+        (["ldp-curve", "--model", "wrandom:{t1}", "--event", "ball:{t1}:0.3", "--n", "12,401",
+          "--method", "mc"],
+         "Monte Carlo checks ball events on at most 400 vertices, got n=401"),
     ])
     def test_exits_2_with_the_validators_message(self, tmp_path, capsys, argv, message):
         t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])

@@ -179,6 +179,24 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
             LabeledGraph(0)
 
+    def test_first_offender_named_after_many_good_pairs(self):
+        n = 50
+        good = [(u, v) for u in range(n) for v in range(u + 1, n)][:900]
+        cases = [
+            (good + [(7, 7)] + good[:5] + [(0, n)], r"^loops are not allowed \(vertex 7\)$"),
+            (good + [(n + 2, 3), (4, 4)], r"^edge \(52, 3\) outside vertex range 0\.\.49$"),
+            (good + [(3, -1), (5, 5)], r"^edge \(3, -1\) outside vertex range 0\.\.49$"),
+        ]
+        for edges, message in cases:
+            for dtype in (np.int32, np.int64):
+                with pytest.raises(ValueError, match=message):
+                    LabeledGraph(n, np.array(edges, dtype=dtype))
+            # a label past int64 makes an object array; it comes after the first offender
+            with pytest.raises(ValueError, match=message):
+                LabeledGraph(n, edges + [(1, 2 ** 70)])
+        with pytest.raises(ValueError, match=r"^edge \(%d, 1\) outside" % 2 ** 70):
+            LabeledGraph(n, good + [(2 ** 70, 1), (6, 6)])
+
     def test_adjacency_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(5)
         n = 9
@@ -343,6 +361,19 @@ class TestSerialization:
         g = LabeledGraph(12, [(11, 3), (3, 10), (0, 11), (2, 0), (10, 3)])
         assert graph_to_edgelist(g) == "12\n0 2\n0 11\n3 10\n3 11\n"
         assert graph_to_edgelist(LabeledGraph(1)) == "1\n"
+
+    def test_edgelist_matches_the_per_row_format(self):
+        # label widths change at 10, 100 and 1000 vertices
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001):
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < 3000 / max(iu.size, 1)
+            keep[:1] = keep[-1:] = True  # the pairs (0, 1) and (n - 2, n - 1)
+            g = LabeledGraph(n, np.column_stack((iu[keep], ju[keep])))
+            text = graph_to_edgelist(g)
+            assert text == "%d\n" % n + "".join("%d %d\n" % (u, v) for u, v in g.edges.tolist())
+            h = graph_from_edgelist(text)
+            assert h.n == n and np.array_equal(h.edges, g.edges)
 
     def test_edgelist_errors_name_the_line(self):
         with pytest.raises(ValueError, match="^line 3: expected 'u v', got '1 2 3'$"):

@@ -623,6 +623,24 @@ class TestLdpCurve:
         pts = ldp_curve(GnpFamily(0.0), ball, [4, 5], method="auto", num_samples=3, seed=0)
         assert [pt["method"] for pt in pts] == ["enum", "mc"]
 
+    def test_ball_sampling_refuses_large_graphs(self):
+        two = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        ball = EventSpec("ball", target=two, eta=0.3)
+        limit = ldplab.MC_VERTEX_LIMIT
+        assert limit >= ldplab.ENUM_VERTEX_LIMIT  # auto enumerates below both
+        message = "Monte Carlo checks ball events on at most %d vertices, got n=%d"
+        for fam in (GnpFamily(0.0), WRandomFamily(two)):
+            for method in ("mc", "auto"):
+                with pytest.raises(ValueError, match=message % (limit, 100000)):
+                    check_method(fam, ball, method, [4, 100000])
+                with pytest.raises(ValueError, match=message % (limit, limit + 1)):
+                    check_method(fam, ball, method, [limit + 1])
+                check_method(fam, ball, method, [4, limit])
+            # sampling a density event draws no cut-distance check
+            check_method(fam, EventSpec("density-ge", r=0.5), "mc", [100000])
+        with pytest.raises(ValueError, match=message % (limit, 100000)):
+            ldp_curve(GnpFamily(0.0), ball, [100000], method="mc", num_samples=1, seed=0)
+
     def test_block_family(self):
         fam = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7)))
         ev = EventSpec("density-le", r=0.2)

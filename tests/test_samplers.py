@@ -92,6 +92,33 @@ class TestBernoulliPairsOracle:
         assert len(complete) == types.size * (types.size - 1) // 2
 
 
+class TestPairChunks:
+    """Chunks of a few pairs start and end inside rows and draw the oracle's edges."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_oracle_cases_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(samplers, "_PAIR_CHUNK", chunk)
+        case = TestBernoulliPairsOracle
+        rng = np.random.default_rng(303 + chunk)
+        for trial in range(60):
+            types, p = case._case(rng)
+            if chunk < 64:
+                types = types[:40]  # a chunk per pair or three: keep the loop short
+            case._assert_same(types, p, trial)
+            aligned = case._aligned(rng, types.size)
+            c = aligned.size
+            case._assert_same(types, p, trial, aligned, rng.random(c * (c - 1) // 2))
+
+    def test_rows_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_PAIR_CHUNK", 5)
+        types = np.array([0, 1] * 9)
+        p = np.array([[0.5, 0.2], [0.2, 0.7]])
+        aligned = np.array([0, 2, 3, 4, 9, 16, 17])
+        shared = np.random.default_rng(9).random(21)
+        TestBernoulliPairsOracle._assert_same(types, p, 11)
+        TestBernoulliPairsOracle._assert_same(types, p, 12, aligned, shared)
+
+
 class TestSmallInputs:
     def test_one_vertex_draws_no_coin(self):
         rng = np.random.default_rng(5)
@@ -134,17 +161,20 @@ def _traced_peak_mib(fn):
 
 
 class TestSamplerMemory:
-    """At n = 2000 the coin and threshold arrays dominate; no per-pair index arrays."""
+    """At n = 2000 the coin array dominates; no per-pair index or threshold arrays.
+
+    The bounds are the traced peaks, 27.5 and 16.2 MiB, plus 25 %.
+    """
 
     P = np.array([[0.45, 0.25], [0.25, 0.4]])
 
     def test_sample_block_peak(self):
-        assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 64.0
+        assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 34.4
 
     def test_coupled_block_sample_peak(self):
         peak = _traced_peak_mib(
             lambda: coupled_block_sample([586, 592], [576, 602], self.P, 1))
-        assert peak <= 48.0
+        assert peak <= 20.2
 
 
 class TestApportionCounts:
