@@ -325,14 +325,19 @@ def emit_config(command, resolved, stream):
     stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def write_file(out_dir, name, text):
+    """Write text to the relative path name under out_dir."""
+    path = os.path.join(out_dir, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_report(out_dir, command, resolved, body, files=()):
     """Write report.json, and each (relative path, text) of ``files``, under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files:
-        path = os.path.join(out_dir, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_file(out_dir, name, text)
     report = {
         "formatVersion": FORMAT_VERSION,
         "command": command,
@@ -353,26 +358,30 @@ def cmd_sample(resolved, values):
     _checked(_check_vertex_count, n)
     emit_config("sample", resolved, sys.stdout)
 
-    records = []
-    graphs = []
-    for idx in range(count):
-        graph, counts = family.draw(n, [seed, idx])
-        graphs.append(graph)
-        records.append({
-            "index": idx,
-            "n": graph.n,
-            "edges": graph.edge_count(),
-            "density": graph.density() if graph.n > 1 else 0.0,
-            "blockCounts": [int(c) for c in counts],
-        })
-        sys.stdout.write("sample %03d: n=%d edges=%d density=%.6f\n"
-                         % (idx, graph.n, graph.edge_count(),
-                            records[-1]["density"]))
+    # each edge list is written as its graph is drawn, so one graph is held
+    # at a time
+    records = [_draw_sample(family, n, seed, idx, values["out"]) for idx in range(count)]
     if values["out"]:
-        edges = (("samples/sample_%03d.edges" % idx, graph_to_edgelist(graph))
-                 for idx, graph in enumerate(graphs))
-        write_report(values["out"], "sample", resolved, {"samples": records}, edges)
+        write_report(values["out"], "sample", resolved, {"samples": records})
     return 0
+
+
+def _draw_sample(family, n, seed, idx, out_dir):
+    """Draw sample idx of the seed, print its line, write its edge list
+    under out_dir (if given) and return its report record."""
+    graph, counts = family.draw(n, [seed, idx])
+    record = {
+        "index": idx,
+        "n": graph.n,
+        "edges": graph.edge_count(),
+        "density": graph.density() if graph.n > 1 else 0.0,
+        "blockCounts": [int(c) for c in counts],
+    }
+    sys.stdout.write("sample %03d: n=%d edges=%d density=%.6f\n"
+                     % (idx, graph.n, graph.edge_count(), record["density"]))
+    if out_dir:
+        write_file(out_dir, "samples/sample_%03d.edges" % idx, graph_to_edgelist(graph))
+    return record
 
 
 def cmd_distance(resolved, values):

@@ -119,16 +119,22 @@ def _subset_bits(m, start, stop):
     return bits
 
 
-# The enumeration's work rows: grown on first need, then reused by every call
-# (the package runs one search at a time per process).
+# The enumeration's work rows, and a zeros row its products are compared
+# with: grown on first need, then reused by every call (the package runs one
+# search at a time per process).  numpy compares an array with a zeros row
+# broadcast on its leading axes about twice as fast as with the scalar 0.0.
 _ENUM_WORK = np.empty(0)
+_ENUM_ZEROS = np.zeros(0)
 
 
-def _enum_work(size):
-    global _ENUM_WORK
+def _enum_work(size, rows):
+    """``size`` work doubles and a zeros row of length ``rows``."""
+    global _ENUM_WORK, _ENUM_ZEROS
     if _ENUM_WORK.size < size:
         _ENUM_WORK = np.empty(size)
-    return _ENUM_WORK[:size]
+    if _ENUM_ZEROS.size < rows:
+        _ENUM_ZEROS = np.zeros(rows)
+    return _ENUM_WORK[:size], _ENUM_ZEROS[:rows]
 
 
 def _row_sums(c):
@@ -168,6 +174,10 @@ def _kernel_cuts(H):
     zeros (``+ 0.0``: numpy does not fix which zero ``maximum``/``minimum``
     return for -0.0) are those of one ``bits @ H[p]`` product per kernel
     and subset chunk, reduced by ``.sum(axis=1)``.
+
+    The product fills the second half of the work rows; the positive side
+    goes to the first half and the negative side stays in place, so one
+    ``_row_sums`` pass sums both signs of every kernel.
     """
     P, n = H.shape[:2]
     total = 1 << n
@@ -177,22 +187,20 @@ def _kernel_cuts(H):
     masks = np.empty(P, dtype=np.int64)
     for first in range(0, P, per):
         q = min(per, P - first)
-        size = q * n * rows
         lhs = np.ascontiguousarray(H[first:first + q].transpose(0, 2, 1)).reshape(q * n, n)
-        work = _enum_work(2 * size)
-        t = work[:size].reshape(q, n, rows)
-        c = work[size:].reshape(q, n, rows)
+        work, zeros = _enum_work(2 * q * n * rows, rows)
+        both = work.reshape(2 * q, n, rows)
+        t = both[q:]
         at = np.arange(q)
         for start in range(0, total, rows):
             np.matmul(lhs, _subset_bits(n, start, start + rows).T, out=t.reshape(q * n, rows))
-            np.maximum(t, 0.0, out=c)
-            sums = _row_sums(c)
-            top = sums.argmax(axis=1)
+            np.maximum(t, zeros, out=both[:q])
+            np.minimum(t, zeros, out=t)
+            sums = _row_sums(both)
+            top = sums[:q].argmax(axis=1)
             pos = sums[at, top]
-            np.minimum(t, 0.0, out=c)
-            sums = _row_sums(c)
-            low = sums.argmin(axis=1)
-            neg = -sums[at, low]
+            low = sums[q:].argmin(axis=1)
+            neg = -sums[q + at, low]
             use = neg > pos
             val = np.where(use, neg, pos) + 0.0
             row = np.where(use, low, top) + start
@@ -603,8 +611,10 @@ class _SearchObjective:
         q = A.shape[0]
         size = q * n * cells
         # reused work rows: fresh arrays of this size cost more in page
-        # faults than the arithmetic, and same-shape operands beat
-        # broadcast ones
+        # faults than the arithmetic.  X is copied out to (q, n, cells)
+        # since A * X, both operands broadcast, runs at about two thirds of
+        # the speed; one operand broadcast on the leading axes, such as a
+        # zeros row, is nearly as fast as a same-shape one, a scalar is not
         if self._work.shape[1] < 2 * size:
             self._work = np.empty((3, 2 * size))
         xq = self._work[2, :size].reshape(q, n, cells)
@@ -728,16 +738,16 @@ class _Walk:
     objective value lies ``_POLISH_TOL`` below the current best.  Moves are
     walked in order, and after an accepted move the walk goes on from the
     following move; a sweep that accepts nothing ends the walk, as does the
-    ``_POLISH_SWEEPS``-th.  The walk offers the stops of its next
-    ``_SCREEN_MOVES`` live moves at a time (``offer``), and ``take`` then
-    evaluates those the screen left unflagged, in order, up to the first
-    improvement, so it accepts the stop a walk evaluating every stop would.
-    Stops that spread mass over more cells than the support cap are dropped.
-    The cap keeps every candidate within the objective's piece limit up to 3
-    colours (the cut search is the one-colour case); from 4 colours on, the
-    cap admits 8 pieces and the limit is 22 - k^2, so the walk compares the
-    values the alternating ascent gives past the limit, lower bounds (see
-    ``dk_distance_search``).
+    ``_POLISH_SWEEPS``-th.  The walk picks its next ``_SCREEN_MOVES`` live
+    moves at a time (``chunk``), ``_chunk_stops`` builds their stops, and
+    ``take`` then evaluates those the screen left unflagged, in order, up to
+    the first improvement, so it accepts the stop a walk evaluating every
+    stop would.  Stops that spread mass over more cells than the support cap
+    are dropped.  The cap keeps every candidate within the objective's piece
+    limit up to 3 colours (the cut search is the one-colour case); from 4
+    colours on, the cap admits 8 pieces and the limit is 22 - k^2, so the
+    walk compares the values the alternating ascent gives past the limit,
+    lower bounds (see ``dk_distance_search``).
     """
 
     def __init__(self, c, objective, moves):
@@ -750,15 +760,14 @@ class _Walk:
     def _scan(self, nxt):
         """Line up the live moves from move nxt on, on the current coupling."""
         a, b, i, j = self.moves.T
-        self.lo = -np.minimum(self.c[a, i], self.c[b, j])
-        self.hi = np.minimum(self.c[a, j], self.c[b, i])
-        live = np.flatnonzero(self.hi - self.lo > 0.0)
+        lo = -np.minimum(self.c[a, i], self.c[b, j])
+        hi = np.minimum(self.c[a, j], self.c[b, i])
+        live = np.flatnonzero(hi - lo > 0.0)
         self.live = live[live >= nxt]
         self.pos = 0
 
-    def offer(self, support_cap):
-        """The next chunk's stops and, for each, the move after its own; None
-        once the walk has ended."""
+    def chunk(self):
+        """The next chunk of live moves; None once the walk has ended."""
         while self.pos >= self.live.size:
             self.sweep += 1
             if not self.improved or self.sweep == _POLISH_SWEEPS:
@@ -767,21 +776,7 @@ class _Walk:
             self._scan(0)
         chunk = self.live[self.pos:self.pos + _SCREEN_MOVES]
         self.pos += _SCREEN_MOVES
-        hi, lo = self.hi[chunk], self.lo[chunk]
-        theta = np.stack([hi, lo, hi / 2.0, lo / 2.0], axis=1).ravel()
-        move = np.repeat(chunk, 4)
-        keep = theta != 0.0
-        theta, move = theta[keep], move[keep]
-        a, b, i, j = self.moves[move].T
-        stops = np.repeat(self.c[None], theta.size, axis=0)
-        rows = np.arange(theta.size)
-        stops[rows, a, i] += theta
-        stops[rows, a, j] -= theta
-        stops[rows, b, i] -= theta
-        stops[rows, b, j] += theta
-        np.maximum(stops, 0.0, out=stops)
-        fits = np.count_nonzero(stops.reshape(theta.size, -1), axis=1) <= support_cap
-        return stops[fits], move[fits] + 1
+        return chunk
 
     def take(self, stops, after, skip, objective):
         """Evaluate the unflagged stops in order and accept the first that
@@ -799,44 +794,75 @@ class _Walk:
                 return
 
 
+def _chunk_stops(couplings, chunks, moves, support_cap):
+    """The stops of each walk's chunk of moves, built together.
+
+    couplings[w] is walk w's current coupling and chunks[w] its chunk.  Each
+    move gives the stops theta = hi, lo, hi / 2, lo / 2 (the zero ones
+    dropped), hi and lo the ends of its edge on the coupling; those within
+    the support cap are returned, walk by walk in move order, with the move
+    after each stop's own and the walk it belongs to.
+    """
+    C = np.stack(couplings)
+    owner = np.repeat(np.arange(len(chunks)), [len(chunk) for chunk in chunks])
+    move = np.concatenate(chunks)
+    a, b, i, j = moves[move].T
+    lo = -np.minimum(C[owner, a, i], C[owner, b, j])
+    hi = np.minimum(C[owner, a, j], C[owner, b, i])
+    theta = np.stack([hi, lo, hi / 2.0, lo / 2.0], axis=1).ravel()
+    keep = np.flatnonzero(theta != 0.0)
+    theta, move, owner = theta[keep], move[keep // 4], owner[keep // 4]
+    a, b, i, j = moves[move].T
+    stops = C[owner]
+    rows = np.arange(theta.size)
+    stops[rows, a, i] += theta
+    stops[rows, a, j] -= theta
+    stops[rows, b, i] -= theta
+    stops[rows, b, j] += theta
+    np.maximum(stops, 0.0, out=stops)
+    fits = np.count_nonzero(stops.reshape(theta.size, C[0].size), axis=1) <= support_cap
+    return stops[fits], move[fits] + 1, owner[fits]
+
+
 def _lockstep_polish(starts, objective, moves, support_cap):
     """Polish the starts of a block of restarts together.
 
-    Each step every live walk (see ``_Walk``) offers its next chunk of
-    stops, one ``objective.screen`` call bounds them all, each row against
-    its own walk's threshold and first with its walk's latest cut, and the
-    walks then take their own stops in restart order.  The screen only
-    flags stops certified to be no improvement, so every walk accepts the
-    moves it would accept alone; the pool and memo the walks share change
-    only ``evaluations`` and ``pruned``.  A walk that ends at a value <= 0
-    retires every later walk, since the restart loop stops there.  Returns
-    the (coupling, value) of each walk up to the first that ended at <= 0,
-    in restart order.
+    Each step every live walk (see ``_Walk``) picks its next chunk of moves,
+    ``_chunk_stops`` builds all their stops at once, one ``objective.screen``
+    call bounds them, each row against its own walk's threshold and first
+    with its walk's latest cut, and the walks then take their own stops in
+    restart order.  The screen only flags stops certified to be no
+    improvement, so every walk accepts the moves it would accept alone; the
+    pool and memo the walks share change only ``evaluations`` and
+    ``pruned``.  A walk that ends at a value <= 0 retires every later walk,
+    since the restart loop stops there.  Returns the (coupling, value) of
+    each walk up to the first that ended at <= 0, in restart order.
     """
     walks = [_Walk(c, objective, moves) for c in starts]
     live = range(len(walks))
     while True:
-        offers = []
+        stepping, chunks = [], []
         for w in live:
             if w >= len(walks):  # retired
                 break
-            offer = walks[w].offer(support_cap)
-            if offer is not None:
-                offers.append((w, offer))
+            chunk = walks[w].chunk()
+            if chunk is not None:
+                stepping.append(w)
+                chunks.append(chunk)
             elif walks[w].best <= 0.0:
                 del walks[w + 1:]
-        if not offers:
+        if not stepping:
             break
-        live = [w for w, _ in offers]
-        stops = np.concatenate([stop for _, (stop, _) in offers])
-        counts = [len(stop) for _, (stop, _) in offers]
-        thresholds = np.repeat([walks[w].best - _POLISH_TOL for w, _ in offers], counts)
-        own = np.repeat([walks[w].own for w, _ in offers], counts)
+        live = stepping
+        stops, after, owner = _chunk_stops([walks[w].c for w in live], chunks, moves,
+                                           support_cap)
+        thresholds = np.array([walks[w].best - _POLISH_TOL for w in live])[owner]
+        own = np.array([walks[w].own for w in live])[owner]
         skip = objective.screen(stops, thresholds, own)
-        at = 0
-        for w, (stop, after) in offers:
-            walks[w].take(stop, after, skip[at:at + len(stop)], objective)
-            at += len(stop)
+        ends = np.searchsorted(owner, np.arange(len(live) + 1))
+        for slot, w in enumerate(live):
+            at = slice(ends[slot], ends[slot + 1])
+            walks[w].take(stops[at], after[at], skip[at], objective)
     return [(walk.c, walk.best) for walk in walks]
 
 

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from test_samplers import _traced_peak_mib
 
 import stepldp.cli as cli
 from stepldp.graphon import (
@@ -124,6 +125,26 @@ class TestSampleCommand:
         for p in sorted((tmp_path / "o").rglob("*")):
             if p.is_file():
                 assert p.read_bytes() == snap[p.name]
+
+    def test_memory_holds_one_graph_at_a_time(self, tmp_path, monkeypatch, capsys):
+        """Each edge list is written as its graph is drawn, so the traced peak
+        with four samples stays within 1.3 times the peak with one."""
+        monkeypatch.chdir(tmp_path)
+        codes = []
+
+        def peak(count):
+            argv = ["sample", "--model", "gnp:0.35", "--n", "2000", "--seed", "1",
+                    "--num-samples", str(count), "--out", "o%d" % count]
+            return _traced_peak_mib(lambda: codes.append(cli.main(argv)))
+
+        one, four = peak(1), peak(4)
+        assert codes == [0, 0]
+        assert four <= 1.3 * one
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == lines[3]  # the first sample of each run
+        assert ((tmp_path / "o1" / "samples" / "sample_000.edges").read_bytes()
+                == (tmp_path / "o4" / "samples" / "sample_000.edges").read_bytes())
+        assert len(list((tmp_path / "o4" / "samples").iterdir())) == 4
 
     def test_zero_vertices_exit_before_the_config_line(self, capsys):
         for model in ["gnp:0.4", "block:1,1:0.9,0.1;0.1,0.6"]:

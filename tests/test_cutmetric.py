@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import itertools
+import linecache
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,7 +483,8 @@ class TestStackedEnumeration:
             assert got.tobytes() == t.sum(axis=1).tobytes(), n
 
     @pytest.mark.parametrize("kernels, m", [(1, 1), (1, 5), (1, 12), (8, 3), (8, 9),
-                                            (8, 14), (1 << 15, 4), (1, 17), (2, 17)])
+                                            (8, 14), (1 << 15, 4), (1, 17), (2, 17),
+                                            (8, 16), (3, 17)])
     def test_stack_matches_the_per_kernel_loop(self, kernels, m):
         rng = np.random.default_rng(48 + kernels + m)
         kinds = ["random", "ties", "zeros"] if kernels < 1 << 15 and m < 17 else ["ties"]
@@ -494,6 +497,50 @@ class TestStackedEnumeration:
             assert repr(value) == repr(want)
             assert p == wp
             assert row.tolist() == wrow.tolist()
+
+    @pytest.mark.parametrize("kernels, m", [(8, 16), (3, 17)])
+    def test_chunk_edge_with_signed_zeros_and_ties(self, kernels, m):
+        """Each kernel fills one subset chunk (m = 16) or two (m = 17), and
+        every kernel has tied values on equal masses and signed zeros."""
+        rng = np.random.default_rng(50 + m)
+        H = _stack(rng, kernels, m, "ties")
+        mask = rng.random(H.shape) < 1.0 / 3.0
+        H[mask] = np.where(rng.random(H.shape) < 0.5, -0.0, 0.0)[mask]
+        H[1] = H[0]  # two kernels tie outright
+        if m == 17:
+            H[:, -1, :] = H[:, :, -1] = 0.0  # the second chunk ties the first
+        for stack in (H, -H):
+            value, (p, row) = cutmetric._stack_value(0.25, stack)
+            want, (wp, wrow) = loop_stack_value(0.25, stack)
+            assert repr(value) == repr(want)
+            assert p == wp
+            assert row.tolist() == wrow.tolist()
+
+    def test_work_rows_of_a_22_part_enumeration(self, monkeypatch):
+        """The work rows one 22-part enumeration allocates: two halves of 22
+        (part, subset) rows per subset of a 2^16 chunk, and one zeros row."""
+        monkeypatch.setattr(cutmetric, "_ENUM_WORK", np.empty(0))
+        monkeypatch.setattr(cutmetric, "_ENUM_ZEROS", np.zeros(0))
+        vals = np.random.default_rng(51).uniform(-1.0, 1.0, (22, 22))
+        f = SignedStepFn(PartWeights(np.full(22, 1.0 / 22)), (vals + vals.T) / 2.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            assert cut_norm_exact(f) > 0.0
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            if started:
+                tracemalloc.stop()
+        held = {"_ENUM_WORK": 0, "_ENUM_ZEROS": 0}  # data bytes, numpy's own domain
+        for trace in snapshot.traces:
+            frame = trace.traceback[0]
+            if trace.domain != 0 and frame.filename == cutmetric.__file__:
+                target = linecache.getline(frame.filename, frame.lineno).split("=")[0].strip()
+                if target in held:
+                    held[target] += trace.size
+        assert 0 < held["_ENUM_WORK"] <= 2 * 22 * cutmetric._ENUM_CHUNK * 8
+        assert 0 < held["_ENUM_ZEROS"] <= cutmetric._ENUM_CHUNK * 8
 
     def test_graph_exact_matches_the_permutation_loop(self):
         rng = np.random.default_rng(49)
@@ -999,6 +1046,183 @@ class TestPrunedSearchOracle:
         block = cut_distance_search(u, w, restarts=cutmetric._LOCKSTEP_WALKS, seed=0)
         assert (block.upper, block.restarts_used) == (0.0, 1)
         assert est.evaluations == block.evaluations
+
+
+class _OfferWalk(cutmetric._Walk):
+    """``_Walk`` as it was before the walks' stops were built together: its
+    scan keeps every move's edge ends, and ``offer`` picks the next chunk and
+    builds that chunk's stops for this walk alone.  ``capped`` counts the
+    walks ended by the sweep cap while still improving."""
+
+    capped = 0
+
+    def _scan(self, nxt):
+        a, b, i, j = self.moves.T
+        self.lo = -np.minimum(self.c[a, i], self.c[b, j])
+        self.hi = np.minimum(self.c[a, j], self.c[b, i])
+        live = np.flatnonzero(self.hi - self.lo > 0.0)
+        self.live = live[live >= nxt]
+        self.pos = 0
+
+    def offer(self, support_cap):
+        while self.pos >= self.live.size:
+            self.sweep += 1
+            if not self.improved or self.sweep == cutmetric._POLISH_SWEEPS:
+                _OfferWalk.capped += self.improved
+                return None
+            self.improved = False
+            self._scan(0)
+        chunk = self.live[self.pos:self.pos + cutmetric._SCREEN_MOVES]
+        self.pos += cutmetric._SCREEN_MOVES
+        hi, lo = self.hi[chunk], self.lo[chunk]
+        theta = np.stack([hi, lo, hi / 2.0, lo / 2.0], axis=1).ravel()
+        move = np.repeat(chunk, 4)
+        keep = theta != 0.0
+        theta, move = theta[keep], move[keep]
+        a, b, i, j = self.moves[move].T
+        stops = np.repeat(self.c[None], theta.size, axis=0)
+        rows = np.arange(theta.size)
+        stops[rows, a, i] += theta
+        stops[rows, a, j] -= theta
+        stops[rows, b, i] -= theta
+        stops[rows, b, j] += theta
+        np.maximum(stops, 0.0, out=stops)
+        fits = np.count_nonzero(stops.reshape(theta.size, -1), axis=1) <= support_cap
+        return stops[fits], move[fits] + 1
+
+
+def offer_lockstep_polish(starts, objective, moves, support_cap, empty):
+    """``_lockstep_polish`` as it was, each walk offering its own stops;
+    ``empty`` collects the number of offers that left no stop."""
+    walks = [_OfferWalk(c, objective, moves) for c in starts]
+    live = range(len(walks))
+    while True:
+        offers = []
+        for w in live:
+            if w >= len(walks):  # retired
+                break
+            offer = walks[w].offer(support_cap)
+            if offer is not None:
+                offers.append((w, offer))
+            elif walks[w].best <= 0.0:
+                del walks[w + 1:]
+        if not offers:
+            break
+        live = [w for w, _ in offers]
+        stops = np.concatenate([stop for _, (stop, _) in offers])
+        counts = [len(stop) for _, (stop, _) in offers]
+        empty.append(counts.count(0))
+        thresholds = np.repeat([walks[w].best - cutmetric._POLISH_TOL for w, _ in offers],
+                               counts)
+        own = np.repeat([walks[w].own for w, _ in offers], counts)
+        skip = objective.screen(stops, thresholds, own)
+        at = 0
+        for w, (stop, after) in offers:
+            walks[w].take(stop, after, skip[at:at + len(stop)], objective)
+            at += len(stop)
+    return [(walk.c, walk.best) for walk in walks]
+
+
+def _recorded_polish(polish, u, v, starts, moves, support_cap, *extra):
+    """Run one polish on a fresh objective of u against v; returns every
+    screen call's (stops, thresholds, own) bytes, the walks' results and
+    the objective's counts."""
+    objective = cutmetric._CutObjective(u.values, v.values)
+    screen = objective.screen
+    calls = []
+
+    def recording(stops, thresholds, own):
+        calls.append((stops.shape, stops.tobytes(), thresholds.tobytes(), own.tobytes()))
+        return screen(stops, thresholds, own)
+
+    objective.screen = recording
+    results = polish([c.copy() for c in starts], objective, moves, support_cap, *extra)
+    results = [(c.tobytes(), repr(best)) for c, best in results]
+    return calls, results, (objective.evaluations, objective.pruned)
+
+
+class TestSharedStopBuilding:
+    """The walks' stops built together, against each walk building its own.
+
+    The oracle is a copy of ``_Walk.offer`` and the lockstep loop as they
+    were; every screen call must see the same stops, thresholds and cuts,
+    byte for byte, so the walks accept the same moves and the shared memo
+    and pool count the same evaluations and skips.
+    """
+
+    @staticmethod
+    def _starts(rng, u, v, count):
+        rows, cols = u.parts.weights, v.parts.weights
+        cells = rows.size * cols.size
+        return [cutmetric._greedy_fill(rows, cols, rng.permutation(cells)) for _ in range(count)]
+
+    def _compare(self, u, v, starts, support_cap):
+        m, k = u.parts.size, v.parts.size
+        moves = np.array(cutmetric._cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
+        empty = []
+        want = _recorded_polish(offer_lockstep_polish, u, v, starts, moves, support_cap, empty)
+        got = _recorded_polish(cutmetric._lockstep_polish, u, v, starts, moves, support_cap)
+        assert got[0] == want[0]
+        assert got[1:] == want[1:]
+        return want[1], sum(empty)
+
+    def test_matches_walks_building_their_own(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        u, v = _random_graphon(rng, 5), _random_graphon(rng, 4)
+        starts = self._starts(rng, u, v, cutmetric._LOCKSTEP_WALKS)
+        results, empty = self._compare(u, v, starts, 12)
+        assert len(results) == len(starts)
+        # a vertex's own support as the cap drops every midpoint, so some
+        # offers keep no stop at all
+        results, empty = self._compare(u, v, starts, 8)
+        assert empty > 0
+        # walks that are still improving when the sweep cap ends them
+        monkeypatch.setattr(cutmetric, "_POLISH_SWEEPS", 2)
+        _OfferWalk.capped = 0
+        self._compare(u, v, starts, 12)
+        assert _OfferWalk.capped > 0
+
+    def test_matches_with_retired_walks(self):
+        rng = np.random.default_rng(46)
+        u = _random_graphon(rng, 4)
+        perm = [2, 0, 3, 1]
+        w = make_step_graphon(u.parts.weights[perm], u.values[np.ix_(perm, perm)])
+        starts = self._starts(rng, u, w, cutmetric._LOCKSTEP_WALKS)
+        results, _ = self._compare(u, w, starts, 12)
+        # a walk that reached zero retired the walks after it
+        assert len(results) < len(starts)
+        assert results[-1][1] == "0.0"
+
+    def test_builder_keeps_empty_chunks_empty(self):
+        rng = np.random.default_rng(54)
+        u, v = _random_graphon(rng, 3), _random_graphon(rng, 4)
+        moves = np.array(cutmetric._cycle_moves(3, 4), dtype=np.intp).reshape(-1, 4)
+        objective = cutmetric._CutObjective(u.values, v.values)
+        walks = [_OfferWalk(c, objective, moves) for c in self._starts(rng, u, v, 3)]
+        chunks = [walk.live[:cutmetric._SCREEN_MOVES] for walk in walks]
+        offers = [walk.offer(10) for walk in walks]
+        empty = np.empty(0, dtype=np.intp)
+        couplings = [walks[0].c, walks[0].c, walks[1].c, walks[2].c, walks[2].c]
+        stops, after, owner = cutmetric._chunk_stops(
+            couplings, [empty, chunks[0], chunks[1], empty, chunks[2]], moves, 10)
+        assert owner.tolist() == sorted(owner.tolist())
+        want = [(np.empty((0, 3, 4)), empty), offers[0], offers[1],
+                (np.empty((0, 3, 4)), empty), offers[2]]
+        for slot, (want_stops, want_after) in enumerate(want):
+            at = owner == slot
+            assert stops[at].tobytes() == want_stops.tobytes()
+            assert after[at].tolist() == want_after.tolist()
+        alone = cutmetric._chunk_stops(couplings[:1], [empty], moves, 10)
+        assert [x.shape for x in alone] == [(0, 3, 4), (0,), (0,)]
+
+    def test_seeded_search_counts(self):
+        """Pinned at the lockstep polish with per-walk stop building."""
+        rng = np.random.default_rng(52)
+        u, v = _random_graphon(rng, 5), _random_graphon(rng, 5)
+        est = cut_distance_search(u, v, restarts=16, seed=0)
+        assert (repr(est.upper), est.restarts_used) == ("0.11078979593848445", 16)
+        assert (est.evaluations, est.pruned) == (73, 1411)
+
 
 _TWO_PART_TARGET = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
 

@@ -11,8 +11,8 @@ private-name check fails on any module-level ``def``, ``class`` or
 assignment named with one leading underscore that no other top-level
 statement of the package reads, by name or as an attribute.
 In fresh processes, the start-up checks find that ``import stepldp`` loads
-no scipy module and that only the commands that evaluate an exact law load
-``scipy.special``.
+no scipy module and builds no work array, and that only the commands that
+evaluate an exact law load ``scipy.special``.
 """
 
 import ast
@@ -96,6 +96,20 @@ def test_import_loads_no_heavy_scipy_submodule():
     code = ("import sys, stepldp, stepldp.cli; print(' '.join(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     assert _run_python(code).strip() == ""
+
+
+def test_import_builds_no_work_arrays():
+    # start-up time is measured end to end: the enumeration's work rows and
+    # zeros row are built on first use, and no module holds a sizeable array
+    code = ("import sys, numpy as np, stepldp, stepldp.cli\n"
+            "from stepldp import cutmetric\n"
+            "print(cutmetric._ENUM_WORK.size, cutmetric._ENUM_ZEROS.size)\n"
+            "for name, module in sorted(sys.modules.items()):\n"
+            "    if name.split('.')[0] == 'stepldp':\n"
+            "        for attr, value in vars(module).items():\n"
+            "            if isinstance(value, np.ndarray) and value.nbytes > 1024:\n"
+            "                print(name, attr, value.nbytes)\n")
+    assert _run_python(code).splitlines() == ["0 0"]
 
 
 _BLOCK_P = "0.7,0.1;0.1,0.7"
