@@ -237,8 +237,10 @@ class Flag(NamedTuple):
     ``parse`` checks and normalises the merged value, whether it came from
     the command line or from the config file.  A text flag's parser gets
     the value as text, and the resolved config echoes the value as given; a
-    scalar flag's parser gets the value itself, and the echo is the parsed
-    number or switch.  ``argparse_kw`` holds extra add_argument keywords.
+    scalar flag's parser gets the value itself (command-line text or the
+    config file's JSON value, one parser for both), and the echo is the
+    parsed number or switch.  ``argparse_kw`` holds extra add_argument
+    keywords.
     """
 
     name: str
@@ -254,7 +256,6 @@ _MODEL = Flag("model", "gnp:p | block:<alpha>:<p> | wrandom:<graphon.json>", par
               required=True)
 _SEED = Flag("seed", "RNG seed (required)", parse_seed, required=True, scalar=True)
 _OUT = Flag("out", "directory for report.json and artifacts", str)
-_INT_ARG = {"type": int}
 
 
 def resolve_config(command, args):
@@ -501,15 +502,14 @@ COMMANDS = {
         _MODEL,
         Flag("n", "number of vertices", _integer("n", 1), required=True, scalar=True),
         Flag("num-samples", "how many graphs to draw", _integer("num-samples", 1),
-             default=1, scalar=True, argparse_kw=_INT_ARG),
+             default=1, scalar=True),
         _SEED,
         _OUT,
     )),
     "distance": Command(cmd_distance, "cut distance between two step graphons", (
         Flag("u", "first graphon JSON file", parse_graphon, required=True),
         Flag("v", "second graphon JSON file", parse_graphon, required=True),
-        Flag("restarts", "search restarts", _integer("restarts", 1), default=64,
-             scalar=True, argparse_kw=_INT_ARG),
+        Flag("restarts", "search restarts", _integer("restarts", 1), default=64, scalar=True),
         Flag("seed", "search seed (default 0)", parse_seed, default=0, scalar=True),
         Flag("exact", "aligned cut norm on the common refinement, no rearrangement search",
              _switch("exact"), default=False, scalar=True,
@@ -521,8 +521,7 @@ COMMANDS = {
              required=True),
         Flag("u", "target graphon JSON file", parse_graphon, required=True),
         Flag("alpha", "block fractions; if omitted, minimize over them", parse_weights),
-        Flag("budget", "optimizer restarts", _integer("budget", 1), default=64, scalar=True,
-             argparse_kw=_INT_ARG),
+        Flag("budget", "optimizer restarts", _integer("budget", 1), default=64, scalar=True),
         Flag("seed", "optimizer seed (default 0)", parse_seed, default=0, scalar=True),
         _OUT,
     )),
@@ -542,7 +541,7 @@ COMMANDS = {
              required=True),
         Flag("method", "auto | exact | enum | tilted | mc", str, default="auto"),
         Flag("num-samples", "samples per point for mc/tilted", _integer("num-samples", 1),
-             default=10000, scalar=True, argparse_kw=_INT_ARG),
+             default=10000, scalar=True),
         _SEED,
         _OUT,
     )),

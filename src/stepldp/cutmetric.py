@@ -819,7 +819,6 @@ def _chunk_stops(couplings, chunks, moves, support_cap):
     stops[rows, a, j] -= theta
     stops[rows, b, i] -= theta
     stops[rows, b, j] += theta
-    np.maximum(stops, 0.0, out=stops)
     fits = np.count_nonzero(stops.reshape(theta.size, C[0].size), axis=1) <= support_cap
     return stops[fits], move[fits] + 1, owner[fits]
 

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_weights,
-                      graph_to_graphon)
+from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_vertex_count,
+                      _check_weights, graph_to_graphon)
 from .cutmetric import _ENUM_CHUNK, _seed_list, _subset_bits, cut_distance_search
 from .rates import _prepare_alpha, _simplex_grid, rate_J, rate_R, rel_entropy
 from .samplers import _check_counts, apportion_counts, sample_block, sample_wrandom
@@ -386,6 +386,13 @@ def _exact_law_refusal(free, window):
     return None
 
 
+def _check_exact_law(free, window, at=""):
+    """Raise the refusal of ``_exact_law_refusal``; ``at`` names the size after it."""
+    refusal = _exact_law_refusal(free, window)
+    if refusal:
+        raise ValueError("exact density law: %s%s; use tilted or mc" % (refusal, at))
+
+
 def _fft_window_logprob(free, lo, hi):
     """log P(lo <= S <= hi) for S a sum of independent binomials, by one FFT.
 
@@ -428,9 +435,7 @@ def density_logprob_block(counts, p, event: EventSpec):
     ``BINOMIAL_LENGTH_CAP`` are refused (``_exact_law_refusal``).
     """
     free, window = _density_window(*_check_block_law(counts, p), event)
-    refusal = _exact_law_refusal(free, window)
-    if refusal:
-        raise ValueError("exact density law: %s; use tilted or mc" % refusal)
+    _check_exact_law(free, window)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return closed
@@ -459,14 +464,8 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     if event.is_density:
         return density_logprob_block(counts, p, event)
     a, p = _check_block_law(counts, p)
-    f = _free_pair_count(a, p)
-    if f > ENUM_FREE_LIMIT:
-        raise ValueError(
-            "event enumeration needs at most %d undetermined pairs, got %d"
-            % (ENUM_FREE_LIMIT, f)
-        )
+    f = _check_enumerable(a, p)
     n = int(a.sum())
-    _check_enum_vertices(n)
     types = np.repeat(np.arange(a.size), a)
     iu, ju = np.triu_indices(n, k=1)
     q = p[types[iu], types[ju]]
@@ -490,10 +489,26 @@ def exact_event_logprob_block(counts, p, event: EventSpec):
     return min(float(total), 0.0)
 
 
-def _check_enum_vertices(n):
+def _free_pair_count(counts, p):
+    a = np.asarray(counts, dtype=int)
+    return sum(mult for prob, mult in _pair_classes(a, p) if 0.0 < prob < 1.0)
+
+
+def _check_enumerable(counts, p, at=""):
+    """The undetermined pair count of a block layout that enumeration takes.
+
+    Raises past ``ENUM_FREE_LIMIT`` undetermined pairs, then past
+    ``ENUM_VERTEX_LIMIT`` vertices; ``at`` names the size after the pair count.
+    """
+    f = _free_pair_count(counts, p)
+    if f > ENUM_FREE_LIMIT:
+        raise ValueError("event enumeration needs at most %d undetermined pairs, got %d%s"
+                         % (ENUM_FREE_LIMIT, f, at))
+    n = int(np.sum(counts))
     if n > ENUM_VERTEX_LIMIT:
         raise ValueError("event enumeration checks graphs of at most %d vertices, got n=%d"
                          % (ENUM_VERTEX_LIMIT, n))
+    return f
 
 
 def _compositions(n, w):
@@ -563,6 +578,15 @@ def mc_event_logprob(draw, event: EventSpec, num_samples, seed):
     return _estimate(math.log(f), stderr, num_samples, hits, "mc")
 
 
+def _check_tilt_span(free, window):
+    """Raise unless tilted sampling can draw the law's free edge counts as int64.
+
+    A law with a closed form is returned exactly and draws nothing.
+    """
+    if _closed_form_logprob(free, window) is None and sum(mult for _, mult in free) >= 2 ** 63:
+        raise ValueError("tilted sampling needs fewer than 2^63 free pairs")
+
+
 def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed):
     """Importance sampling of a density event by tilting the edge coins.
 
@@ -584,8 +608,7 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     closed = _closed_form_logprob(free, window)
     if closed is not None:
         return _estimate(closed, 0.0, 0, 0, "exact")
-    if sum(mult for _, mult in free) >= 2 ** 63:  # the edge counts are drawn as int64
-        raise ValueError("tilted sampling needs fewer than 2^63 free pairs")
+    _check_tilt_span(free, window)
     lo, hi = window
     theta = _window_tilt(free, lo, hi)
 
@@ -699,25 +722,16 @@ CURVE_COLUMNS = ("n", "speed", "logprob", "normalized", "stderrLog", "samples", 
                  "method")
 
 
-def _free_pair_count(counts, p):
-    a = np.asarray(counts, dtype=int)
-    return sum(mult for prob, mult in _pair_classes(a, p) if 0.0 < prob < 1.0)
-
-
 def check_method(family, event: EventSpec, method, n_values=()):
-    """Reject a method that ``ldp_curve`` cannot run on the family, event and sizes.
+    """The method ``ldp_curve`` runs at each size; raises what it cannot run.
 
     Tilted sampling reweights the coins of one block layout, so it needs a
     fixed layout and a density event.  The exact law of a fixed block
-    layout covers density events only (enum reads the same law for them),
-    at sizes whose law ``_exact_law_refusal`` admits; the step-graphon law
-    enumerates block counts, so it covers every event.  Enumerating a
-    non-density event needs sizes of at most ``ENUM_VERTEX_LIMIT`` vertices
-    and at most ``ENUM_FREE_LIMIT`` free pairs in the layout of each size,
-    or in every block-count layout of it under random vertex types.
-    Sampling a non-density event (mc, or auto where it does not enumerate)
-    needs sizes of at most ``MC_VERTEX_LIMIT`` vertices.  A density needs at
-    least two vertices.
+    layout covers density events only (enum reads the same law for them);
+    the step-graphon law enumerates block counts, so it covers every event.
+    A density needs at least two vertices.  Then ``_point_method`` picks
+    and checks the method of every size, in order, so a curve is refused
+    before any of its points is computed.
     """
     if method not in ("auto", "exact", "enum", "tilted", "mc"):
         raise ValueError("method must be auto, exact, enum, tilted, or mc")
@@ -732,48 +746,78 @@ def check_method(family, event: EventSpec, method, n_values=()):
     if event.is_density and any(n < 2 for n in n_values):
         raise ValueError("density events need at least two vertices, got n=%d"
                          % min(n_values))
-    if method in ("exact", "enum") and event.is_density and not random_types:
-        for n in n_values:
-            refusal = _exact_law_refusal(*_density_window(*family.counts_for(n), event))
-            if refusal:
-                raise ValueError("exact density law: %s at n=%d; use tilted or mc"
-                                 % (refusal, n))
-    if method in ("exact", "enum") and not event.is_density:
-        for n in n_values:
-            if random_types:
-                layouts = ((a, family.u.values) for a in _compositions(n, family.u.parts.weights))
+    return [_point_method(family, event, method, n) for n in n_values]
+
+
+def _point_method(family, event, method, n):
+    """The method a point of size n runs: ``method``, or auto's pick.
+
+    Raises the ValueError the point would hit, by the guard of the code
+    that would hit it.  On a fixed block layout auto takes the exact law of
+    a density event whenever ``_exact_law_refusal`` admits it, else tilted
+    sampling, and enumerates a ball event on at most ``ENUM_VERTEX_LIMIT``
+    vertices and ``AUTO_ENUM_FREE_PAIRS`` free pairs, else samples it.
+    Under random vertex types auto takes the exact law of a density event
+    while n <= 40 and the law sums at most 3,000 block laws, and samples
+    otherwise; the step-graphon law is labelled exact, asked as exact or
+    enum, and each of its block-count layouts must pass the block law's
+    guards.  Sampling needs a graph it can label, and a ball event at most
+    ``MC_VERTEX_LIMIT`` vertices.
+    """
+    # a layout's free pairs are among all n(n-1)/2 and _fft_length never
+    # decreases, so no layout of n is refused while all the pairs would pass
+    pairs = n * (n - 1) // 2
+    refusable = (_fft_length(pairs) > FFT_LENGTH_CAP if event.is_density
+                 else pairs > ENUM_FREE_LIMIT or n > ENUM_VERTEX_LIMIT)
+    if isinstance(family, WRandomFamily):
+        u = family.u
+        if method == "auto":
+            # the exact law sums one block law per composition of n
+            affordable = n <= 40 and math.comb(n + u.parts.size - 1, n) <= 3000
+            method = "exact" if event.is_density and affordable else "mc"
+        method = "exact" if method == "enum" else method
+        layouts = ((a, u.values) for a in _compositions(n, u.parts.weights))
+    else:
+        layouts = [family.counts_for(n)]
+        counts, p = layouts[0]
+        if method == "auto" and event.is_density:
+            refused = refusable and _exact_law_refusal(*_density_window(counts, p, event))
+            method = "tilted" if refused else "exact"
+        elif method == "auto":
+            enum = n <= ENUM_VERTEX_LIMIT and _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS
+            method = "enum" if enum else "mc"
+        if method == "tilted":
+            _check_tilt_span(*_density_window(counts, p, event))
+    if method in ("exact", "enum") and refusable:
+        for counts, p in layouts:
+            if event.is_density:
+                _check_exact_law(*_density_window(counts, p, event), " at n=%d" % n)
             else:
-                layouts = [family.counts_for(n)]
-            for counts, p in layouts:
-                free = _free_pair_count(counts, p)
-                if free > ENUM_FREE_LIMIT:
-                    raise ValueError("event enumeration needs at most %d undetermined pairs, "
-                                     "got %d at n=%d" % (ENUM_FREE_LIMIT, free, n))
-                _check_enum_vertices(n)
-    if method in ("auto", "mc") and not event.is_density:
-        for n in n_values:
-            if n > MC_VERTEX_LIMIT:
-                raise ValueError("Monte Carlo checks ball events on at most %d vertices, "
-                                 "got n=%d" % (MC_VERTEX_LIMIT, n))
+                _check_enumerable(counts, p, " at n=%d" % n)
+    if method == "mc":
+        if not event.is_density and n > MC_VERTEX_LIMIT:
+            raise ValueError("Monte Carlo checks ball events on at most %d vertices, got n=%d"
+                             % (MC_VERTEX_LIMIT, n))
+        _check_vertex_count(n)
+    return method
 
 
 def ldp_curve(family, event: EventSpec, n_values, method="auto",
               num_samples=10000, seed=0):
     """Sweep graph sizes and measure -log P(event) / speed at each size.
 
-    ``method`` is "auto", "exact", "enum", "tilted", or "mc".  Auto picks
-    the exact law for density events whenever ``_exact_law_refusal`` admits
-    it, falling back to tilted importance sampling; ball events
-    enumerate edge subsets while they fit and switch to Monte Carlo above
-    that.  The speed is the squared vertex count.  Each point derives its
-    own generator seed, so curves are reproducible end to end.  A point is
-    a dict with the keys ``CURVE_COLUMNS``.
+    ``method`` is "auto", "exact", "enum", "tilted", or "mc";
+    ``check_method`` picks the method of each size (auto's pick is
+    described at ``_point_method``) and refuses what cannot run before any
+    point is computed.  The speed is the squared vertex count.  Each point
+    derives its own generator seed, so curves are reproducible end to end.
+    A point is a dict with the keys ``CURVE_COLUMNS``.
     """
     n_values = [int(n) for n in n_values]
-    check_method(family, event, method, n_values)
+    methods = check_method(family, event, method, n_values)
     base = _seed_list(seed)
     points = []
-    for idx, n in enumerate(n_values):
+    for idx, (n, method) in enumerate(zip(n_values, methods)):
         est = _point(family, n, event, method, num_samples, base + [idx])
         # 0.0 - x, unlike -x, maps logprob 0 to +0.0
         normalized = (0.0 - est["logprob"] / (n * n)) if n > 0 else math.nan
@@ -782,25 +826,12 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
 
 
 def _point(family, n, event, method, num_samples, seed):
-    """Estimate of log P(event) at size n by a method check_method allows."""
+    """Estimate of log P(event) at size n by the method ``_point_method`` picked."""
+    if method == "mc":
+        return mc_event_logprob(lambda rng: family.draw(n, rng)[0], event, num_samples, seed)
     if isinstance(family, WRandomFamily):
-        if method == "auto":
-            # the exact law sums one block law per composition of n
-            m = family.u.parts.size
-            affordable = n <= 40 and math.comb(n + m - 1, m - 1) <= 3000
-            method = "exact" if event.is_density and affordable else "mc"
-        if method != "mc":
-            return _estimate(exact_event_logprob_wrandom(n, family.u, event), 0.0, 0, 0, "exact")
-    else:
-        counts, p = family.counts_for(n)
-        if method == "auto" and event.is_density:
-            refusal = _exact_law_refusal(*_density_window(counts, p, event))
-            method = "tilted" if refusal else "exact"
-        elif method == "auto":
-            enum = n <= ENUM_VERTEX_LIMIT and _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS
-            method = "enum" if enum else "mc"
-        if method in ("exact", "enum"):
-            return _estimate(exact_event_logprob_block(counts, p, event), 0.0, 0, 0, method)
-        if method == "tilted":
-            return tilted_density_logprob_block(counts, p, event, num_samples, seed)
-    return mc_event_logprob(lambda rng: family.draw(n, rng)[0], event, num_samples, seed)
+        return _estimate(exact_event_logprob_wrandom(n, family.u, event), 0.0, 0, 0, method)
+    counts, p = family.counts_for(n)
+    if method == "tilted":
+        return tilted_density_logprob_block(counts, p, event, num_samples, seed)
+    return _estimate(exact_event_logprob_block(counts, p, event), 0.0, 0, 0, method)

@@ -511,14 +511,17 @@ def _search_J(w, alpha_hat, q, budget, seed):
 
 
 def _simplex_grid(k, resolution):
-    """All nonnegative integer compositions of ``resolution`` into k parts."""
+    """All nonnegative integer compositions of ``resolution`` into k parts.
+
+    They come one at a time in lexicographic order, so a walk that stops
+    early never builds the rest.
+    """
     if k == 1:
-        return [(resolution,)]
-    out = []
+        yield (resolution,)
+        return
     for head in range(resolution + 1):
         for rest in _simplex_grid(k - 1, resolution - head):
-            out.append((head,) + rest)
-    return out
+            yield (head,) + rest
 
 
 def rate_R(p, u: StepGraphon, budget=DEFAULT_RATE_RESTARTS, seed=0) -> RateReport:

@@ -595,6 +595,30 @@ class TestConfigFile:
             assert first_line_config(stdout)["resolvedConfig"]["exact"] is exact
             assert stdout.splitlines()[1].startswith(mode)
 
+    def test_command_line_integers_read_like_config_ones(self, tmp_path, capsys):
+        # one parser reads an integer flag, so a bad value on the command line
+        # gets the config file's message, not an argparse usage error
+        u = write_graphon(tmp_path / "u.json", [0.5, 0.5], [[0.9, 0.1], [0.1, 0.6]])
+        curve = ["ldp-curve", "--model", "gnp:0.5", "--event", "density-ge:0.8", "--n", "6"]
+        cases = [
+            (["distance", "--u", u, "--v", u, "--restarts", "abc"],
+             "restarts must be an integer"),
+            (["distance", "--u", u, "--v", u, "--restarts", "0"], "restarts must be positive"),
+            (["rate", "--p", "identity2", "--u", u, "--budget", "1.5"],
+             "budget must be an integer"),
+            (["sample", "--model", "gnp:0.5", "--n", "6", "--seed", "0", "--num-samples", "x"],
+             "num-samples must be an integer"),
+            (curve + ["--seed", "0", "--num-samples", "x"], "num-samples must be an integer"),
+        ]
+        for argv, message in cases:
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", "error: %s\n" % message)
+        # an accepted value echoes as the number it parses to
+        assert cli.main(["sample", "--model", "gnp:0.5", "--n", "6", "--seed", "0",
+                         "--num-samples", "2"]) == 0
+        resolved = first_line_config(capsys.readouterr().out)["resolvedConfig"]
+        assert resolved["num-samples"] == 2 and isinstance(resolved["num-samples"], int)
+
 
 class TestArgparseBehaviour:
     def test_unknown_flag_exits_2(self, capsys):
@@ -655,5 +679,37 @@ class TestInvalidInputExitsBeforeTheConfigLine:
     def test_exits_2_with_the_validators_message(self, tmp_path, capsys, argv, message):
         t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])
         argv = [arg.format(t1=t1) for arg in argv] + ["--seed", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+class TestPointRuleRefusesBeforeTheConfigLine:
+    """Sizes that a curve's point would refuse exit 2 with nothing on stdout.
+
+    Each message is the one the point's own code raises; the checks run on
+    every size before the config line is printed.
+    """
+
+    BIG = "5000000000"  # past the int32 vertex labels, and 2^63 pairs
+    DENSITY = ["ldp-curve", "--event", "density-ge:0.5", "--n", BIG, "--model"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ldp-curve", "--model", "wrandom:{u2}", "--event", "density-ge:0.7", "--n", "3000",
+          "--method", "exact"],
+         "exact density law: 4498500 free pairs exceed the FFT cap of 2097151 at n=3000; "
+         "use tilted or mc"),
+        (DENSITY + ["gnp:0.4", "--method", "tilted"],
+         "tilted sampling needs fewer than 2^63 free pairs"),
+        (DENSITY + ["gnp:0.4", "--method", "auto"],
+         "tilted sampling needs fewer than 2^63 free pairs"),
+        (DENSITY + ["gnp:0.4", "--method", "mc"],
+         "a graph holds at most 2147483647 vertices (int32 labels), got 5000000000"),
+        (DENSITY + ["wrandom:{u2}", "--method", "mc"],
+         "a graph holds at most 2147483647 vertices (int32 labels), got 5000000000"),
+    ], ids=["wrandom-exact-fft-cap", "gnp-tilted-2^63", "gnp-auto-2^63", "gnp-mc-vertices",
+            "wrandom-mc-vertices"])
+    def test_exits_2_before_the_config_line(self, tmp_path, capsys, argv, message):
+        u2 = write_graphon(tmp_path / "u2.json", [0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
+        argv = [arg.format(u2=u2) for arg in argv] + ["--seed", "0"]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)

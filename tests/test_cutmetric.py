@@ -1215,6 +1215,32 @@ class TestSharedStopBuilding:
         alone = cutmetric._chunk_stops(couplings[:1], [empty], moves, 10)
         assert [x.shape for x in alone] == [(0, 3, 4), (0,), (0,)]
 
+    def test_no_stop_has_its_sign_bit_set(self, monkeypatch):
+        # every stop entry is c + theta with theta bounded by the cells it
+        # moves, so no entry is negative or -0.0 and no clamp is needed
+        built = []
+        chunk_stops = cutmetric._chunk_stops
+
+        def recording(*args):
+            got = chunk_stops(*args)
+            built.append(got[0])
+            return got
+
+        monkeypatch.setattr(cutmetric, "_chunk_stops", recording)
+        rng = np.random.default_rng(53)
+        u, v = _random_graphon(rng, 5), _random_graphon(rng, 4)
+        starts = self._starts(rng, u, v, cutmetric._LOCKSTEP_WALKS)
+        for cap in (12, 8):
+            self._compare(u, v, starts, cap)
+        rng = np.random.default_rng(46)
+        u = _random_graphon(rng, 4)
+        perm = [2, 0, 3, 1]
+        w = make_step_graphon(u.parts.weights[perm], u.values[np.ix_(perm, perm)])
+        self._compare(u, w, self._starts(rng, u, w, cutmetric._LOCKSTEP_WALKS), 12)
+        stops = np.concatenate([s.ravel() for s in built])
+        assert len(built) > 10 and stops.size > 1000
+        assert not np.signbit(stops).any()
+
     def test_seeded_search_counts(self):
         """Pinned at the lockstep polish with per-walk stop building."""
         rng = np.random.default_rng(52)

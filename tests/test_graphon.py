@@ -11,12 +11,14 @@ from stepldp.graphon import (
     apply_coupling,
     common_refinement,
     coupling_pieces,
+    dump_graphon,
     edge_density,
     graph_from_edgelist,
     graph_to_edgelist,
     graph_to_graphon,
     graphon_from_json,
     graphon_to_json,
+    load_graphon,
     make_step_graphon,
     overlay_partitions,
     project_steps,
@@ -345,6 +347,25 @@ class TestSerialization:
             v = graphon_from_json(json.loads(text))
             assert np.array_equal(u.parts.weights, v.parts.weights)
             assert np.array_equal(u.values, v.values)
+
+    def test_dump_graphon_roundtrip_bitexact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for idx in range(10):
+            m = int(rng.integers(1, 6))
+            vals = rng.uniform(0, 1, (m, m))
+            u = StepGraphon(PartWeights(rng.dirichlet(np.ones(m))), (vals + vals.T) / 2)
+            path = tmp_path / ("u%d.json" % idx)
+            dump_graphon(u, path)
+            v = load_graphon(path)
+            assert u.parts.weights.tobytes() == v.parts.weights.tobytes()
+            assert u.values.tobytes() == v.values.tobytes()
+            # sorted-key JSON of graphon_to_json, ending in one newline
+            text = path.read_text()
+            assert text.endswith("}\n") and not text.endswith("\n\n")
+            obj = json.loads(text)
+            assert list(obj) == ["values", "weights"]
+            assert obj == graphon_to_json(u)
+            assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     def test_graphon_json_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -673,6 +673,85 @@ class TestLdpCurve:
         z = abs(ti["logprob"] - ex["logprob"]) / ti["stderrLog"]
         assert z < 3.0
 
+    # the method each accepted (family, event, method) cell reports at a small
+    # size; None marks a cell check_method refuses
+    METHOD_LABELS = {
+        "density": {"auto": "exact", "exact": "exact", "enum": "enum", "tilted": "tilted",
+                    "mc": "mc"},
+        "ball": {"auto": "enum", "exact": None, "enum": "enum", "tilted": None, "mc": "mc"},
+        "wrandom density": {"auto": "exact", "exact": "exact", "enum": "exact", "tilted": None,
+                            "mc": "mc"},
+        "wrandom ball": {"auto": "mc", "exact": "exact", "enum": "exact", "tilted": None,
+                         "mc": "mc"},
+    }
+
+    @pytest.mark.parametrize("family", ["gnp", "block", "wrandom"])
+    @pytest.mark.parametrize("event", ["density", "ball"])
+    def test_every_cell_reports_its_method(self, family, event):
+        fam = {
+            "gnp": GnpFamily(0.5),
+            "block": BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.2), (0.2, 0.7))),
+            "wrandom": WRandomFamily(make_step_graphon([0.5, 0.5], [[0.7, 0.2], [0.2, 0.7]])),
+        }[family]
+        ev = (EventSpec("density-ge", r=0.8) if event == "density" else
+              EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4))
+        n = 5 if event == "density" else 4
+        labels = self.METHOD_LABELS[("wrandom " if family == "wrandom" else "") + event]
+        for method, label in labels.items():
+            if label is None:
+                with pytest.raises(ValueError):
+                    check_method(fam, ev, method, [n])
+                continue
+            (pt,) = ldp_curve(fam, ev, [n], method=method, num_samples=4, seed=0)
+            assert (method, pt["method"]) == (method, label)
+            if label in ("mc", "tilted"):
+                assert pt["samples"] == 4
+            else:
+                assert (pt["samples"], pt["stderrLog"]) == (0, 0.0)
+
+    def test_check_method_returns_the_method_of_each_size(self):
+        block = BlockFamily(alpha=(0.5, 0.5), p=((0.7, 0.1), (0.1, 0.7)))
+        density = EventSpec("density-ge", r=0.55)
+        assert check_method(block, density, "auto", [4, 2050]) == ["exact", "tilted"]
+        assert check_method(block, density, "enum", [4, 8]) == ["enum", "enum"]
+        ball = EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4)
+        assert check_method(GnpFamily(0.0), ball, "auto", [4, 300]) == ["enum", "mc"]
+        assert check_method(GnpFamily(0.5), ball, "auto", [6, 7]) == ["enum", "mc"]
+        wrandom = WRandomFamily(make_step_graphon([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]]))
+        assert check_method(wrandom, density, "auto", [6, 41]) == ["exact", "mc"]
+        assert check_method(wrandom, ball, "enum", [4]) == ["exact"]
+        assert check_method(wrandom, ball, "auto", [4]) == ["mc"]
+
+    def test_block_count_layouts_are_walked_only_where_one_can_be_refused(self, monkeypatch):
+        walked = []
+        compositions = ldplab._compositions
+
+        def recording(n, w):
+            for a in compositions(n, w):
+                walked.append(n)
+                yield a
+
+        monkeypatch.setattr(ldplab, "_compositions", recording)
+        wrandom = WRandomFamily(make_step_graphon([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]]))
+        density = EventSpec("density-ge", r=0.7)
+        # all 2048 * 2047 / 2 pairs fit the FFT cap, so no layout of 2048 is refused
+        assert ldplab._fft_length(2048 * 2047 // 2) <= FFT_LENGTH_CAP
+        assert check_method(wrandom, density, "exact", [6, 2048]) == ["exact", "exact"]
+        assert walked == []
+        # all 3000 vertices in one part fit the binomial cap; the next layout is refused
+        message = "exact density law: 4498500 free pairs exceed the FFT cap of %d at n=3000" % (
+            FFT_LENGTH_CAP - 1)
+        with pytest.raises(ValueError, match=message):
+            check_method(wrandom, density, "exact", [2048, 3000])
+        assert walked == [3000, 3000]
+        # an enumeration takes 21 free pairs, all of 7 vertices
+        ball = EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4)
+        assert check_method(wrandom, ball, "enum", [7]) == ["exact"]
+        assert walked == [3000, 3000]
+        with pytest.raises(ValueError, match="got 28 at n=8$"):
+            check_method(wrandom, ball, "enum", [7, 8])
+        assert walked == [3000, 3000, 8]
+
 
 def _random_prob_matrix(rng, k):
     vals = rng.uniform(0.05, 0.95, (k, k))
