@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphon import (_check_prob_matrix, _check_vertex_count, _check_weights,
-                      graph_to_edgelist, load_graphon, overlay_partitions)
+from .graphon import (_check_prob_matrix, _check_vertex_count, _check_weights, _load_json,
+                      graph_to_edgelist, graphon_from_json, overlay_partitions)
 from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
 from .samplers import _check_counts, _check_coupled, coupled_block_sample
@@ -32,8 +32,8 @@ from .ldplab import (
     EventSpec,
     GnpFamily,
     WRandomFamily,
+    _curve,
     check_method,
-    ldp_curve,
     predicted_rate,
 )
 
@@ -59,13 +59,11 @@ def _checked(check, *args, **kwargs):
 
 
 def _read_json(path):
+    """``graphon._load_json(path)``, with every failure a usage error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return _checked(_load_json, path)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise CliError("%s: not valid JSON (%s)" % (path, exc))
 
 
 def parse_prob_matrix(text):
@@ -117,10 +115,7 @@ def parse_counts(text):
 
 def parse_graphon(path):
     """A step graphon JSON file."""
-    try:
-        return _checked(load_graphon, path)
-    except OSError as exc:
-        raise CliError("cannot read %s: %s" % (path, exc))
+    return _checked(graphon_from_json, _read_json(path))
 
 
 def parse_model(text):
@@ -462,11 +457,10 @@ def cmd_coupling_demo(resolved, values):
 
 def cmd_ldp_curve(resolved, values):
     family, event, method, seed = (values[k] for k in ("model", "event", "method", "seed"))
-    _checked(check_method, family, event, method, values["n"])
+    methods = _checked(check_method, family, event, method, values["n"])
     emit_config("ldp-curve", resolved, sys.stdout)
 
-    points = _checked(ldp_curve, family, event, values["n"], method=method,
-                      num_samples=values["num-samples"], seed=seed)
+    points = _checked(_curve, family, event, values["n"], methods, values["num-samples"], seed)
     predicted = predicted_rate(family, event, budget=16, seed=seed)
     for pt in points:
         sys.stdout.write(

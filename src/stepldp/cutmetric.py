@@ -119,10 +119,11 @@ def _subset_bits(m, start, stop):
     return bits
 
 
-# The enumeration's work rows, and a zeros row its products are compared
-# with: grown on first need, then reused by every call (the package runs one
-# search at a time per process).  numpy compares an array with a zeros row
-# broadcast on its leading axes about twice as fast as with the scalar 0.0.
+# The work rows of the enumeration and of the screen's cut steps, and a zeros
+# row their products are compared with: grown on first need, then reused by
+# every call (the package runs one search at a time per process).  numpy
+# compares an array with a zeros row broadcast on its leading axes about
+# twice as fast as with the scalar 0.0.
 _ENUM_WORK = np.empty(0)
 _ENUM_ZEROS = np.zeros(0)
 
@@ -477,7 +478,6 @@ class _SearchObjective:
         self.evaluations = 0
         self.pruned = 0
         self._kernels = {}
-        self._work = np.empty((3, 0))
 
     def stack(self, w, src, tgt):
         """The objective on the pieces (w, src, tgt) of a trusted coupling."""
@@ -610,32 +610,29 @@ class _SearchObjective:
         K, KT = self.kernel(p)
         q = A.shape[0]
         size = q * n * cells
-        # reused work rows: fresh arrays of this size cost more in page
-        # faults than the arithmetic.  X is copied out to (q, n, cells)
-        # since A * X, both operands broadcast, runs at about two thirds of
-        # the speed; one operand broadcast on the leading axes, such as a
-        # zeros row, is nearly as fast as a same-shape one, a scalar is not
-        if self._work.shape[1] < 2 * size:
-            self._work = np.empty((3, 2 * size))
-        xq = self._work[2, :size].reshape(q, n, cells)
+        # the enumeration's work rows: fresh arrays of this size cost more
+        # in page faults than the arithmetic.  X is copied out to (q, n,
+        # cells) since A * X, both operands broadcast, runs at about two
+        # thirds of the speed; one operand broadcast on the leading axes,
+        # such as the zeros row, is nearly as fast as a same-shape one, a
+        # scalar is not
+        work, zeros = _enum_work(5 * size, cells)
+        b = work[:2 * size].reshape(2, q, n, cells)
+        s = work[2 * size:4 * size].reshape(2, q, n, cells)
+        xq = work[4 * size:].reshape(q, n, cells)
         np.copyto(xq, X)
-        y = self._work[0, :size].reshape(q, n, cells)
-        np.multiply(A, xq, out=y)
+        np.multiply(A, xq, out=b[0])
         # column sums of each A, short of the column's own mass
-        t = self._work[1, :size].reshape(q * n, cells)
-        np.matmul(y.reshape(-1, cells), K, out=t)
-        t = t.reshape(q, n, cells)
+        t = s[0]
+        np.matmul(b[0].reshape(-1, cells), K, out=t.reshape(-1, cells))
         # B = the positive (then the negative) columns, as masses
-        b = self._work[0, :2 * size].reshape(2, q, n, cells)
         np.multiply(t > 0.0, xq, out=b[0])
         np.multiply(t < 0.0, xq, out=b[1])
         # row sums over B; the best A' for each B takes the rows of its sign
-        s = self._work[1, :2 * size].reshape(2 * q * n, cells)
-        np.matmul(b.reshape(-1, cells), KT, out=s)
-        s = s.reshape(2, q, n, cells)
+        np.matmul(b.reshape(-1, cells), KT, out=s.reshape(-1, cells))
         np.multiply(s, xq, out=s)
-        np.maximum(s[0], 0.0, out=s[0])
-        np.minimum(s[1], 0.0, out=s[1])
+        np.maximum(s[0], zeros, out=s[0])
+        np.minimum(s[1], zeros, out=s[1])
         r = (s.reshape(-1, cells) @ np.ones(cells)).reshape(2, q, n)
         return np.maximum(r[0].max(axis=0), -r[1].min(axis=0))
 

@@ -445,13 +445,21 @@ def dump_graphon(u: StepGraphon, path) -> None:
         fh.write("\n")
 
 
+def _load_json(path):
+    """The JSON value in the file at path, for the library and the CLI alike.
+
+    Raises OSError if the file cannot be read, and ValueError naming the
+    path if its bytes are not UTF-8 JSON (RFC 8259 text).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError("%s: not valid JSON (%s)" % (path, exc)) from exc
+
+
 def load_graphon(path) -> StepGraphon:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("%s: not valid JSON (%s)" % (path, exc)) from exc
-    return graphon_from_json(obj)
+    return graphon_from_json(_load_json(path))
 
 
 def graph_to_edgelist(g: LabeledGraph) -> str:

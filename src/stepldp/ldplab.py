@@ -386,11 +386,12 @@ def _exact_law_refusal(free, window):
     return None
 
 
-def _check_exact_law(free, window, at=""):
-    """Raise the refusal of ``_exact_law_refusal``; ``at`` names the size after it."""
+def _check_exact_law(free, window, at="", instead="tilted or mc"):
+    """Raise the refusal of ``_exact_law_refusal``; ``at`` names the size after
+    it, and ``instead`` the methods that would run."""
     refusal = _exact_law_refusal(free, window)
     if refusal:
-        raise ValueError("exact density law: %s%s; use tilted or mc" % (refusal, at))
+        raise ValueError("exact density law: %s%s; use %s" % (refusal, at, instead))
 
 
 def _fft_window_logprob(free, lo, hi):
@@ -642,17 +643,9 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
 def gnp_density_rate(p, r, kind="density-ge"):
     """Limiting normalized decay rate of a density event: h_p(r) / 2.
 
-    Zero when the event is typical (the threshold sits on the likely side
-    of p); the relative-entropy cost halves because there are n^2 / 2
-    pairs at speed n^2.
+    The one-block case of ``block_density_rate``.
     """
-    if kind not in ("density-ge", "density-le"):
-        raise ValueError("rate predictions cover density events only")
-    p = _check_prob(p)
-    _check_threshold(r)
-    if (r <= p) if kind == "density-ge" else (r >= p):
-        return 0.0
-    return 0.5 * rel_entropy(p, r)
+    return block_density_rate([1.0], [[p]], r, kind)
 
 
 def block_density_rate(alpha, p, r, kind="density-ge"):
@@ -661,8 +654,10 @@ def block_density_rate(alpha, p, r, kind="density-ge"):
     The cheapest graphons in the event are constant on each block pair and
     tilt every pair probability by one common theta, which sets the mean
     density to r: the rate is 1/2 sum_ij alpha_i alpha_j h_p_ij(rho_ij(theta)).
-    Zero when the event is typical, inf when no graphon supported on p
-    reaches r; one pair probability is ``gnp_density_rate``.
+    Zero when the event is typical (the threshold sits on the likely side of
+    the mean), inf when no graphon supported on p reaches r.  With one pair
+    probability q it is h_q(r) / 2: the relative-entropy cost halves because
+    there are n^2 / 2 pairs at speed n^2.
     """
     if kind not in ("density-ge", "density-le"):
         raise ValueError("rate predictions cover density events only")
@@ -672,7 +667,10 @@ def block_density_rate(alpha, p, r, kind="density-ge"):
     w = np.bincount(cls.ravel(), weights=np.outer(a, a).ravel(), minlength=probs.size)
     classes = [(float(q), float(wc)) for q, wc in zip(probs, w) if wc > 0.0]
     if len(classes) == 1:
-        return gnp_density_rate(classes[0][0], r, kind)
+        q = classes[0][0]
+        if (r <= q) if kind == "density-ge" else (r >= q):
+            return 0.0
+        return 0.5 * rel_entropy(q, r)
     forced_on = sum(wc for q, wc in classes if q >= 1.0)
     free = [(q, wc) for q, wc in classes if 0.0 < q < 1.0]
     reach = sum(wc for _, wc in free)
@@ -777,8 +775,10 @@ def _point_method(family, event, method, n):
             method = "exact" if event.is_density and affordable else "mc"
         method = "exact" if method == "enum" else method
         layouts = ((a, u.values) for a in _compositions(n, u.parts.weights))
+        instead = "mc"  # tilted sampling needs a fixed layout
     else:
         layouts = [family.counts_for(n)]
+        instead = "tilted or mc"
         counts, p = layouts[0]
         if method == "auto" and event.is_density:
             refused = refusable and _exact_law_refusal(*_density_window(counts, p, event))
@@ -791,7 +791,7 @@ def _point_method(family, event, method, n):
     if method in ("exact", "enum") and refusable:
         for counts, p in layouts:
             if event.is_density:
-                _check_exact_law(*_density_window(counts, p, event), " at n=%d" % n)
+                _check_exact_law(*_density_window(counts, p, event), " at n=%d" % n, instead)
             else:
                 _check_enumerable(counts, p, " at n=%d" % n)
     if method == "mc":
@@ -815,6 +815,11 @@ def ldp_curve(family, event: EventSpec, n_values, method="auto",
     """
     n_values = [int(n) for n in n_values]
     methods = check_method(family, event, method, n_values)
+    return _curve(family, event, n_values, methods, num_samples, seed)
+
+
+def _curve(family, event, n_values, methods, num_samples, seed):
+    """The points of ``ldp_curve`` at n_values, by the methods ``check_method`` returned."""
     base = _seed_list(seed)
     points = []
     for idx, (n, method) in enumerate(zip(n_values, methods)):

@@ -102,16 +102,16 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     array of rows (s, t) in lexicographic order.
 
     Row s of the triangle starts at rank start[s] = s(2n - s - 1)/2, and its
-    thresholds are the slice P[types[s], s+1:] of P = p[:, types].  The coins
-    are read ``_PAIR_CHUNK`` ranks at a time, a chunk possibly starting or
-    ending inside a row: the slices of the rows a chunk covers are joined
-    into one buffer and compared with its coins, so no per-pair index or
-    probability array is formed.  The aligned pairs of a chunk are the same
-    slices of the aligned-vertex mask, taken in the aligned rows only, and
-    they take the next shared coins in order.  A hit at rank r in row s is
-    the pair (s, r - start[s] + s + 1); the rows of every chunk's hits are
-    written into one preallocated edge array.  Fewer than two vertices draw
-    no coin.
+    thresholds are the slice P[types[s], s+1:] of P = p[:, types].  The
+    shared coins replace their pairs' own in one step, through the mask of
+    aligned pairs (one byte per pair), whose row s is the aligned-vertex mask
+    from s+1 on in an aligned row and all False in the others.  The coins are
+    then read ``_PAIR_CHUNK`` ranks at a time, a chunk possibly starting or
+    ending inside a row: the threshold slices of the rows a chunk covers are
+    joined into one buffer and compared with its coins, so no per-pair index
+    or probability array is formed.  A hit at rank r in row s is the pair
+    (s, r - start[s] + s + 1); the rows of every chunk's hits are written
+    into one preallocated edge array.  Fewer than two vertices draw no coin.
     """
     n = types.size
     if n < 2:
@@ -121,15 +121,14 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
     shift = start[:n] - rows[:n] - 1  # pair (s, t) has rank t + shift[s]
     total = int(start[n])
     coins = rng.random(total)
-    by_type = list(p[:, types])
-    thresholds = [by_type[t] for t in types.tolist()]  # row s reads thresholds[s][s+1:]
-    masks = None
-    if shared_coins is not None and shared_coins.size:
+    if shared_coins is not None:
         is_aligned = np.zeros(n, dtype=bool)
         is_aligned[aligned] = True
-        unaligned = np.zeros(n, dtype=bool)
-        masks = [is_aligned if flag else unaligned for flag in is_aligned.tolist()]
-        used = 0
+        rows_of = (np.zeros(n, dtype=bool), is_aligned)  # by whether row s is aligned
+        coins[np.concatenate([rows_of[f][s + 1:]
+                              for s, f in enumerate(is_aligned.tolist())])] = shared_coins
+    by_type = list(p[:, types])
+    thresholds = [by_type[t] for t in types.tolist()]  # row s reads thresholds[s][s+1:]
     offsets = start.tolist()
     buf = np.empty(min(total, _PAIR_CHUNK))
     chunks = []
@@ -138,27 +137,15 @@ def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
         b = min(a + _PAIR_CHUNK, total)
         s0 = bisect_right(offsets, a) - 1
         s1 = bisect_right(offsets, b - 1, s0) - 1
-
-        def window(per_row, out=None):
-            # per_row[s][s+1:] over rows s0..s1, cut to the ranks a..b-1
-            pieces = [per_row[s][s + 1:] for s in range(s0, s1 + 1)]
-            pieces[-1] = pieces[-1][:b - offsets[s1]]
-            pieces[0] = pieces[0][a - offsets[s0]:]
-            return np.concatenate(pieces, out=out)
-
-        chunk = coins[a:b]
-        if masks is not None:
-            mask = window(masks)
-            pairs = int(np.count_nonzero(mask))
-            chunk[mask] = shared_coins[used:used + pairs]
-            used += pairs
-        r = np.flatnonzero(chunk < window(thresholds, buf[:b - a]))
+        # thresholds[s][s+1:] over rows s0..s1, cut to the ranks a..b-1
+        pieces = [thresholds[s][s + 1:] for s in range(s0, s1 + 1)]
+        pieces[-1] = pieces[-1][:b - offsets[s1]]
+        pieces[0] = pieces[0][a - offsets[s0]:]
+        r = np.flatnonzero(coins[a:b] < np.concatenate(pieces, out=buf[:b - a]))
         r += a
         chunks.append((s0, s1, r))
         count += r.size
-    # drop the O(n²) coins (and the last chunk's view of them) before the
-    # O(E) edge rows are built
-    del coins, chunk
+    del coins  # drop the O(n²) coins before the O(E) edge rows are built
     edges = np.empty((count, 2), dtype=np.int64)
     k = 0
     for s0, s1, r in chunks:
@@ -281,7 +268,7 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     ss = np.random.SeedSequence(seed)
     s_shared, s_a, s_b = ss.spawn(3)
     rng_shared = np.random.default_rng(s_shared)
-    shared_coins = rng_shared.random(c * (c - 1) // 2) if c > 1 else None
+    shared_coins = rng_shared.random(c * (c - 1) // 2)
 
     def build(counts, aligned, rng):
         types = np.repeat(np.arange(k), counts)

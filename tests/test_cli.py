@@ -8,6 +8,7 @@ import pytest
 from test_samplers import _traced_peak_mib
 
 import stepldp.cli as cli
+from stepldp import ldplab
 from stepldp.graphon import (
     graph_from_edgelist,
     graphon_to_json,
@@ -467,6 +468,21 @@ class TestLdpCurveCommand:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == a
 
+    def test_each_size_is_picked_once(self, monkeypatch, capsys):
+        # the CLI checks every size before the config line and then runs the
+        # methods it picked, without picking them again
+        sizes = []
+        pick = ldplab._point_method
+
+        def counted(family, event, method, n):
+            sizes.append(n)
+            return pick(family, event, method, n)
+
+        monkeypatch.setattr(ldplab, "_point_method", counted)
+        assert cli.main(["ldp-curve", "--model", "gnp:0.4", "--event", "density-ge:0.6",
+                         "--n", "4,8", "--seed", "0"]) == 0
+        assert sizes == [4, 8]
+
     def test_bad_method(self, capsys):
         rc = cli.main(["ldp-curve", "--model", "gnp:0.5",
                        "--event", "density-ge:0.8", "--n", "6",
@@ -682,6 +698,31 @@ class TestInvalidInputExitsBeforeTheConfigLine:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
 
+    # every input file goes through one reader: a file that cannot be read,
+    # parsed, or decoded as UTF-8 is a usage error that names its path
+    @pytest.mark.parametrize("contents, message", [
+        (None, "cannot read {path}: "),
+        (b'{"weights": [1.0],', "{path}: not valid JSON ("),
+        ('{"weights": [1.0], "values": [[0.4]], "note": "caf\u00e9"}'.encode("latin-1"),
+         "{path}: not valid JSON ('utf-8' codec can't decode byte 0xe9"),
+    ], ids=["missing", "malformed", "not-utf8"])
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--p", "@{path}", "--u", "{t1}"],
+        ["rate", "--p", "identity1", "--u", "{t1}", "--config", "{path}"],
+        ["rate", "--p", "identity1", "--u", "{path}"],
+    ], ids=["p-file", "config", "graphon"])
+    def test_input_files_exit_2_naming_the_path(self, tmp_path, capsys, argv, contents,
+                                                message):
+        t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])
+        path = tmp_path / "input.json"
+        if contents is not None:
+            path.write_bytes(contents)
+        argv = [arg.format(t1=t1, path=path) for arg in argv] + ["--seed", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: " + message.format(path=path))
+
 
 class TestPointRuleRefusesBeforeTheConfigLine:
     """Sizes that a curve's point would refuse exit 2 with nothing on stdout.
@@ -697,7 +738,7 @@ class TestPointRuleRefusesBeforeTheConfigLine:
         (["ldp-curve", "--model", "wrandom:{u2}", "--event", "density-ge:0.7", "--n", "3000",
           "--method", "exact"],
          "exact density law: 4498500 free pairs exceed the FFT cap of 2097151 at n=3000; "
-         "use tilted or mc"),
+         "use mc"),
         (DENSITY + ["gnp:0.4", "--method", "tilted"],
          "tilted sampling needs fewer than 2^63 free pairs"),
         (DENSITY + ["gnp:0.4", "--method", "auto"],

@@ -367,6 +367,14 @@ class TestSerialization:
             assert obj == graphon_to_json(u)
             assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
+    def test_load_graphon_names_the_path_of_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"weights": [1.0], "values": [[0.4]], "note": "caf\u00e9"}'
+                         .encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            load_graphon(path)
+        assert str(info.value).startswith("%s: not valid JSON (" % path)
+
     def test_graphon_json_rejects_garbage(self):
         with pytest.raises(ValueError):
             graphon_from_json([1, 2, 3])

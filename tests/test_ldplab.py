@@ -490,6 +490,17 @@ class TestBlockDensityRate:
             for kind, r in [("density-ge", 0.7), ("density-le", 0.1), ("density-ge", 0.2)]:
                 assert block_density_rate(alpha, p, r, kind) == gnp_density_rate(0.4, r, kind)
 
+    def test_gnp_is_the_one_class_case(self):
+        # h_p(r) / 2 is written once: G(n, p), one block of p and two blocks
+        # whose second has weight 0 agree exactly, 0.0 and inf included
+        for p in (0.0, 0.3, 1.0):
+            for r in (0.0, p, 0.7, 1.0):
+                for kind in ("density-ge", "density-le"):
+                    want = gnp_density_rate(p, r, kind)
+                    assert block_density_rate([1.0], [[p]], r, kind) == want
+                    assert block_density_rate([1.0, 0.0], [[p, 0.5], [0.5, 0.9]], r,
+                                              kind) == want
+
     def test_typical_boundary_and_unreachable(self):
         p = [[0.7, 0.0], [0.0, 0.7]]
         assert block_density_rate([0.5, 0.5], p, 0.3) == 0.0
