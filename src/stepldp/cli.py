@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graphon import (_check_prob_matrix, _check_vertex_count, _check_weights, _load_json,
-                      graph_to_edgelist, graphon_from_json, overlay_partitions)
+                      graph_to_edgelist, load_graphon, overlay_partitions)
 from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
 from .samplers import _check_counts, _check_coupled, coupled_block_sample
@@ -58,10 +58,10 @@ def _checked(check, *args, **kwargs):
         raise CliError(str(exc))
 
 
-def _read_json(path):
-    """``graphon._load_json(path)``, with every failure a usage error."""
+def _read(load, path):
+    """``load(path)`` of a file reader, with every failure a usage error."""
     try:
-        return _checked(_load_json, path)
+        return _checked(load, path)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
 
@@ -75,7 +75,7 @@ def parse_prob_matrix(text):
     """
     text = text.strip()
     if text.startswith("@"):
-        rows = _read_json(text[1:])
+        rows = _read(_load_json, text[1:])
     elif text.startswith("identity"):
         try:
             k = int(text[len("identity"):])
@@ -114,8 +114,8 @@ def parse_counts(text):
 
 
 def parse_graphon(path):
-    """A step graphon JSON file."""
-    return _checked(graphon_from_json, _read_json(path))
+    """A step graphon JSON file, read by ``graphon.load_graphon``."""
+    return _read(load_graphon, path)
 
 
 def parse_model(text):
@@ -262,7 +262,7 @@ def resolve_config(command, args):
     flags = COMMANDS[command].flags
     resolved = {flag.name: flag.default for flag in flags}
     if args.config:
-        loaded = _read_json(args.config)
+        loaded = _read(_load_json, args.config)
         if not isinstance(loaded, dict):
             raise CliError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -316,9 +316,13 @@ def _jsonable(obj):
     return _json_value(obj)
 
 
+def _canonical(obj):
+    """The one canonical JSON line of obj: sorted keys, no spaces, a newline."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def emit_config(command, resolved, stream):
-    payload = {"command": command, "resolvedConfig": _jsonable(resolved)}
-    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    stream.write(_canonical({"command": command, "resolvedConfig": resolved}))
 
 
 def write_file(out_dir, name, text):
@@ -331,18 +335,11 @@ def write_file(out_dir, name, text):
 
 def write_report(out_dir, command, resolved, body, files=()):
     """Write report.json, and each (relative path, text) of ``files``, under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     for name, text in files:
         write_file(out_dir, name, text)
-    report = {
-        "formatVersion": FORMAT_VERSION,
-        "command": command,
-        "resolvedConfig": _jsonable(resolved),
-    }
-    report.update(_jsonable(body))
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    report = {"formatVersion": FORMAT_VERSION, "command": command, "resolvedConfig": resolved}
+    report.update(body)
+    write_file(out_dir, "report.json", _canonical(report))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +367,7 @@ def _draw_sample(family, n, seed, idx, out_dir):
         "index": idx,
         "n": graph.n,
         "edges": graph.edge_count(),
-        "density": graph.density() if graph.n > 1 else 0.0,
+        "density": graph.density(),
         "blockCounts": [int(c) for c in counts],
     }
     sys.stdout.write("sample %03d: n=%d edges=%d density=%.6f\n"

@@ -385,7 +385,6 @@ def stretch_pullback(u: StepGraphon, s: float) -> StepGraphon:
     hi = np.cumsum(u.parts.weights)
     lo = np.concatenate(([0.0], hi[:-1]))
     w = (np.minimum(hi, s) - np.minimum(lo, s)) / s
-    w = np.maximum(w, 0.0)
     return StepGraphon(PartWeights(w), u.values)
 
 
@@ -459,7 +458,12 @@ def _load_json(path):
 
 
 def load_graphon(path) -> StepGraphon:
-    return graphon_from_json(_load_json(path))
+    """The step graphon in the JSON file at path; every ValueError names the path."""
+    obj = _load_json(path)
+    try:
+        return graphon_from_json(obj)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
 
 
 def graph_to_edgelist(g: LabeledGraph) -> str:

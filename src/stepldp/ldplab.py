@@ -86,11 +86,6 @@ def _check_threshold(r):
         raise ValueError("density events need a threshold r in [0, 1]")
 
 
-def _check_prob(p):
-    """A scalar probability as a float, checked by the probability-matrix rule."""
-    return float(_check_prob_matrix([[p]])[0, 0])
-
-
 @dataclass(frozen=True)
 class EventSpec:
     """A graph event: an edge-density threshold or a cut-metric ball.
@@ -139,13 +134,25 @@ class EventSpec:
 # families of graph laws, one per size n
 
 
-class _BlockLayout:
-    """A fixed block layout per n: the block-model law, whose rate is J."""
+@dataclass(frozen=True)
+class BlockFamily:
+    """Block models with counts apportioned from fixed block fractions.
+
+    A fixed block layout per n: the block-model law, whose rate is J.
+    ``GnpFamily(p)`` is its one-block case.
+    """
+
+    alpha: tuple
+    p: tuple  # nested tuple, symmetric
 
     def __post_init__(self):
         """Reject block ratios or a probability matrix that define no block model."""
         alpha, p = self.layout()
         _check_prob_matrix(p, _check_weights(alpha, "alpha").size)
+
+    def layout(self):
+        """Block ratios and block probability matrix."""
+        return np.asarray(self.alpha, dtype=float), np.asarray(self.p, dtype=float)
 
     def counts_for(self, n):
         alpha, p = self.layout()
@@ -157,27 +164,9 @@ class _BlockLayout:
         return sample_block(counts, p, seed), counts
 
 
-@dataclass(frozen=True)
-class GnpFamily(_BlockLayout):
-    """Erdos-Renyi: every pair is an edge with the same probability."""
-
-    p: float
-
-    def layout(self):
-        """Block ratios and block probability matrix: one block."""
-        return np.array([1.0]), np.array([[float(self.p)]])
-
-
-@dataclass(frozen=True)
-class BlockFamily(_BlockLayout):
-    """Block models with counts apportioned from fixed block fractions."""
-
-    alpha: tuple
-    p: tuple  # nested tuple, symmetric
-
-    def layout(self):
-        """Block ratios and block probability matrix."""
-        return np.asarray(self.alpha, dtype=float), np.asarray(self.p, dtype=float)
+def GnpFamily(p):
+    """Erdos-Renyi: every pair is an edge with probability p, the one-block family."""
+    return BlockFamily((1.0,), ((p,),))
 
 
 @dataclass(frozen=True)
@@ -237,22 +226,6 @@ def _binomial_logpmf(m, p, theta=0.0):
         gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
         + k * (math.log(p) + theta - lm) + (m - k) * (math.log1p(-p) - lm)
     )
-
-
-def binomial_tail_logprob(m, p, k_min):
-    """log P(Bin(m, p) >= k_min); exact 0.0 when k_min <= 0, -inf past m."""
-    p = _check_prob(p)
-    if k_min <= 0:
-        return 0.0
-    if k_min > m:
-        return -math.inf
-    logpmf = _binomial_logpmf(m, p)
-    tail = logpmf[k_min:]
-    if np.all(np.isneginf(tail)):
-        return -math.inf
-    from scipy.special import logsumexp
-
-    return float(logsumexp(tail))
 
 
 def _pair_classes(counts, p):
@@ -425,6 +398,25 @@ def _check_block_law(counts, p):
     return a, _check_prob_matrix(p, a.size)
 
 
+def _window_logprob(free, window):
+    """log P(S in window) for S the free edge count of ``free``'s classes.
+
+    A closed form where ``_closed_form_logprob`` has one, else the binomial
+    law of one class summed over the window, else ``_fft_window_logprob``.
+    Refusals are the caller's: this law has no cap of its own.
+    """
+    closed = _closed_form_logprob(free, window)
+    if closed is not None:
+        return closed
+    lo, hi = window
+    if len(free) == 1:
+        from scipy.special import logsumexp
+
+        prob, mult = free[0]
+        return float(logsumexp(_binomial_logpmf(mult, prob)[lo : hi + 1]))
+    return _fft_window_logprob(free, lo, hi)
+
+
 def density_logprob_block(counts, p, event: EventSpec):
     """Exact log probability of a density event under a block model.
 
@@ -437,16 +429,20 @@ def density_logprob_block(counts, p, event: EventSpec):
     """
     free, window = _density_window(*_check_block_law(counts, p), event)
     _check_exact_law(free, window)
-    closed = _closed_form_logprob(free, window)
-    if closed is not None:
-        return closed
-    lo, hi = window
-    if len(free) == 1:
-        from scipy.special import logsumexp
+    return _window_logprob(free, window)
 
-        prob, mult = free[0]
-        return float(logsumexp(_binomial_logpmf(mult, prob)[lo : hi + 1]))
-    return _fft_window_logprob(free, lo, hi)
+
+def binomial_tail_logprob(m, p, k_min):
+    """log P(Bin(m, p) >= k_min); exact 0.0 when k_min <= 0, -inf past m.
+
+    The window law of one class of m trials: at p = 1 all of them are
+    forced on, at p = 0 none is, and otherwise they are free.
+    """
+    q = float(_check_prob_matrix([[p]])[0, 0])
+    free = [(q, m)] if 0.0 < q < 1.0 else []
+    span = m if free else 0
+    lo = max(k_min - (m if q >= 1.0 else 0), 0)  # forced trials count toward k_min
+    return _window_logprob(free, (lo, span) if lo <= span else None)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +522,10 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     The vertex-type vector is multinomial; conditioned on the per-part
     counts the graph is exactly the block model with those counts, so the
     law is the multinomial mixture of block laws and the probability is the
-    corresponding convex combination, evaluated term by term.
+    corresponding convex combination, evaluated term by term.  A density
+    event reads each layout's window once and takes its window law, refused
+    past the block law's caps with the advice to sample by mc: tilted
+    sampling needs a fixed layout.
     """
     from scipy.special import gammaln, logsumexp
 
@@ -535,7 +534,12 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     terms = []
     for a in _compositions(n, w):
         log_mult = float(gammaln(n + 1) - gammaln(a + 1).sum() + (a * np.where(a > 0, logw, 0.0)).sum())
-        log_cond = exact_event_logprob_block(a, u.values, event)
+        if event.is_density:
+            free, window = _density_window(a, u.values, event)
+            _check_exact_law(free, window, instead="mc")
+            log_cond = _window_logprob(free, window)
+        else:
+            log_cond = exact_event_logprob_block(a, u.values, event)
         if log_cond != -math.inf:
             terms.append(log_mult + log_cond)
     if not terms:

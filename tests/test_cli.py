@@ -348,6 +348,82 @@ class TestFrozenSamplingArtifacts:
         assert got == digests
 
 
+class TestFrozenCommandOutputs:
+    """sha256 of stdout and of every --out file of distance, rate and ldp-curve.
+
+    The inputs are written under relative names in a fresh working
+    directory, so the echoed config is the same wherever the test runs: any
+    change to a printed number, a report byte or a curve row shows here.
+    """
+
+    GRAPHONS = {
+        "u.json": {"weights": [0.5, 0.5], "values": [[0.7, 0.2], [0.2, 0.5]]},
+        "v.json": {"weights": [0.3, 0.3, 0.4],
+                   "values": [[0.6, 0.1, 0.3], [0.1, 0.4, 0.2], [0.3, 0.2, 0.5]]},
+        "t.json": {"weights": [1.0], "values": [[0.5]]},
+    }
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["distance", "--u", "u.json", "--v", "v.json", "--restarts", "8", "--seed", "3"], {
+            "stdout": "34af8a9ff4b6e97b37ea5e402725d2feaabef5adc5875b75da329eb3397945dd",
+            "report.json": "b00af0f611065795e964954e04340f42f29ca45e01ccc53e4ba99355c7c158d9",
+        }),
+        (["distance", "--u", "u.json", "--v", "v.json", "--exact"], {
+            "stdout": "cf6355e7881b8a6052677df6ebbe4ff465521b5aeac9a88c2683ea26b4472653",
+            "report.json": "c10aec2c8fe383465b9393e9ae93dcb20a707c4c7a570322eedb694569100109",
+        }),
+        (["rate", "--p", "0.7,0.2;0.2,0.5", "--u", "v.json", "--alpha", "0.5,0.5",
+          "--budget", "8", "--seed", "1"], {
+            "stdout": "6ff41e46d3521283765bc33a5a1ef25f172fb4f42349ff1055ae32abf7db8f3d",
+            "report.json": "9f0d34d29323d930dbf8ceedd79f2516c269b2395ad936ffce335ebbe979ce44",
+        }),
+        (["rate", "--p", "0.7,0.2;0.2,0.5", "--u", "v.json", "--budget", "8", "--seed", "1"], {
+            "stdout": "7e21943e1cc257be179842baf4a494da61c34e657ca38b00da36d74f6e42539e",
+            "report.json": "d9c69b838d3dbf37d072d521cb4d2503a8e0bff8f2db21336fe276a5e71b7769",
+        }),
+        (["ldp-curve", "--model", "block:1,1:0.7,0.1;0.1,0.7", "--event", "density-ge:0.55",
+          "--n", "12..96", "--seed", "0"], {
+            "stdout": "a2b2e4b4ea7ba97a9b86bbc58db8451abb36455caa41890cde10426ed09e5c98",
+            "report.json": "8c667fa2f8c7e98febe6eda84eb548b871ad84077e406958f33865135ce00310",
+            "curve.csv": "ba3ab8468aad008ba4d26aabce8d8d808f67fc1622f3ea7b232c44bc89ba197b",
+        }),
+        (["ldp-curve", "--model", "gnp:0.5", "--event", "ball:t.json:0.2", "--n", "12",
+          "--method", "mc", "--num-samples", "30", "--seed", "5"], {
+            "stdout": "740d194ce504cd5d8b2a8575719f14f56da0f7a6eaadcba7174c1042534d360b",
+            "report.json": "0c5b132941bfefc34cc4160e7578be48c22d8b121315d418c2cbb0abe3e16eaa",
+            "curve.csv": "9db0b3b06fb186e7d76aed0dd311afec5e08ffd2b3fae50d71a8ae71897adcf3",
+        }),
+        (["ldp-curve", "--model", "gnp:0.3", "--event", "density-ge:0.6", "--n", "6,10,40",
+          "--method", "exact", "--seed", "0"], {
+            "stdout": "dbd445320dacc514336414a69dc2490cc4c6fd7ce4f4d3357143d8046aa0e5c0",
+            "report.json": "f8df3d05deeb7ca19290ea772f325f0b700b062001e9d9517fea7ba46bdd96c1",
+            "curve.csv": "4aaf87a2764b43a7ac233b8d4050d41576472564b8625155fa079ca29a48dd93",
+        }),
+        (["ldp-curve", "--model", "wrandom:u.json", "--event", "density-le:0.3",
+          "--n", "5,20", "--method", "exact", "--seed", "0"], {
+            "stdout": "3eaa1b250a9366fddd3dbd0aa8954b64e7165d486e546362c768a2a1798addd6",
+            "report.json": "3337073c5bb86c1d7839fac229bebe8b41124c7c3e7730ccfab2bc84d63652c7",
+            "curve.csv": "c3de766f7782e233d0dbd19e14472ae96ca6b3a41871c83a66232d22a07f4b56",
+        }),
+        (["ldp-curve", "--model", "block:1,1:1,0.5;0.5,0", "--event", "ball:u.json:0.3",
+          "--n", "4", "--method", "enum", "--seed", "0"], {
+            "stdout": "a688d92fd5efc7a1ea1542e7f3caf9517639c65a8501ff9e51a130171184af6e",
+            "report.json": "a739fa39d169ff36e157a89e6705502fc44521b3670443bde69bcc1c4f5b6253",
+            "curve.csv": "0e65157afa09e2d1762b3c3cc39fdfc2354f4726fc52308f70a9884b9a265739",
+        }),
+    ])
+    def test_digests(self, tmp_path, monkeypatch, capsys, argv, digests):
+        monkeypatch.chdir(tmp_path)  # inputs and --out are echoed, so they are relative
+        for name, obj in self.GRAPHONS.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        assert cli.main(argv + ["--out", "out"]) == 0
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        out = tmp_path / "out"
+        got.update((path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+                   for path in out.rglob("*") if path.is_file())
+        assert got == digests
+
+
 class TestLdpCurveCommand:
     def test_exact_curve_with_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -722,6 +798,27 @@ class TestInvalidInputExitsBeforeTheConfigLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: " + message.format(path=path))
+
+    # a graphon file that parses but is not a step graphon is named too, by
+    # the reader the library's load_graphon is
+    @pytest.mark.parametrize("contents, message", [
+        ({"weights": [1.0]}, "graphon JSON missing field 'values'"),
+        ({"weights": [1.0], "values": [[1.5]]}, "values must lie in [0, 1]"),
+    ], ids=["missing-field", "out-of-range"])
+    @pytest.mark.parametrize("argv", [
+        ["distance", "--u", "{path}", "--v", "{t1}"],
+        ["distance", "--u", "{t1}", "--v", "{path}"],
+        ["ldp-curve", "--model", "gnp:0.5", "--event", "ball:{path}:0.2", "--n", "4"],
+        ["ldp-curve", "--model", "wrandom:{path}", "--event", "density-ge:0.5", "--n", "4"],
+    ], ids=["u", "v", "ball-target", "wrandom-model"])
+    def test_graphon_faults_exit_2_naming_the_path(self, tmp_path, capsys, argv, contents,
+                                                   message):
+        t1 = write_graphon(tmp_path / "t1.json", [1.0], [[0.4]])
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(contents))
+        argv = [arg.format(t1=t1, path=path) for arg in argv] + ["--seed", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s: %s\n" % (path, message))
 
 
 class TestPointRuleRefusesBeforeTheConfigLine:

@@ -375,6 +375,13 @@ class TestSerialization:
             load_graphon(path)
         assert str(info.value).startswith("%s: not valid JSON (" % path)
 
+    def test_load_graphon_names_the_path_of_a_shape_fault(self, tmp_path):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"weights": [1.0]}))
+        with pytest.raises(ValueError) as info:
+            load_graphon(path)
+        assert str(info.value) == "%s: graphon JSON missing field 'values'" % path
+
     def test_graphon_json_rejects_garbage(self):
         with pytest.raises(ValueError):
             graphon_from_json([1, 2, 3])

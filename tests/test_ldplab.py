@@ -161,6 +161,21 @@ class TestBinomialTail:
         assert binomial_tail_logprob(5, 0.0, 1) == -math.inf
         assert binomial_tail_logprob(5, 0.0, 0) == 0.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("m", [0, 1, 7, 40])
+    def test_edges_of_the_window(self, m, p):
+        # every k_min at or past an end of 0..m, at every kind of coin
+        for k_min in sorted({-1, 0, 1, math.ceil(m / 2), m, m + 1}):
+            got = binomial_tail_logprob(m, p, k_min)
+            if k_min <= 0:
+                assert got == 0.0
+            elif k_min > m or p == 0.0:
+                assert got == -math.inf
+            elif k_min == m and p < 1.0:
+                assert got == m * math.log(p)
+            else:
+                assert abs(got - math.log(frac_binomial_tail(m, Fraction(p), k_min))) < 1e-12
+
 
 class TestDensityLogprobBlock:
     def test_single_class_fast_path(self):
@@ -375,6 +390,14 @@ class TestExactEventLogprob:
         assert 0.0 < total < 1.0  # the event must be nondegenerate
         assert abs(got - math.log(total)) < 1e-10
 
+    def test_wrandom_density_refusal_advises_mc(self):
+        # tilted sampling needs a fixed block layout, so only mc can run it
+        u2 = make_step_graphon([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
+        with pytest.raises(ValueError) as info:
+            exact_event_logprob_wrandom(3000, u2, EventSpec("density-ge", r=0.7))
+        assert str(info.value) == ("exact density law: 4498500 free pairs exceed the FFT cap "
+                                   "of 2097151; use mc")
+
     def test_wrandom_against_brute(self):
         u = make_step_graphon([0.4, 0.6], [[0.9, 0.2], [0.2, 0.7]])
         ev = EventSpec("density-ge", r=0.5)
@@ -560,6 +583,41 @@ class TestPredictedRate:
         rate = predicted_rate(fam, ev, budget=4, seed=0)
         assert abs(rate - 0.5 * rel_entropy(0.5, 1.0)) < 1e-12
         assert abs(rate - 0.5 * math.log(2.0)) < 1e-12
+
+
+class TestGnpIsTheOneBlockFamily:
+    """GnpFamily(p) and BlockFamily((1.0,), ((p,),)) agree wherever a family is read."""
+
+    BALL = EventSpec("ball", target=make_step_graphon([1.0], [[0.5]]), eta=0.4)
+    DENSITY = EventSpec("density-ge", r=0.6)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_layout_and_draws(self, p):
+        gnp, block = GnpFamily(p), BlockFamily((1.0,), ((p,),))
+        for got, want in zip(gnp.layout(), block.layout()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for n in (1, 2, 17):
+            (c_g, p_g), (c_b, p_b) = gnp.counts_for(n), block.counts_for(n)
+            assert np.array_equal(c_g, c_b) and np.array_equal(p_g, p_b)
+        (g_g, c_g), (g_b, c_b) = gnp.draw(30, 7), block.draw(30, 7)
+        assert g_g.edges.tobytes() == g_b.edges.tobytes() and np.array_equal(c_g, c_b)
+        rng_g, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        (g_g, c_g), (g_b, c_b) = gnp.draw(30, rng_g), block.draw(30, rng_b)
+        assert g_g.edges.tobytes() == g_b.edges.tobytes() and np.array_equal(c_g, c_b)
+        assert rng_g.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_methods_rates_and_curves(self, p):
+        gnp, block = GnpFamily(p), BlockFamily((1.0,), ((p,),))
+        for ev, sizes in ((self.DENSITY, [2, 9, 2100]), (self.BALL, [3, 6, 30])):
+            assert check_method(gnp, ev, "auto", sizes) == check_method(block, ev, "auto", sizes)
+            assert (predicted_rate(gnp, ev, budget=2, seed=1)
+                    == predicted_rate(block, ev, budget=2, seed=1))
+        for ev, sizes, method in ((self.DENSITY, [4, 12], "exact"),
+                                  (self.DENSITY, [20], "tilted"),
+                                  (self.BALL, [4], "enum"), (self.BALL, [7], "mc")):
+            assert (ldp_curve(gnp, ev, sizes, method, num_samples=20, seed=3)
+                    == ldp_curve(block, ev, sizes, method, num_samples=20, seed=3))
 
 
 class TestLdpCurve:
