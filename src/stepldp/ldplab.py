@@ -74,6 +74,8 @@ FFT_LENGTH_CAP = 1 << 21
 BINOMIAL_LENGTH_CAP = 1 << 26
 # the 3^b 5^c factors of the fast transform lengths ``_fft_length`` picks from
 _FFT_FACTORS = tuple(3**b * 5**c for b in range(14) for c in range(10))
+# ``_fft_length``'s memo, int span -> int length, cleared when it reaches 4096 spans
+_FFT_LENGTHS = {}
 
 
 # ---------------------------------------------------------------------------
@@ -187,45 +189,57 @@ class WRandomFamily:
 # exact density laws via binomial tails and one exponentially shifted FFT
 
 
-def _log_mgf(p, theta):
+def _coin_logs(p):
+    """log p and log(1 - p) of a coin strictly inside (0, 1): all a tilt of it reads."""
+    return math.log(p), math.log1p(-p)
+
+
+def _log_mgf(logs, theta):
     """log(1 - p + p e^theta), the log moment generating function of one coin.
 
-    It is exactly 0 at theta = 0, so untilted laws keep their bits.
+    ``logs`` is the coin's ``_coin_logs``.  It is exactly 0 at theta = 0, so
+    untilted laws keep their bits.
     """
     if theta == 0.0:
         return 0.0
-    a, b = math.log1p(-p), math.log(p) + theta
-    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+    lq, b = logs[1], logs[0] + theta
+    return max(lq, b) + math.log1p(math.exp(-abs(lq - b)))
 
 
-def _tilted_prob(p, theta):
+def _tilted_prob(p, logs, theta):
     """The coin p tilted by theta: p e^theta / (1 - p + p e^theta)."""
-    return p if theta == 0.0 else math.exp(math.log(p) + theta - _log_mgf(p, theta))
+    return p if theta == 0.0 else math.exp(logs[0] + theta - _log_mgf(logs, theta))
 
 
-def _binomial_logpmf(m, p, theta=0.0):
-    """Vector of log P(Bin(m, p) = k) for k = 0..m, exact at p in {0, 1}.
+def _log_norm(free, theta):
+    """sum_c mult_c log M_c(theta): the log normaliser of every free class tilted by theta."""
+    return sum(mult * _log_mgf(_coin_logs(prob), theta) for prob, mult in free)
 
-    A nonzero theta gives the law of the tilted coin ``_tilted_prob(p,
-    theta)``, with its log probabilities formed from log p + theta and the
-    log moment generating function rather than from the rounded coin.
-    """
-    k = np.arange(m + 1)
-    if p <= 0.0:
-        out = np.full(m + 1, -np.inf)
-        out[0] = 0.0
-        return out
-    if p >= 1.0:
-        out = np.full(m + 1, -np.inf)
-        out[m] = 0.0
-        return out
+
+def _log_choose(m, k):
+    """log C(m, k) at each count of the int array k."""
     from scipy.special import gammaln
 
-    lm = _log_mgf(p, theta)
-    return (
-        gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-        + k * (math.log(p) + theta - lm) + (m - k) * (math.log1p(-p) - lm)
-    )
+    return gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+
+
+def _binomial_logpmf(m, p, theta=0.0, k=None, log_choose=None):
+    """Vector of log P(Bin(m, p) = k) over the counts k, 0..m by default; exact at p in {0, 1}.
+
+    A nonzero theta gives the law of the tilted coin ``_tilted_prob(p, logs,
+    theta)``, with its log probabilities formed from log p + theta and the
+    log moment generating function rather than from the rounded coin.
+    ``log_choose`` is ``_log_choose(m, k)``, passed by callers that share it
+    between classes of one multiplicity.
+    """
+    k = np.arange(m + 1) if k is None else k
+    if p <= 0.0 or p >= 1.0:
+        return np.where(k == (0 if p <= 0.0 else m), 0.0, -np.inf)
+    logs = _coin_logs(p)
+    lm = _log_mgf(logs, theta)
+    if log_choose is None:
+        log_choose = _log_choose(m, k)
+    return log_choose + k * (logs[0] + theta - lm) + (m - k) * (logs[1] - lm)
 
 
 def _pair_classes(counts, p):
@@ -326,20 +340,32 @@ def _window_tilt(free, lo, hi):
     if lo <= mean <= hi:
         return 0.0
     target = lo if mean < lo else hi
-    bound = max(abs(math.log(prob) - math.log1p(-prob)) for prob, _ in free) + 40.0
+    coins = [(prob, w, _coin_logs(prob)) for prob, w in free]
+    bound = max(abs(lp - lq) for _, _, (lp, lq) in coins) + 40.0
     below, above = -bound, bound
+    # each step is a function of (below, above) alone, so the first step
+    # that changes neither is a fixed point and every later one would repeat it
     for _ in range(100):
         mid = 0.5 * (below + above)
-        if sum(w * _tilted_prob(prob, mid) for prob, w in free) < target:
-            below = mid
+        if sum(w * _tilted_prob(prob, logs, mid) for prob, w, logs in coins) < target:
+            step = mid, above
         else:
-            above = mid
+            step = below, mid
+        if step == (below, above):
+            break
+        below, above = step
     return 0.5 * (below + above)
 
 
 def _fft_length(span):
     """The least 2^a 3^b 5^c above span: a fast length, at most 25 % longer."""
-    return min((1 << (span // d).bit_length()) * d for d in _FFT_FACTORS)
+    length = _FFT_LENGTHS.get(span)
+    if length is None:
+        if len(_FFT_LENGTHS) >= 4096:
+            _FFT_LENGTHS.clear()
+        length = _FFT_LENGTHS[span] = min((1 << (span // d).bit_length()) * d
+                                          for d in _FFT_FACTORS)
+    return length
 
 
 def _exact_law_refusal(free, window):
@@ -381,15 +407,18 @@ def _fft_window_logprob(free, lo, hi):
     length = _fft_length(sum(mult for _, mult in free))
     theta = _window_tilt(free, lo, hi)
     spec = np.ones(length // 2 + 1, dtype=complex)
+    log_chooses = {}  # one table per distinct multiplicity, for this call only
     for prob, mult in free:
-        spec *= np.fft.rfft(np.exp(_binomial_logpmf(mult, prob, theta)), length)
+        if mult not in log_chooses:
+            log_chooses[mult] = _log_choose(mult, np.arange(mult + 1))
+        pmf = _binomial_logpmf(mult, prob, theta, log_choose=log_chooses[mult])
+        spec *= np.fft.rfft(np.exp(pmf), length)
     law = np.maximum(np.fft.irfft(spec, length)[lo : hi + 1], 0.0)
     # anchor the shift at the window's heavy edge, so no weight exceeds 1
     anchor = lo if theta > 0.0 else hi
     mass = float(law @ np.exp(-theta * np.arange(lo - anchor, hi - anchor + 1)))
-    log_norm = sum(mult * _log_mgf(prob, theta) for prob, mult in free)
     # a window holding nearly all the mass can round just above 0
-    return min(math.log(mass) - theta * anchor + log_norm, 0.0)
+    return min(math.log(mass) - theta * anchor + _log_norm(free, theta), 0.0)
 
 
 def _check_block_law(counts, p):
@@ -413,7 +442,7 @@ def _window_logprob(free, window):
         from scipy.special import logsumexp
 
         prob, mult = free[0]
-        return float(logsumexp(_binomial_logpmf(mult, prob)[lo : hi + 1]))
+        return float(logsumexp(_binomial_logpmf(mult, prob, k=np.arange(lo, hi + 1))))
     return _fft_window_logprob(free, lo, hi)
 
 
@@ -523,21 +552,24 @@ def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
     counts the graph is exactly the block model with those counts, so the
     law is the multinomial mixture of block laws and the probability is the
     corresponding convex combination, evaluated term by term.  A density
-    event reads each layout's window once and takes its window law, refused
-    past the block law's caps with the advice to sample by mc: tilted
-    sampling needs a fixed layout.
+    event reads each layout's window once and takes its window law.  Past
+    the block law's caps the law is refused, with the advice to sample by
+    mc (tilted sampling needs a fixed layout), before any layout's law is
+    built.
     """
     from scipy.special import gammaln, logsumexp
 
     w = u.parts.weights
     logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+    # as at _point_method: no layout is refused while all the pairs would pass
+    if event.is_density and _fft_length(n * (n - 1) // 2) > FFT_LENGTH_CAP:
+        for a in _compositions(n, w):
+            _check_exact_law(*_density_window(a, u.values, event), instead="mc")
     terms = []
     for a in _compositions(n, w):
         log_mult = float(gammaln(n + 1) - gammaln(a + 1).sum() + (a * np.where(a > 0, logw, 0.0)).sum())
         if event.is_density:
-            free, window = _density_window(a, u.values, event)
-            _check_exact_law(free, window, instead="mc")
-            log_cond = _window_logprob(free, window)
+            log_cond = _window_logprob(*_density_window(a, u.values, event))
         else:
             log_cond = exact_event_logprob_block(a, u.values, event)
         if log_cond != -math.inf:
@@ -620,8 +652,8 @@ def tilted_density_logprob_block(counts, p, event: EventSpec, num_samples, seed)
     rng = np.random.default_rng(seed)
     total = np.zeros(num_samples, dtype=np.int64)
     for prob, mult in free:
-        total += rng.binomial(mult, _tilted_prob(prob, theta), size=num_samples)
-    logw = sum(mult * _log_mgf(prob, theta) for prob, mult in free) - theta * total
+        total += rng.binomial(mult, _tilted_prob(prob, _coin_logs(prob), theta), size=num_samples)
+    logw = _log_norm(free, theta) - theta * total
     hit = (total >= lo) & (total <= hi)
     hits = int(hit.sum())
     if hits == 0:
@@ -687,7 +719,7 @@ def block_density_rate(alpha, p, r, kind="density-ge"):
         rho = [0.0] * len(free)
     else:
         theta = _window_tilt(free, max(lo, 0.0), min(hi, reach))
-        rho = [_tilted_prob(q, theta) for q, _ in free]
+        rho = [_tilted_prob(q, _coin_logs(q), theta) for q, _ in free]
     return 0.5 * sum(wc * rel_entropy(q, x) for (q, wc), x in zip(free, rho))
 
 

@@ -335,6 +335,178 @@ class TestFftDensityLaw:
         check_method(GnpFamily(0.5), ball, "mc", [1])
 
 
+def oracle_log_mgf(p, theta):
+    """The log moment generating function as stated once per coin and call."""
+    if theta == 0.0:
+        return 0.0
+    a, b = math.log1p(-p), math.log(p) + theta
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def oracle_tilted_prob(p, theta):
+    return p if theta == 0.0 else math.exp(math.log(p) + theta - oracle_log_mgf(p, theta))
+
+
+def oracle_window_tilt(free, lo, hi):
+    """The window tilt by exactly 100 bisection steps, every log taken at every step."""
+    mean = sum(prob * w for prob, w in free)
+    if lo <= mean <= hi:
+        return 0.0
+    target = lo if mean < lo else hi
+    bound = max(abs(math.log(prob) - math.log1p(-prob)) for prob, _ in free) + 40.0
+    below, above = -bound, bound
+    for _ in range(100):
+        mid = 0.5 * (below + above)
+        if sum(w * oracle_tilted_prob(prob, mid) for prob, w in free) < target:
+            below = mid
+        else:
+            above = mid
+    return 0.5 * (below + above)
+
+
+def oracle_binomial_logpmf(m, p, theta):
+    """log P(Bin(m, p_theta) = k) for k = 0..m, its log binomials built for this class alone."""
+    from scipy.special import gammaln
+
+    k = np.arange(m + 1)
+    lm = oracle_log_mgf(p, theta)
+    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+            + k * (math.log(p) + theta - lm) + (m - k) * (math.log1p(-p) - lm))
+
+
+def oracle_fft_window_logprob(free, lo, hi):
+    """The FFT window law with one tilt by ``oracle_window_tilt`` and one pmf per class."""
+    length = min((1 << (sum(m for _, m in free) // d).bit_length()) * d
+                 for d in ldplab._FFT_FACTORS)
+    theta = oracle_window_tilt(free, lo, hi)
+    spec = np.ones(length // 2 + 1, dtype=complex)
+    for prob, mult in free:
+        spec *= np.fft.rfft(np.exp(oracle_binomial_logpmf(mult, prob, theta)), length)
+    law = np.maximum(np.fft.irfft(spec, length)[lo : hi + 1], 0.0)
+    anchor = lo if theta > 0.0 else hi
+    mass = float(law @ np.exp(-theta * np.arange(lo - anchor, hi - anchor + 1)))
+    log_norm = sum(mult * oracle_log_mgf(prob, theta) for prob, mult in free)
+    return min(math.log(mass) - theta * anchor + log_norm, 0.0)
+
+
+class TestExactLawOracles:
+    """The exact density law against copies of its per-step, per-class form.
+
+    The bisection stops at its fixed point and the log binomials are shared
+    between classes of one multiplicity; neither may move a bit.
+    """
+
+    def windows(self, rng, free):
+        """Windows below, above and around the mean of ``free``'s integer count."""
+        span = sum(m for _, m in free)
+        mean = sum(p * m for p, m in free)
+        lo_tail = int(rng.integers(0, max(int(mean * 0.8), 1)))
+        hi_tail = int(rng.integers(min(int(mean * 1.2) + 1, span), span + 1))
+        return [(0, lo_tail), (hi_tail, span), (int(mean * 0.9), min(int(mean * 1.1) + 1, span))]
+
+    def test_window_tilt_on_integer_multiplicities(self):
+        rng = np.random.default_rng(28)
+        seen_zero = 0
+        for case in range(120):
+            k = int(rng.integers(1, 7))
+            probs = rng.uniform(0.01, 0.99, k)
+            if case % 5 == 0:
+                probs[0] = 1e-12
+            if case % 7 == 0:
+                probs[-1] = 1.0 - 1e-12
+            free = list(zip(probs.tolist(), rng.integers(1, 5000, k).tolist()))
+            for lo, hi in self.windows(rng, free):
+                want = oracle_window_tilt(free, lo, hi)
+                assert ldplab._window_tilt(free, lo, hi) == want, (free, lo, hi)
+                seen_zero += want == 0.0
+        assert seen_zero >= 100
+
+    def test_window_tilt_on_rate_weights(self):
+        # block_density_rate passes float weights alpha_i alpha_j and float ends
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k * (k + 1) // 2))
+            probs = rng.uniform(1e-9, 1.0 - 1e-9, weights.size)
+            free = list(zip(probs.tolist(), weights.tolist()))
+            mean = float(probs @ weights)
+            r = float(rng.uniform(0.0, 1.0))
+            for lo, hi in ((max(r, 0.0), 1.0), (0.0, min(r, 1.0)), (mean, mean)):
+                assert ldplab._window_tilt(free, lo, hi) == oracle_window_tilt(free, lo, hi)
+
+    def test_fft_window_logprob(self):
+        rng = np.random.default_rng(30)
+        for case in range(60):
+            k = int(rng.integers(2, 7))
+            probs = rng.uniform(0.01, 0.99, k)
+            if case % 4 == 0:
+                probs[0], probs[-1] = 1e-10, 1.0 - 1e-10
+            # shared multiplicities, as equal blocks give
+            mults = rng.choice(rng.integers(1, 3000, 2), size=k).tolist()
+            free = list(zip(probs.tolist(), mults))
+            for lo, hi in self.windows(rng, free):
+                if (lo, hi) == (0, sum(mults)) or hi == 0 or lo == sum(mults):
+                    continue  # closed forms, never convolved
+                want = oracle_fft_window_logprob(free, lo, hi)
+                assert ldplab._fft_window_logprob(free, lo, hi) == want, (free, lo, hi)
+
+    def test_one_class_window_law_evaluates_only_the_window(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            m = int(rng.integers(1, 20000))
+            p = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            lo, hi = sorted(int(x) for x in rng.integers(0, m + 1, 2))
+            if (lo, hi) == (0, m) or hi == 0 or lo == m:
+                continue
+            want = float(logsumexp(oracle_binomial_logpmf(m, p, 0.0)[lo : hi + 1]))
+            assert ldplab._window_logprob([(p, m)], (lo, hi)) == want
+
+    def test_bisection_stops_at_its_fixed_point(self, monkeypatch):
+        calls = []
+        tilted_prob = ldplab._tilted_prob
+
+        def counting(p, logs, theta):
+            calls.append(theta)
+            return tilted_prob(p, logs, theta)
+
+        monkeypatch.setattr(ldplab, "_tilted_prob", counting)
+        p = np.array([[0.6, 0.1, 0.2], [0.1, 0.5, 0.25], [0.2, 0.25, 0.65]])
+        free, (lo, hi) = ldplab._density_window([128] * 3, p, EventSpec("density-ge", r=0.45))
+        theta = ldplab._window_tilt(free, lo, hi)
+        assert theta == oracle_window_tilt(free, lo, hi) > 0.0
+        steps = len(calls) // len(free)
+        assert len(calls) == steps * len(free)
+        assert calls[0] == 0.0  # the first midpoint of the symmetric bracket
+        assert 50 <= steps < 100
+
+    def test_fft_length_memo(self):
+        for span in list(range(1, 3000)) + [2048 * 2047 // 2, 2050 * 2049 // 2, 2**40 + 7]:
+            want = min((1 << (span // d).bit_length()) * d for d in ldplab._FFT_FACTORS)
+            assert ldplab._fft_length(span) == want
+            assert ldplab._fft_length(span) == want  # the memoized answer
+        assert len(ldplab._FFT_LENGTHS) <= 4096
+
+    def test_no_module_array_outlives_a_law(self):
+        p = np.array([[0.6, 0.1, 0.2], [0.1, 0.5, 0.25], [0.2, 0.25, 0.65]])
+        assert density_logprob_block([128] * 3, p, EventSpec("density-ge", r=0.45)) < -100.0
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for v in itertools.chain(value.keys(), value.values()):
+                    yield from arrays(v)
+            elif isinstance(value, (list, tuple, set, frozenset)):
+                for v in value:
+                    yield from arrays(v)
+
+        for name, value in vars(ldplab).items():
+            for arr in arrays(value):
+                assert arr.nbytes <= 1024, name
+        memo = ldplab._FFT_LENGTHS
+        assert memo and all(type(k) is int and type(v) is int for k, v in memo.items())
+
+
 class TestExactEventLogprob:
     def test_density_routes_to_closed_form(self):
         ev = EventSpec("density-ge", r=0.5)
@@ -397,6 +569,17 @@ class TestExactEventLogprob:
             exact_event_logprob_wrandom(3000, u2, EventSpec("density-ge", r=0.7))
         assert str(info.value) == ("exact density law: 4498500 free pairs exceed the FFT cap "
                                    "of 2097151; use mc")
+
+    def test_wrandom_density_refuses_before_any_window_law(self, monkeypatch):
+        # the layout of all 3000 vertices in one part fits the binomial cap
+        # and comes first; its 4.5M-entry law must not be built before the
+        # next layout is refused
+        calls = []
+        monkeypatch.setattr(ldplab, "_window_logprob", lambda *args: calls.append(args))
+        u2 = make_step_graphon([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="4498500 free pairs exceed the FFT cap"):
+            exact_event_logprob_wrandom(3000, u2, EventSpec("density-ge", r=0.7))
+        assert calls == []
 
     def test_wrandom_against_brute(self):
         u = make_step_graphon([0.4, 0.6], [[0.9, 0.2], [0.2, 0.7]])
