@@ -1,112 +1,15 @@
 """Step-graphon algebra, cut metrics, entropy rate functions, and
 large-deviation experiments for block-model random graphs."""
 
-from .graphon import (
-    PartWeights,
-    StepGraphon,
-    LabeledGraph,
-    OverlapCoupling,
-    make_step_graphon,
-    graph_to_graphon,
-    edge_density,
-    overlay_partitions,
-    common_refinement,
-    coupling_pieces,
-    apply_coupling,
-    stretch_pullback,
-    project_steps,
-    graphon_to_json,
-    graphon_from_json,
-    dump_graphon,
-    load_graphon,
-    graph_to_edgelist,
-    graph_from_edgelist,
-)
-from .cutmetric import (
-    SignedStepFn,
-    DistanceEstimate,
-    cut_norm_exact,
-    cut_norm_alternating,
-    cut_distance_upper,
-    aligned_cut_distance,
-    overlay_coupling,
-    cut_distance_search,
-    graph_cut_distance_exact,
-)
-from .coloured import (
-    ColouredStepGraphon,
-    coloured_refinement,
-    dk_norm,
-    dk_distance_search,
-    gamma_block,
-    coloured_to_json,
-    coloured_from_json,
-)
-from .rates import (
-    rel_entropy,
-    rate_Ip,
-    rate_Ik,
-    rate_J,
-    rate_R,
-    RateReport,
-    coupling_entropy_objective,
-    block_entropy_objective,
-    reweight_witness,
-    ReweightWitness,
-)
-from .samplers import (
-    apportion_counts,
-    sample_block,
-    sample_wrandom,
-    coupled_block_sample,
-    alignment_distance_bound,
-    WRandomSample,
-    CoupledPair,
-)
-from .ldplab import (
-    EventSpec,
-    GnpFamily,
-    BlockFamily,
-    WRandomFamily,
-    binomial_tail_logprob,
-    density_logprob_block,
-    exact_event_logprob_block,
-    exact_event_logprob_wrandom,
-    mc_event_logprob,
-    tilted_density_logprob_block,
-    gnp_density_rate,
-    block_density_rate,
-    predicted_rate,
-    check_method,
-    ldp_curve,
-)
+from . import graphon, cutmetric, coloured, rates, samplers, ldplab
+from .graphon import *
+from .cutmetric import *
+from .coloured import *
+from .rates import *
+from .samplers import *
+from .ldplab import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PartWeights", "StepGraphon", "LabeledGraph", "OverlapCoupling",
-    "make_step_graphon", "graph_to_graphon", "edge_density",
-    "overlay_partitions", "common_refinement", "coupling_pieces",
-    "apply_coupling", "stretch_pullback", "project_steps",
-    "graphon_to_json", "graphon_from_json", "dump_graphon", "load_graphon",
-    "graph_to_edgelist", "graph_from_edgelist",
-    "SignedStepFn", "DistanceEstimate", "cut_norm_exact",
-    "cut_norm_alternating", "cut_distance_upper", "aligned_cut_distance",
-    "overlay_coupling", "cut_distance_search", "graph_cut_distance_exact",
-    "ColouredStepGraphon", "coloured_refinement", "dk_norm",
-    "dk_distance_search", "gamma_block",
-    "coloured_to_json", "coloured_from_json",
-    "rel_entropy", "rate_Ip", "rate_Ik", "rate_J", "rate_R", "RateReport",
-    "coupling_entropy_objective", "block_entropy_objective",
-    "reweight_witness", "ReweightWitness",
-    "apportion_counts", "sample_block", "sample_wrandom",
-    "coupled_block_sample", "alignment_distance_bound",
-    "WRandomSample", "CoupledPair",
-    "EventSpec", "GnpFamily", "BlockFamily", "WRandomFamily",
-    "binomial_tail_logprob", "density_logprob_block",
-    "exact_event_logprob_block", "exact_event_logprob_wrandom",
-    "mc_event_logprob", "tilted_density_logprob_block",
-    "gnp_density_rate", "block_density_rate", "predicted_rate", "check_method",
-    "ldp_curve",
-    "__version__",
-]
+__all__ = (graphon.__all__ + cutmetric.__all__ + coloured.__all__ + rates.__all__
+           + samplers.__all__ + ldplab.__all__ + ["__version__"])

@@ -30,6 +30,12 @@ from .cutmetric import (
     _profile_cost,
 )
 
+__all__ = [
+    "ColouredStepGraphon", "coloured_refinement", "dk_norm",
+    "dk_distance_search", "gamma_block",
+    "coloured_to_json", "coloured_from_json",
+]
+
 
 class ColouredStepGraphon:
     """A step graphon whose parts each carry a colour index.

@@ -29,6 +29,12 @@ from .graphon import (
     overlay_partitions,
 )
 
+__all__ = [
+    "SignedStepFn", "DistanceEstimate", "cut_norm_exact",
+    "cut_norm_alternating", "cut_distance_upper", "aligned_cut_distance",
+    "overlay_coupling", "cut_distance_search", "graph_cut_distance_exact",
+]
+
 # Exact subset enumeration is used up to this many parts; past it the
 # alternating heuristic takes over.
 EXACT_PART_LIMIT = 22

@@ -12,6 +12,15 @@ import json
 
 import numpy as np
 
+__all__ = [
+    "PartWeights", "StepGraphon", "LabeledGraph", "OverlapCoupling",
+    "make_step_graphon", "graph_to_graphon", "edge_density",
+    "overlay_partitions", "common_refinement", "coupling_pieces",
+    "apply_coupling", "stretch_pullback", "project_steps",
+    "graphon_to_json", "graphon_from_json", "dump_graphon", "load_graphon",
+    "graph_to_edgelist", "graph_from_edgelist",
+]
+
 # Tolerance for "weights sum to one" checks.  Inputs already normalized this
 # tightly are kept bit-for-bit so JSON round trips are exact.
 NORMALIZATION_TOL = 1e-12

@@ -146,19 +146,29 @@ class BlockFamily:
 
     alpha: tuple
     p: tuple  # nested tuple, symmetric
+    instead = "tilted or mc"  # the methods to run where the exact law is refused
 
     def __post_init__(self):
         """Reject block ratios or a probability matrix that define no block model."""
         alpha, p = self.layout()
         _check_prob_matrix(p, _check_weights(alpha, "alpha").size)
 
+    @property
+    def values(self):
+        """The block probability matrix."""
+        return np.asarray(self.p, dtype=float)
+
     def layout(self):
         """Block ratios and block probability matrix."""
-        return np.asarray(self.alpha, dtype=float), np.asarray(self.p, dtype=float)
+        return np.asarray(self.alpha, dtype=float), self.values
 
     def counts_for(self, n):
         alpha, p = self.layout()
         return apportion_counts(n, alpha), p
+
+    def layouts(self, n):
+        """The block counts of n vertices, one array per layout: this family's one."""
+        return [self.counts_for(n)[0]]
 
     def draw(self, n, seed):
         """One n-vertex sample and its block counts."""
@@ -179,10 +189,29 @@ class WRandomFamily:
     """
 
     u: StepGraphon
+    instead = "mc"  # where the exact law is refused: tilted sampling needs a fixed layout
+
+    @property
+    def values(self):
+        """The part value matrix."""
+        return self.u.values
 
     def draw(self, n, seed):
         """One n-vertex sample and its per-part vertex counts."""
         return sample_wrandom(n, self.u, seed)
+
+    def layouts(self, n):
+        """The block counts of n vertices, one array per layout: each composition of n."""
+        return _compositions(n, self.u.parts.weights)
+
+    def layout_logweight(self, counts):
+        """log P(the vertex types fall in these block counts): the multinomial weight."""
+        from scipy.special import gammaln
+
+        n = int(counts.sum())
+        w = self.u.parts.weights
+        return float(gammaln(n + 1) - gammaln(counts + 1).sum()
+                     + (counts * np.log(np.where(counts > 0, w, 1.0))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +414,7 @@ def _exact_law_refusal(free, window):
     return None
 
 
-def _check_exact_law(free, window, at="", instead="tilted or mc"):
+def _check_exact_law(free, window, at="", instead=BlockFamily.instead):
     """Raise the refusal of ``_exact_law_refusal``; ``at`` names the size after
     it, and ``instead`` the methods that would run."""
     refusal = _exact_law_refusal(free, window)
@@ -442,7 +471,8 @@ def _window_logprob(free, window):
         from scipy.special import logsumexp
 
         prob, mult = free[0]
-        return float(logsumexp(_binomial_logpmf(mult, prob, k=np.arange(lo, hi + 1))))
+        # a window holding nearly all the mass can round just above 0
+        return min(float(logsumexp(_binomial_logpmf(mult, prob, k=np.arange(lo, hi + 1)))), 0.0)
     return _fft_window_logprob(free, lo, hi)
 
 
@@ -545,39 +575,79 @@ def _compositions(n, w):
             yield a
 
 
-def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
-    """Exact log probability under the step-graphon law, by conditioning.
+def _refusable(family, n, event):
+    """False when no block layout of n can be refused, so none needs a check.
 
-    The vertex-type vector is multinomial; conditioned on the per-part
-    counts the graph is exactly the block model with those counts, so the
-    law is the multinomial mixture of block laws and the probability is the
-    corresponding convex combination, evaluated term by term.  A density
-    event reads each layout's window once and takes its window law.  Past
-    the block law's caps the law is refused, with the advice to sample by
-    mc (tilted sampling needs a fixed layout), before any layout's law is
-    built.
+    A layout's free pairs are among all n(n-1)/2 and ``_fft_length`` never
+    decreases, so no layout is refused while all the pairs would pass.  A
+    layout with at most one free pair class (every layout, when the family
+    has at most one value strictly between 0 and 1) is refused only from
+    ``BINOMIAL_LENGTH_CAP`` free pairs on.
     """
-    from scipy.special import gammaln, logsumexp
+    pairs = n * (n - 1) // 2
+    if not event.is_density:
+        return pairs > ENUM_FREE_LIMIT or n > ENUM_VERTEX_LIMIT
+    if _fft_length(pairs) <= FFT_LENGTH_CAP:
+        return False
+    v = family.values
+    return pairs >= BINOMIAL_LENGTH_CAP or np.unique(v[(v > 0.0) & (v < 1.0)]).size > 1
 
-    w = u.parts.weights
-    logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
-    # as at _point_method: no layout is refused while all the pairs would pass
-    if event.is_density and _fft_length(n * (n - 1) // 2) > FFT_LENGTH_CAP:
-        for a in _compositions(n, w):
-            _check_exact_law(*_density_window(a, u.values, event), instead="mc")
-    terms = []
-    for a in _compositions(n, w):
-        log_mult = float(gammaln(n + 1) - gammaln(a + 1).sum() + (a * np.where(a > 0, logw, 0.0)).sum())
+
+def _check_layouts(family, n, event, at=""):
+    """Raise the first refusal among the block laws of the family's layouts of n.
+
+    A density layout is held to the exact law's caps, with the family's
+    ``instead`` as advice, and a ball layout to enumeration's; ``at`` names
+    the size after the count.  The walk reads block counts only, and runs
+    only where ``_refusable`` admits a refusal.
+    """
+    if not _refusable(family, n, event):
+        return
+    p = family.values
+    for counts in family.layouts(n):
         if event.is_density:
-            log_cond = _window_logprob(*_density_window(a, u.values, event))
+            _check_exact_law(*_density_window(counts, p, event), at, family.instead)
         else:
-            log_cond = exact_event_logprob_block(a, u.values, event)
-        if log_cond != -math.inf:
-            terms.append(log_mult + log_cond)
+            _check_enumerable(counts, p, at)
+
+
+def _mixture_logprob(family, n, event):
+    """Exact log P(event) at size n: the block laws of the family's layouts, mixed.
+
+    Conditioned on its per-part vertex counts a graph is exactly the block
+    model of those counts, so the law is the mixture of the layouts' laws
+    ``exact_event_logprob_block`` under their multinomial weights
+    (``layout_logweight``).  A family of one layout (a block family, or a
+    graphon with one part of positive weight) is certain to take it, and
+    that layout's law is returned unchanged.  Every layout is checked by
+    ``_check_layouts`` before any law is built.
+    """
+    _check_layouts(family, n, event)
+    p, layouts = family.values, list(family.layouts(n))
+    if len(layouts) == 1:
+        return exact_event_logprob_block(layouts[0], p, event)
+    from scipy.special import logsumexp
+
+    terms = []
+    for counts in layouts:
+        law = exact_event_logprob_block(counts, p, event)
+        if law != -math.inf:
+            terms.append(family.layout_logweight(counts) + law)
     if not terms:
         return -math.inf
     # the mixture of a certain event can round just above 0
     return min(float(logsumexp(np.asarray(terms))), 0.0)
+
+
+def exact_event_logprob_wrandom(n, u: StepGraphon, event: EventSpec):
+    """Exact log probability under the step-graphon law, by conditioning.
+
+    The vertex-type vector is multinomial, so the law is the mixture of
+    block laws over the block counts of ``WRandomFamily(u)``.  Past the
+    block law's caps it is refused, with the advice to sample by mc (tilted
+    sampling needs a fixed layout), before any layout's law is built.
+    """
+    return _mixture_logprob(WRandomFamily(u), n, event)
 
 
 # ---------------------------------------------------------------------------
@@ -794,42 +864,29 @@ def _point_method(family, event, method, n):
     Under random vertex types auto takes the exact law of a density event
     while n <= 40 and the law sums at most 3,000 block laws, and samples
     otherwise; the step-graphon law is labelled exact, asked as exact or
-    enum, and each of its block-count layouts must pass the block law's
-    guards.  Sampling needs a graph it can label, and a ball event at most
-    ``MC_VERTEX_LIMIT`` vertices.
+    enum.  An exact or enum point checks every layout of its family by
+    ``_check_layouts``.  Sampling needs a graph it can label, and a ball
+    event at most ``MC_VERTEX_LIMIT`` vertices.
     """
-    # a layout's free pairs are among all n(n-1)/2 and _fft_length never
-    # decreases, so no layout of n is refused while all the pairs would pass
-    pairs = n * (n - 1) // 2
-    refusable = (_fft_length(pairs) > FFT_LENGTH_CAP if event.is_density
-                 else pairs > ENUM_FREE_LIMIT or n > ENUM_VERTEX_LIMIT)
     if isinstance(family, WRandomFamily):
-        u = family.u
         if method == "auto":
             # the exact law sums one block law per composition of n
-            affordable = n <= 40 and math.comb(n + u.parts.size - 1, n) <= 3000
+            affordable = n <= 40 and math.comb(n + family.u.parts.size - 1, n) <= 3000
             method = "exact" if event.is_density and affordable else "mc"
         method = "exact" if method == "enum" else method
-        layouts = ((a, u.values) for a in _compositions(n, u.parts.weights))
-        instead = "mc"  # tilted sampling needs a fixed layout
     else:
-        layouts = [family.counts_for(n)]
-        instead = "tilted or mc"
-        counts, p = layouts[0]
+        counts, p = family.counts_for(n)
         if method == "auto" and event.is_density:
-            refused = refusable and _exact_law_refusal(*_density_window(counts, p, event))
+            refused = (_refusable(family, n, event)
+                       and _exact_law_refusal(*_density_window(counts, p, event)))
             method = "tilted" if refused else "exact"
         elif method == "auto":
             enum = n <= ENUM_VERTEX_LIMIT and _free_pair_count(counts, p) <= AUTO_ENUM_FREE_PAIRS
             method = "enum" if enum else "mc"
         if method == "tilted":
             _check_tilt_span(*_density_window(counts, p, event))
-    if method in ("exact", "enum") and refusable:
-        for counts, p in layouts:
-            if event.is_density:
-                _check_exact_law(*_density_window(counts, p, event), " at n=%d" % n, instead)
-            else:
-                _check_enumerable(counts, p, " at n=%d" % n)
+    if method in ("exact", "enum"):
+        _check_layouts(family, n, event, " at n=%d" % n)
     if method == "mc":
         if not event.is_density and n > MC_VERTEX_LIMIT:
             raise ValueError("Monte Carlo checks ball events on at most %d vertices, got n=%d"
@@ -870,9 +927,6 @@ def _point(family, n, event, method, num_samples, seed):
     """Estimate of log P(event) at size n by the method ``_point_method`` picked."""
     if method == "mc":
         return mc_event_logprob(lambda rng: family.draw(n, rng)[0], event, num_samples, seed)
-    if isinstance(family, WRandomFamily):
-        return _estimate(exact_event_logprob_wrandom(n, family.u, event), 0.0, 0, 0, method)
-    counts, p = family.counts_for(n)
     if method == "tilted":
-        return tilted_density_logprob_block(counts, p, event, num_samples, seed)
-    return _estimate(exact_event_logprob_block(counts, p, event), 0.0, 0, 0, method)
+        return tilted_density_logprob_block(*family.counts_for(n), event, num_samples, seed)
+    return _estimate(_mixture_logprob(family, n, event), 0.0, 0, 0, method)

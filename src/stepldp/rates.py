@@ -29,6 +29,12 @@ from .graphon import (
 from .coloured import ColouredStepGraphon
 from .cutmetric import _cycle_moves, _derived_rng, _multistart
 
+__all__ = [
+    "rel_entropy", "rate_Ip", "rate_Ik", "rate_J", "rate_R", "RateReport",
+    "coupling_entropy_objective", "block_entropy_objective",
+    "reweight_witness", "ReweightWitness",
+]
+
 DEFAULT_RATE_RESTARTS = 64
 
 # Objective decrease below this ends a polish pass.

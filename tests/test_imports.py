@@ -10,12 +10,15 @@ appears inside that function (nested functions included).  The
 private-name check fails on any module-level ``def``, ``class`` or
 assignment named with one leading underscore that no other top-level
 statement of the package reads, by name or as an attribute.
-In fresh processes, the start-up checks find that ``import stepldp`` loads
-no scipy module and builds no work array, and that only the commands that
-evaluate an exact law load ``scipy.special``.
+Each library module's ``__all__`` lists its public definitions, and the
+package root re-exports those lists, each name as its defining module's
+object.  In fresh processes, the start-up checks find that ``import
+stepldp`` loads no scipy module and builds no work array, and that only the
+commands that evaluate an exact law load ``scipy.special``.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -30,6 +33,8 @@ from test_cli import write_graphon
 PACKAGE_DIR = pathlib.Path(stepldp.__file__).resolve().parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# the modules whose ``__all__`` lists the package root re-exports, in its order
+LIBRARY = ("graphon", "cutmetric", "coloured", "rates", "samplers", "ldplab")
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -243,3 +248,45 @@ def test_private_checker_flags_dead_names():
     }
     assert unreferenced_privates(sources) == [
         ("a.py", "_DEAD", 2), ("a.py", "_recursive", 4), ("a.py", "_ALIAS", 10)]
+
+
+# ``stepldp.__all__`` as the package root listed it name by name
+PUBLIC_NAMES = [
+    "PartWeights", "StepGraphon", "LabeledGraph", "OverlapCoupling", "make_step_graphon",
+    "graph_to_graphon", "edge_density", "overlay_partitions", "common_refinement",
+    "coupling_pieces", "apply_coupling", "stretch_pullback", "project_steps",
+    "graphon_to_json", "graphon_from_json", "dump_graphon", "load_graphon",
+    "graph_to_edgelist", "graph_from_edgelist", "SignedStepFn", "DistanceEstimate",
+    "cut_norm_exact", "cut_norm_alternating", "cut_distance_upper", "aligned_cut_distance",
+    "overlay_coupling", "cut_distance_search", "graph_cut_distance_exact",
+    "ColouredStepGraphon", "coloured_refinement", "dk_norm", "dk_distance_search",
+    "gamma_block", "coloured_to_json", "coloured_from_json", "rel_entropy", "rate_Ip",
+    "rate_Ik", "rate_J", "rate_R", "RateReport", "coupling_entropy_objective",
+    "block_entropy_objective", "reweight_witness", "ReweightWitness", "apportion_counts",
+    "sample_block", "sample_wrandom", "coupled_block_sample", "alignment_distance_bound",
+    "WRandomSample", "CoupledPair", "EventSpec", "GnpFamily", "BlockFamily",
+    "WRandomFamily", "binomial_tail_logprob", "density_logprob_block",
+    "exact_event_logprob_block", "exact_event_logprob_wrandom", "mc_event_logprob",
+    "tilted_density_logprob_block", "gnp_density_rate", "block_density_rate",
+    "predicted_rate", "check_method", "ldp_curve", "__version__",
+]
+
+
+def test_package_root_exports_the_defining_objects():
+    assert stepldp.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES[:-1]:
+        obj = getattr(stepldp, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.split(".")[1] in LIBRARY, name
+        assert getattr(module, name) is obj, name
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_module_all_lists_every_public_definition(name):
+    # every public def or class is exported, and every exported name is bound
+    module = importlib.import_module("stepldp." + name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    public = [node.name for node in tree.body
+              if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) and not node.name.startswith("_")]
+    assert [n for n in public if n not in module.__all__] == []
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

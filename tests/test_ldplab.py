@@ -458,7 +458,8 @@ class TestExactLawOracles:
             lo, hi = sorted(int(x) for x in rng.integers(0, m + 1, 2))
             if (lo, hi) == (0, m) or hi == 0 or lo == m:
                 continue
-            want = float(logsumexp(oracle_binomial_logpmf(m, p, 0.0)[lo : hi + 1]))
+            # a window holding nearly all the mass can round just above 0
+            want = min(float(logsumexp(oracle_binomial_logpmf(m, p, 0.0)[lo : hi + 1])), 0.0)
             assert ldplab._window_logprob([(p, m)], (lo, hi)) == want
 
     def test_bisection_stops_at_its_fixed_point(self, monkeypatch):
@@ -1004,6 +1005,108 @@ class TestLdpCurve:
             check_method(wrandom, ball, "enum", [7, 8])
         assert walked == [3000, 3000, 8]
 
+    def test_one_free_value_walks_no_layout_below_the_binomial_cap(self, monkeypatch):
+        walked = []
+        compositions = ldplab._compositions
+
+        def recording(n, w):
+            for a in compositions(n, w):
+                walked.append(n)
+                yield a
+
+        monkeypatch.setattr(ldplab, "_compositions", recording)
+        density = EventSpec("density-ge", r=0.7)
+        # every layout of 2100 has one free class of at most 2100 * 2099 / 2
+        # pairs, below the binomial cap: none of its 2,208,151 layouts is walked
+        third = WRandomFamily(make_step_graphon([1.0, 1.0, 1.0], [[0.5] * 3] * 3))
+        assert check_method(third, density, "exact", [2100]) == ["exact"]
+        assert walked == []
+        # past the binomial cap the first layout, all vertices in one part, is refused
+        half = WRandomFamily(make_step_graphon([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="exceed the binomial cap of 67108863 at n=11586; "
+                                             "use mc$"):
+            check_method(half, density, "exact", [11585, 11586])
+        assert walked == [11586]
+
+
+def termwise_wrandom_logprob(n, u, event):
+    """The w-random law summed layout by layout with its own multinomial weights
+    and per-layout dispatch: the form the mixture law replaced, without its
+    refusal walk (the inputs here pass it)."""
+    from scipy.special import gammaln
+
+    w = u.parts.weights
+    logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+    terms = []
+    for a in ldplab._compositions(n, w):
+        log_mult = float(gammaln(n + 1) - gammaln(a + 1).sum()
+                         + (a * np.where(a > 0, logw, 0.0)).sum())
+        if event.is_density:
+            log_cond = ldplab._window_logprob(*ldplab._density_window(a, u.values, event))
+        else:
+            log_cond = exact_event_logprob_block(a, u.values, event)
+        if log_cond != -math.inf:
+            terms.append(log_mult + log_cond)
+    if not terms:
+        return -math.inf
+    return min(float(logsumexp(np.asarray(terms))), 0.0)
+
+
+class TestOneMixtureLaw:
+    """Both families' exact laws are one mixture of block laws over their layouts."""
+
+    def test_one_layout_mixture_is_the_block_law(self):
+        rng = np.random.default_rng(290)
+        ball = EventSpec("ball", target=make_step_graphon([0.5, 0.5], [[0.9, 0.1], [0.1, 0.6]]),
+                         eta=0.2)
+        for trial in range(30):
+            k = int(rng.integers(1, 4))
+            fam = BlockFamily(tuple(rng.uniform(0.2, 1.0, k).tolist()),
+                              tuple(map(tuple, _random_prob_matrix(rng, k).tolist())))
+            n = int(rng.integers(2, 300))
+            ev = _atypical_event(rng, *fam.counts_for(n), ("density-ge", "density-le")[trial % 2])
+            assert ldplab._mixture_logprob(fam, n, ev) == exact_event_logprob_block(
+                *fam.counts_for(n), ev)
+        # ball layouts with pairs at 0 and 1, enumerated
+        for n in (3, 4, 5):
+            fam = BlockFamily((1.0, 2.0), ((0.0, 0.4), (0.4, 1.0)))
+            assert ldplab._mixture_logprob(fam, n, ball) == exact_event_logprob_block(
+                *fam.counts_for(n), ball)
+
+    def test_wrandom_law_is_unchanged(self):
+        rng = np.random.default_rng(291)
+        graphons = [make_step_graphon([1.0], [[0.4]]),  # a single composition
+                    make_step_graphon([0.0, 1.0, 0.0], _random_prob_matrix(rng, 3))]
+        for k in (2, 3, 3):
+            weights = rng.dirichlet(np.ones(k))
+            if k == 3:
+                weights[int(rng.integers(0, 3))] = 0.0  # a part of weight 0
+            graphons.append(make_step_graphon(weights, _random_prob_matrix(rng, k)))
+        graphons.append(make_step_graphon([0.4, 0.6], [[1.0, 0.3], [0.3, 0.0]]))
+        for u in graphons:
+            for i, n in enumerate((2, 5, 9, 12)):
+                ev = EventSpec(("density-ge", "density-le")[i % 2],
+                               r=float(rng.uniform(0.1, 0.9)))
+                assert exact_event_logprob_wrandom(n, u, ev) == termwise_wrandom_logprob(n, u, ev)
+            ball = EventSpec("ball", target=graphons[-1], eta=float(rng.uniform(0.05, 0.3)))
+            assert exact_event_logprob_wrandom(3, u, ball) == termwise_wrandom_logprob(3, u, ball)
+
+    def test_wrandom_ball_layouts_are_refused_before_any_check(self, monkeypatch):
+        # (4, 5) is the first layout of 9 vertices past 3 free pairs; the
+        # layouts before it take 1 + 1 + 2 + 8 checks
+        monkeypatch.setattr(ldplab, "ENUM_FREE_LIMIT", 3)
+        checks = []
+
+        class Counting(EventSpec):
+            def check_graph(self, graph):
+                checks.append(graph.n)
+                return EventSpec.check_graph(self, graph)
+
+        u = make_step_graphon([0.5, 0.5], [[0.5, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="at most 3 undetermined pairs, got 6$"):
+            exact_event_logprob_wrandom(9, u, Counting("ball", target=u, eta=0.1))
+        assert checks == []
+
 
 def _random_prob_matrix(rng, k):
     vals = rng.uniform(0.05, 0.95, (k, k))
@@ -1078,4 +1181,4 @@ class TestFrozenLaws:
         assert all(math.isfinite(v) for v in values)
         digest = hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
         assert digest == (
-            "0dc96f90643cba188d28cf81d91bfb8c382fd50ea9e23aeab7b5fb4525edc9d9")
+            "4120c4c188f3e472b85928b9ccd0253666728ab56e1a797fbea5ab97e5b663dc")
