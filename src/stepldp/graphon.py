@@ -139,49 +139,75 @@ class StepGraphon:
         return "StepGraphon(parts=%d)" % self.parts.size
 
 
+# Edge rows are read this many at a time where a pass over all of them
+# would build an O(E) temporary: the row-order check and the edge-list text.
+_ROW_CHUNK = 1 << 15
+
+
+def _rows_increase(lo, hi, n):
+    """Whether the rows (lo[i], hi[i]) of labels in 0..n-1 strictly increase lexicographically.
+
+    Compares the keys lo * n + hi of consecutive rows, formed in int64 one
+    block of ``_ROW_CHUNK`` rows (and the next block's first row) at a time.
+    """
+    for i in range(0, lo.size - 1, _ROW_CHUNK):
+        key = lo[i:i + _ROW_CHUNK + 1].astype(np.int64)
+        key *= n
+        key += hi[i:i + _ROW_CHUNK + 1]
+        if (key[1:] <= key[:-1]).any():
+            return False
+    return True
+
+
 class LabeledGraph:
     """Finite simple graph on vertices 0..n-1.
 
     ``edges`` is a read-only int32 array of shape (E, 2): each edge appears
     once as a row (u, v) with u < v, and the rows are in lexicographic order.
     The constructor accepts any iterable of vertex pairs (or an (E, 2) array)
-    in any orientation and order, with repeats; it canonicalizes them.
+    in any orientation and order, with repeats; it canonicalizes them.  Rows
+    that are already oriented and in order (as the samplers build them) pass
+    every check without a min/max copy or a whole-array int64 key, and are
+    copied once into the int32 edge array.
     """
 
     def __init__(self, n, edges=()):
         n = int(n)
         _check_vertex_count(n)
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        try:
-            e = np.asarray(edges, dtype=np.int64)
-        except OverflowError:
-            # labels beyond int64: the range check below rejects them
-            e = np.asarray(edges, dtype=object)
+        if isinstance(edges, np.ndarray) and edges.dtype == np.int32:
+            e = edges  # int32 labels are exact as they are: no int64 copy
+        else:
+            if not isinstance(edges, np.ndarray):
+                edges = list(edges)
+            try:
+                e = np.asarray(edges, dtype=np.int64)
+            except OverflowError:
+                # labels beyond int64: the range check below rejects them
+                e = np.asarray(edges, dtype=object)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         u, v = e[:, 0], e[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        # one check over the contiguous ends: two distinct vertices of 0..n-1 per pair
-        if lo.size and not (lo.min() >= 0 and hi.max() < n and np.less(lo, hi).all()):
+        oriented = np.less(u, v).all()
+        # oriented rows are their own ends: no min/max copies
+        lo, hi = (u, v) if oriented else (np.minimum(u, v), np.maximum(u, v))
+        # one check over the ends: two distinct vertices of 0..n-1 per pair
+        if lo.size and not (lo.min() >= 0 and hi.max() < n
+                            and (oriented or np.less(lo, hi).all())):
             i = int(np.argmax((lo == hi) | (lo < 0) | (hi >= n)))  # the first offender
             a, b = int(u[i]), int(v[i])
             if a == b:
                 raise ValueError("loops are not allowed (vertex %d)" % a)
             raise ValueError("edge (%d, %d) outside vertex range 0..%d" % (a, b, n - 1))
+        if not _rows_increase(lo, hi, n):
+            key = lo.astype(np.int64)  # lo * n + hi: sorted and deduplicated by unique
+            key *= n
+            key += hi
+            lo, hi = np.divmod(np.unique(key), n)
         canon = np.empty((lo.size, 2), dtype=np.int32)
         canon[:, 0] = lo
         canon[:, 1] = hi
-        key = lo  # lo * n + hi, in place: rows in order have increasing keys
-        key *= n
-        key += hi
-        if np.any(key[1:] <= key[:-1]):
-            lo, hi = np.divmod(np.unique(key), n)
-            canon = np.empty((lo.size, 2), dtype=np.int32)
-            canon[:, 0] = lo
-            canon[:, 1] = hi
         canon.flags.writeable = False
         self.n = n
         self.edges = canon
@@ -481,15 +507,20 @@ def graph_to_edgelist(g: LabeledGraph) -> str:
     Each edge appears once with u < v, and the pairs are in lexicographic
     order, so a graph has exactly one edge-list text.  Every vertex has two
     byte labels, b"%d " as a first end and b"%d\n" as a second, in one
-    fixed-width table; the edge rows gather their labels from it in one
-    take, and deleting the NUL padding of the shorter labels leaves the text.
+    fixed-width table.  Each block of ``_ROW_CHUNK`` edge rows gathers its
+    labels from it in one take, and deleting the NUL padding of the shorter
+    labels leaves the block's text; the texts are joined once, so neither a
+    copy of the edge array nor the padded gather of every edge is formed.
     """
     n = g.n
     labels = np.array([b"%d " % u for u in range(n)] + [b"%d\n" % v for v in range(n)])
-    ends = g.edges.copy()
-    ends[:, 1] += n  # second ends read the b"%d\n" half of the table
-    text = labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
-    return (b"%d\n" % n + text).decode("ascii")
+    parts = ["%d\n" % n]
+    for i in range(0, len(g.edges), _ROW_CHUNK):
+        ends = g.edges[i:i + _ROW_CHUNK].astype(np.intp)
+        ends[:, 1] += n  # second ends read the b"%d\n" half of the table
+        parts.append(labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
+                     .decode("ascii"))
+    return "".join(parts)
 
 
 def graph_from_edgelist(text: str) -> LabeledGraph:

@@ -78,78 +78,103 @@ def apportion_counts(n, weights):
     return base
 
 
-# coins are compared with their thresholds this many pairs at a time, so no
-# threshold array of the coin array's size is ever formed
+# coins are drawn and compared with their thresholds this many pairs at a
+# time, so no array of all n(n-1)/2 coins or thresholds is ever formed
 _PAIR_CHUNK = 1 << 15
 
 
-def _bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
+def _join_rows(table, s0, s1, lo, hi, out):
+    """table[s][s+1:] over rows s0..s1, from lo into row s0 to hi into row s1, into out."""
+    pieces = [table[s][s + 1:] for s in range(s0, s1 + 1)]
+    pieces[-1] = pieces[-1][:hi]
+    pieces[0] = pieces[0][lo:]
+    return np.concatenate(pieces, out=out)
+
+
+def _edge_room(types, p, total):
+    """Rows to reserve for the edges that ``total`` pairs of the given types draw.
+
+    One chunk of pairs reserves a row per pair.  More chunks reserve the
+    expected edge count plus six standard deviations (the count is a sum of
+    independent coins, so its variance is at most its mean) and 64.
+    """
+    if total <= _PAIR_CHUNK:
+        return total
+    size = np.bincount(types, minlength=len(p))
+    mean = max(float(size @ p @ size - size @ p.diagonal()) / 2.0, 0.0)
+    return min(total, int(mean + 6.0 * mean ** 0.5) + 64)
+
+
+def _bernoulli_pairs(types, p, rng, aligned=None, shared=None):
     """Independent Bernoulli edges on vertices with the given block types.
 
-    Each unordered pair {s, t}, s < t, takes one uniform coin from rng, drawn
-    as one block of n(n-1)/2 coins in row-major upper-triangular order, and
-    is an edge iff its coin is strictly below p[types[s], types[t]], so
-    probabilities 0 and 1 are exact.  With ``aligned`` (increasing vertex
-    indices) and ``shared_coins`` (one coin per pair of aligned positions, in
-    the same row-major order), the pairs of two aligned vertices use the
-    shared coin instead of their own.  Returns the edges as an (E, 2) int64
-    array of rows (s, t) in lexicographic order.
+    Each unordered pair {s, t}, s < t, takes one uniform coin from rng, in
+    row-major upper-triangular order, and is an edge iff its coin is
+    strictly below p[types[s], types[t]], so probabilities 0 and 1 are
+    exact.  With ``aligned`` (increasing vertex indices) and ``shared`` (a
+    generator), the pairs of two aligned vertices use the next coin of
+    ``shared`` instead of their own, so two graphs whose shared generators
+    start alike read the same coin at the k-th aligned pair of each.
+    Returns the edges as an (E, 2) int32 array of rows (s, t) in
+    lexicographic order.
 
-    Row s of the triangle starts at rank start[s] = s(2n - s - 1)/2, and its
-    thresholds are the slice P[types[s], s+1:] of P = p[:, types].  The
-    shared coins replace their pairs' own in one step, through the mask of
-    aligned pairs (one byte per pair), whose row s is the aligned-vertex mask
-    from s+1 on in an aligned row and all False in the others.  The coins are
-    then read ``_PAIR_CHUNK`` ranks at a time, a chunk possibly starting or
-    ending inside a row: the threshold slices of the rows a chunk covers are
-    joined into one buffer and compared with its coins, so no per-pair index
-    or probability array is formed.  A hit at rank r in row s is the pair
-    (s, r - start[s] + s + 1); the rows of every chunk's hits are written
-    into one preallocated edge array.  Fewer than two vertices draw no coin.
+    The coins are drawn ``_PAIR_CHUNK`` ranks at a time into one reused
+    buffer; a PCG64 generator gives the same doubles, and ends in the same
+    state, as one draw of all n(n-1)/2 coins.  Row s of the triangle starts
+    at rank start[s] = s(2n - s - 1)/2, and its thresholds are the slice
+    P[types[s], s+1:] of P = p[:, types].  A chunk may start or end inside
+    a row: the threshold slices of the rows it covers are joined into one
+    buffer and compared with its coins, so no per-pair index or probability
+    array is formed.  The chunk's aligned pairs are marked the same way,
+    from the aligned-vertex mask in aligned rows and an all-False row in
+    the others, and their coins are overwritten in order by ``shared``.  A
+    hit at rank r in row s is the pair (s, r - start[s] + s + 1); each
+    chunk's hits are written at once as int32 rows into one edge array,
+    reserved by ``_edge_room`` and grown only by a draw past it.  Fewer than
+    two vertices draw no coin.
     """
     n = types.size
     if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int32)
     rows = np.arange(n + 1)
     start = rows * (2 * n - rows - 1) // 2  # start[n] is the number of pairs
     shift = start[:n] - rows[:n] - 1  # pair (s, t) has rank t + shift[s]
     total = int(start[n])
-    coins = rng.random(total)
-    if shared_coins is not None:
+    by_type = list(p[:, types])
+    thresholds = [by_type[t] for t in types.tolist()]  # row s reads thresholds[s][s+1:]
+    size = min(total, _PAIR_CHUNK)
+    if shared is not None:
         is_aligned = np.zeros(n, dtype=bool)
         is_aligned[aligned] = True
         rows_of = (np.zeros(n, dtype=bool), is_aligned)  # by whether row s is aligned
-        coins[np.concatenate([rows_of[f][s + 1:]
-                              for s, f in enumerate(is_aligned.tolist())])] = shared_coins
-    by_type = list(p[:, types])
-    thresholds = [by_type[t] for t in types.tolist()]  # row s reads thresholds[s][s+1:]
+        marks = [rows_of[f] for f in is_aligned.tolist()]  # row s reads marks[s][s+1:]
+        mark_buf = np.empty(size, dtype=bool)
     offsets = start.tolist()
-    buf = np.empty(min(total, _PAIR_CHUNK))
-    chunks = []
+    coin_buf = np.empty(size)
+    buf = np.empty(size)
+    edges = np.empty((_edge_room(types, p, total), 2), dtype=np.int32)
     count = 0
     for a in range(0, total, _PAIR_CHUNK):
         b = min(a + _PAIR_CHUNK, total)
         s0 = bisect_right(offsets, a) - 1
         s1 = bisect_right(offsets, b - 1, s0) - 1
-        # thresholds[s][s+1:] over rows s0..s1, cut to the ranks a..b-1
-        pieces = [thresholds[s][s + 1:] for s in range(s0, s1 + 1)]
-        pieces[-1] = pieces[-1][:b - offsets[s1]]
-        pieces[0] = pieces[0][a - offsets[s0]:]
-        r = np.flatnonzero(coins[a:b] < np.concatenate(pieces, out=buf[:b - a]))
+        lo, hi = a - offsets[s0], b - offsets[s1]
+        coins = rng.random(out=coin_buf[:b - a])
+        if shared is not None:
+            mark = _join_rows(marks, s0, s1, lo, hi, mark_buf[:b - a])
+            coins[mark] = shared.random(np.count_nonzero(mark))
+        r = np.flatnonzero(coins < _join_rows(thresholds, s0, s1, lo, hi, buf[:b - a]))
         r += a
-        chunks.append((s0, s1, r))
-        count += r.size
-    del coins  # drop the O(n²) coins before the O(E) edge rows are built
-    edges = np.empty((count, 2), dtype=np.int64)
-    k = 0
-    for s0, s1, r in chunks:
         cuts = np.searchsorted(r, start[s0:s1 + 2])  # where each row's hits begin
         s = np.repeat(rows[s0:s1 + 1], cuts[1:] - cuts[:-1])
-        out = edges[k:k + r.size]
+        if count + r.size > len(edges):  # more edges than reserved: grow
+            edges = np.concatenate(
+                (edges[:count], np.empty((len(edges) + r.size, 2), dtype=np.int32)))
+        out = edges[count:count + r.size]
         out[:, 0] = s
         np.subtract(r, shift[s], out=out[:, 1])
-        k += r.size
-    return edges
+        count += r.size
+    return edges[:count]
 
 
 def sample_block(counts, p, seed):
@@ -261,16 +286,16 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
 
     ss = np.random.SeedSequence(seed)
     s_shared, s_a, s_b = ss.spawn(3)
-    rng_shared = np.random.default_rng(s_shared)
-    shared_coins = rng_shared.random(c * (c - 1) // 2)
 
-    def build(counts, aligned, rng):
+    def build(counts, aligned, s_own):
+        # each graph reads the shared coins from its own generator on s_shared
         types = np.repeat(np.arange(k), counts)
-        edges = _bernoulli_pairs(types, p, rng, aligned, shared_coins)
+        edges = _bernoulli_pairs(types, p, np.random.default_rng(s_own), aligned,
+                                 np.random.default_rng(s_shared))
         return LabeledGraph(int(counts.sum()), edges)
 
-    g_a = build(a, aligned_a, np.random.default_rng(s_a))
-    g_b = build(b, aligned_b, np.random.default_rng(s_b))
+    g_a = build(a, aligned_a, s_a)
+    g_b = build(b, aligned_b, s_b)
 
     if c > 1 and not all(map(np.array_equal, _aligned_edges(g_a, aligned_a),
                                  _aligned_edges(g_b, aligned_b))):

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -710,6 +713,23 @@ class TestConfigFile:
                          "--num-samples", "2"]) == 0
         resolved = first_line_config(capsys.readouterr().out)["resolvedConfig"]
         assert resolved["num-samples"] == 2 and isinstance(resolved["num-samples"], int)
+
+
+class TestModuleEntryPoints:
+    SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("module", ["stepldp", "stepldp.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "sample", "--model", "gnp:0.5", "--n", "3",
+             "--seed", "1"], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        config = first_line_config(proc.stdout)
+        assert config["command"] == "sample"
+        assert config["resolvedConfig"]["seed"] == 1
+        assert proc.stdout.splitlines()[1] == "sample 000: n=3 edges=1 density=0.333333"
 
 
 class TestArgparseBehaviour:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stepldp import samplers
-from stepldp.graphon import graph_to_edgelist, make_step_graphon
+from stepldp.graphon import LabeledGraph, graph_to_edgelist, make_step_graphon
 from stepldp.samplers import (
     _bernoulli_pairs,
     alignment_distance_bound,
@@ -16,13 +16,17 @@ from stepldp.samplers import (
 )
 
 
-def oracle_bernoulli_pairs(types, p, rng, aligned=None, shared_coins=None):
-    """The per-pair formula: triu index arrays, one gathered threshold per pair."""
+def oracle_bernoulli_pairs(types, p, rng, aligned=None, shared=None):
+    """The per-pair formula: triu index arrays, one gathered threshold per pair.
+
+    ``shared`` is a generator; all c(c-1)/2 shared coins are drawn from it at once.
+    """
     n = types.size
     iu, ju = np.triu_indices(n, k=1)
     coins = rng.random(iu.size)
-    if shared_coins is not None:
+    if shared is not None:
         c = aligned.size
+        shared_coins = shared.random(c * (c - 1) // 2)
         pos = np.full(n, -1, dtype=int)
         pos[aligned] = np.arange(c)
         pi, pj = pos[iu], pos[ju]
@@ -61,13 +65,20 @@ class TestBernoulliPairsOracle:
         return np.sort(rng.choice(n, size, replace=False))
 
     @staticmethod
-    def _assert_same(types, p, seed, aligned=None, shared=None):
+    def _assert_same(types, p, seed, aligned=None, shared_seed=None):
+        """Same edges and end states; the two shared generators start alike."""
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _bernoulli_pairs(types, p, rng_got, aligned, shared)
-        want = oracle_bernoulli_pairs(types, p, rng_want, aligned, shared)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        shared_got = shared_want = None
+        if shared_seed is not None:
+            shared_got = np.random.default_rng(shared_seed)
+            shared_want = np.random.default_rng(shared_seed)
+        got = _bernoulli_pairs(types, p, rng_got, aligned, shared_got)
+        want = oracle_bernoulli_pairs(types, p, rng_want, aligned, shared_want)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want.astype(np.int32))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        if shared_seed is not None:
+            assert shared_got.bit_generator.state == shared_want.bit_generator.state
 
     def test_independent_pairs(self):
         rng = np.random.default_rng(101)
@@ -80,9 +91,7 @@ class TestBernoulliPairsOracle:
         for trial in range(200):
             types, p = self._case(rng)
             aligned = self._aligned(rng, types.size)
-            c = aligned.size
-            shared = rng.random(c * (c - 1) // 2)
-            self._assert_same(types, p, trial, aligned, shared)
+            self._assert_same(types, p, trial, aligned, 1000 + trial)
 
     def test_all_zero_and_all_one(self):
         types = np.array([0, 1, 1, 0, 2, 2, 1])
@@ -106,17 +115,33 @@ class TestPairChunks:
                 types = types[:40]  # a chunk per pair or three: keep the loop short
             case._assert_same(types, p, trial)
             aligned = case._aligned(rng, types.size)
-            c = aligned.size
-            case._assert_same(types, p, trial, aligned, rng.random(c * (c - 1) // 2))
+            case._assert_same(types, p, trial, aligned, 1000 + trial)
+
+    def test_edges_past_the_reserved_rows(self, monkeypatch):
+        # no room reserved: every chunk with a hit grows the edge array
+        monkeypatch.setattr(samplers, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(samplers, "_edge_room", lambda types, p, total: 0)
+        case = TestBernoulliPairsOracle
+        rng = np.random.default_rng(404)
+        for trial in range(20):
+            types, p = case._case(rng)
+            types = types[:40]
+            case._assert_same(types, p, trial)
+            case._assert_same(types, p, trial, case._aligned(rng, types.size), 1000 + trial)
+
+    def test_reserved_rows_cover_a_typical_draw(self):
+        p = np.array([[0.45, 0.25], [0.25, 0.4]])
+        types = np.repeat([0, 1], [1156, 844])
+        room = samplers._edge_room(types, p, 1999000)
+        assert 686389 < room < 1.01 * 686389
 
     def test_rows_longer_than_a_chunk(self, monkeypatch):
         monkeypatch.setattr(samplers, "_PAIR_CHUNK", 5)
         types = np.array([0, 1] * 9)
         p = np.array([[0.5, 0.2], [0.2, 0.7]])
         aligned = np.array([0, 2, 3, 4, 9, 16, 17])
-        shared = np.random.default_rng(9).random(21)
         TestBernoulliPairsOracle._assert_same(types, p, 11)
-        TestBernoulliPairsOracle._assert_same(types, p, 12, aligned, shared)
+        TestBernoulliPairsOracle._assert_same(types, p, 12, aligned, 9)
 
 
 class TestSmallInputs:
@@ -161,20 +186,92 @@ def _traced_peak_mib(fn):
 
 
 class TestSamplerMemory:
-    """At n = 2000 the coin array dominates; no per-pair index or threshold arrays.
+    """Memory is O(n + E): no array of all n(n-1)/2 coins, thresholds or ranks.
 
-    The bounds are the traced peaks, 27.5 and 16.2 MiB, plus 25 %.
+    The bounds are the traced peaks, 10.5, 9.1, 12.0 and 2.8 MiB, plus 25 %,
+    and never above 18, 10, 12.5 and 8 MiB.  Holding every coin at once took
+    27.5, 16.2 and 140 MiB in the three samplings, and the one-take edge
+    list 22.6 MiB.
     """
 
     P = np.array([[0.45, 0.25], [0.25, 0.4]])
 
     def test_sample_block_peak(self):
-        assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 34.4
+        assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 13.2
 
     def test_coupled_block_sample_peak(self):
+        # 9.9 MiB on a process's first coupled draw; the aligned-subgraph
+        # check holds both graphs' relabelled aligned edges at the peak
         peak = _traced_peak_mib(
             lambda: coupled_block_sample([586, 592], [576, 602], self.P, 1))
-        assert peak <= 20.2
+        assert peak <= 10.0
+
+    def test_graph_to_edgelist_peak(self):
+        # the text itself is 5.8 MiB, and the joined str is a second copy
+        g = sample_block([1156, 844], self.P, 1)
+        assert g.edge_count() == 686389
+        assert _traced_peak_mib(lambda: graph_to_edgelist(g)) <= 12.5
+
+    def test_sparse_sample_block_peak(self):
+        # 18 million pairs, 181 thousand edges
+        assert _traced_peak_mib(lambda: sample_block([6000], [[0.01]], 1)) <= 3.5
+
+
+class _CountingGenerator:
+    """A generator's ``random`` that records how many coins each call draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, size=None, out=None):
+        self.draws.append(size if out is None else out.size)
+        return self.rng.random(size, out=out)
+
+
+class TestChunkedDraws:
+    """No call draws more than ``_PAIR_CHUNK`` coins, own or shared, and together they
+    draw every pair's coin once, as the one-block oracle does."""
+
+    @pytest.mark.parametrize("chunk", [None, 7, 64])
+    def test_each_draw_is_at_most_a_chunk(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(samplers, "_PAIR_CHUNK", chunk)
+        n = 300 if chunk is None else 40  # 44,850 pairs span two default chunks
+        types = np.repeat([0, 1], [n // 2, n - n // 2])
+        p = np.array([[0.5, 0.2], [0.2, 0.7]])
+        aligned = np.arange(0, n, 3)
+        c = aligned.size
+        own, shared = _CountingGenerator(4), _CountingGenerator(5)
+        got = _bernoulli_pairs(types, p, own, aligned, shared)
+        want = oracle_bernoulli_pairs(types, p, np.random.default_rng(4), aligned,
+                                      np.random.default_rng(5))
+        np.testing.assert_array_equal(got, want.astype(np.int32))
+        assert max(own.draws + shared.draws) <= samplers._PAIR_CHUNK
+        assert sum(own.draws) == n * (n - 1) // 2
+        assert sum(shared.draws) == c * (c - 1) // 2
+
+
+class TestGraphsAreChecked:
+    def test_samplers_build_graphs_through_the_constructor(self, monkeypatch):
+        # every sampled graph passes LabeledGraph's checks; none is built around them
+        calls = []
+        init = LabeledGraph.__init__
+
+        def counted(self, n, edges=()):
+            calls.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(LabeledGraph, "__init__", counted)
+        p = [[0.5, 0.2], [0.2, 0.6]]
+        g = sample_block([5, 6], p, 0)
+        assert calls == [11]
+        s = sample_wrandom(9, make_step_graphon([0.5, 0.5], p), 0)
+        assert calls == [11, 9]
+        pair = coupled_block_sample([4, 5], [5, 4], p, 0)
+        assert calls == [11, 9, 9, 9]
+        for graph in (g, s.graph, pair.graph_a, pair.graph_b):
+            assert type(graph) is LabeledGraph
 
 
 class TestApportionCounts:
