@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graphon import (_check_prob_matrix, _check_vertex_count, _check_weights, _load_json,
-                      graph_to_edgelist, load_graphon, overlay_partitions)
+                      dump_edgelist, load_graphon, overlay_partitions)
 from .cutmetric import EXACT_PART_LIMIT, aligned_cut_distance, cut_distance_search
 from .rates import rate_J, rate_R
 from .samplers import _check_counts, _check_coupled, coupled_block_sample
@@ -325,11 +325,16 @@ def emit_config(command, resolved, stream):
     stream.write(_canonical({"command": command, "resolvedConfig": resolved}))
 
 
-def write_file(out_dir, name, text):
-    """Write text to the relative path name under out_dir."""
+def _out_path(out_dir, name):
+    """The relative path name under out_dir, its directory made."""
     path = os.path.join(out_dir, name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
+    return path
+
+
+def write_file(out_dir, name, text):
+    """Write text to the relative path name under out_dir."""
+    with open(_out_path(out_dir, name), "w") as fh:
         fh.write(text)
 
 
@@ -373,7 +378,7 @@ def _draw_sample(family, n, seed, idx, out_dir):
     sys.stdout.write("sample %03d: n=%d edges=%d density=%.6f\n"
                      % (idx, graph.n, graph.edge_count(), record["density"]))
     if out_dir:
-        write_file(out_dir, "samples/sample_%03d.edges" % idx, graph_to_edgelist(graph))
+        dump_edgelist(graph, _out_path(out_dir, "samples/sample_%03d.edges" % idx))
     return record
 
 
@@ -439,8 +444,8 @@ def cmd_coupling_demo(resolved, values):
                      % (len(pair.aligned_a), pair.graph_a.n, pair.graph_b.n))
     sys.stdout.write("aligned subgraphs isomorphic: true\n")
     if values["out"]:
-        edges = (("samples/%s.edges" % name, graph_to_edgelist(graph))
-                 for name, graph in (("graph_a", pair.graph_a), ("graph_b", pair.graph_b)))
+        for name, graph in (("graph_a", pair.graph_a), ("graph_b", pair.graph_b)):
+            dump_edgelist(graph, _out_path(values["out"], "samples/%s.edges" % name))
         write_report(values["out"], "coupling-demo", resolved, {
             "epsilon": pair.epsilon,
             "bound": pair.bound,
@@ -448,7 +453,7 @@ def cmd_coupling_demo(resolved, values):
             "alignedB": pair.aligned_b,
             "edgesA": pair.graph_a.edge_count(),
             "edgesB": pair.graph_b.edge_count(),
-        }, edges)
+        })
     return 0
 
 

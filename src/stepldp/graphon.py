@@ -9,6 +9,7 @@ functions build on it.
 """
 
 import json
+import re
 
 import numpy as np
 
@@ -18,7 +19,7 @@ __all__ = [
     "overlay_partitions", "common_refinement", "coupling_pieces",
     "apply_coupling", "stretch_pullback", "project_steps",
     "graphon_to_json", "graphon_from_json", "dump_graphon", "load_graphon",
-    "graph_to_edgelist", "graph_from_edgelist",
+    "graph_to_edgelist", "dump_edgelist", "graph_from_edgelist",
 ]
 
 # Tolerance for "weights sum to one" checks.  Inputs already normalized this
@@ -140,7 +141,8 @@ class StepGraphon:
 
 
 # Edge rows are read this many at a time where a pass over all of them
-# would build an O(E) temporary: the row-order check and the edge-list text.
+# would build an O(E) temporary: the row-order check, the edge-list text
+# and the coupled sampler's aligned-subgraph check.
 _ROW_CHUNK = 1 << 15
 
 
@@ -501,38 +503,64 @@ def load_graphon(path) -> StepGraphon:
         raise ValueError("%s: %s" % (path, exc)) from exc
 
 
+def _edgelist_chunks(g: LabeledGraph):
+    """The bytes of g's edge-list text: the count line, then one piece per
+    block of ``_ROW_CHUNK`` edge rows.
+
+    Every vertex has two byte labels, b"%d " as a first end and b"%d\n" as a
+    second, in one fixed-width table.  A block gathers its labels from it in
+    one take, and deleting the NUL padding of the shorter labels leaves the
+    block's text, so neither a copy of the edge array nor the padded gather
+    of every edge is formed.
+    """
+    n = g.n
+    labels = np.array([b"%d " % u for u in range(n)] + [b"%d\n" % v for v in range(n)])
+    yield b"%d\n" % n
+    for i in range(0, len(g.edges), _ROW_CHUNK):
+        ends = g.edges[i:i + _ROW_CHUNK].astype(np.intp)
+        ends[:, 1] += n  # second ends read the b"%d\n" half of the table
+        yield labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
+
+
 def graph_to_edgelist(g: LabeledGraph) -> str:
     """Plain-text edge list: first line the vertex count, then "u v" pairs.
 
     Each edge appears once with u < v, and the pairs are in lexicographic
-    order, so a graph has exactly one edge-list text.  Every vertex has two
-    byte labels, b"%d " as a first end and b"%d\n" as a second, in one
-    fixed-width table.  Each block of ``_ROW_CHUNK`` edge rows gathers its
-    labels from it in one take, and deleting the NUL padding of the shorter
-    labels leaves the block's text; the texts are joined once, so neither a
-    copy of the edge array nor the padded gather of every edge is formed.
+    order, so a graph has exactly one edge-list text.  ``dump_edgelist``
+    writes the same text to a file without holding it whole.
     """
-    n = g.n
-    labels = np.array([b"%d " % u for u in range(n)] + [b"%d\n" % v for v in range(n)])
-    parts = ["%d\n" % n]
-    for i in range(0, len(g.edges), _ROW_CHUNK):
-        ends = g.edges[i:i + _ROW_CHUNK].astype(np.intp)
-        ends[:, 1] += n  # second ends read the b"%d\n" half of the table
-        parts.append(labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
-                     .decode("ascii"))
-    return "".join(parts)
+    return b"".join(_edgelist_chunks(g)).decode("ascii")
 
 
-def graph_from_edgelist(text: str) -> LabeledGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("edge list is empty: expected a vertex count line")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError("first line must be the vertex count, got %r" % lines[0]) from exc
+def dump_edgelist(g: LabeledGraph, path) -> None:
+    """Write ``graph_to_edgelist(g)`` to the file at path, one block of
+    ``_ROW_CHUNK`` edges at a time, as ASCII bytes."""
+    with open(path, "wb") as fh:
+        fh.writelines(_edgelist_chunks(g))
+
+
+# Edge-list text is read in blocks of about this many characters, each
+# ending at a "\n" (or at the end of the text).
+_TEXT_CHUNK = 1 << 16
+
+# A block of plain "u v" lines with ids below 10^9 < 2^31, which numpy
+# parses as int() would; any other block is read line by line.  re compiles
+# it on first use and caches it, so importing costs nothing.
+_PLAIN_LINES = r"(?:[0-9]{1,9} [0-9]{1,9}\n)*"
+
+
+def _line_ends(lines, lineno):
+    """The vertex ids of the non-blank ``lines`` as an array, and the number
+    of the last such line, the one before them being number ``lineno``.
+
+    Each line must hold two fields that ``int()`` accepts; blank lines are
+    skipped and not numbered.
+    """
     ends = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for ln in lines:
+        if not ln.strip():
+            continue
+        lineno += 1
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError("line %d: expected 'u v', got %r" % (lineno, ln))
@@ -540,4 +568,46 @@ def graph_from_edgelist(text: str) -> LabeledGraph:
             ends.extend(map(int, fields))
         except ValueError as exc:
             raise ValueError("line %d: vertex ids must be integers" % lineno) from exc
-    return LabeledGraph(n, np.reshape(ends, (-1, 2)))
+    try:
+        return np.array(ends, dtype=np.int64), lineno
+    except OverflowError:  # ids past int64: LabeledGraph's range check names them
+        return np.array(ends, dtype=object), lineno
+
+
+def graph_from_edgelist(text: str) -> LabeledGraph:
+    """The graph of an edge-list text, as ``graph_to_edgelist`` writes it.
+
+    Lines are those of ``text.splitlines()``, and blank ones are skipped and
+    not numbered.  The first non-blank line is the vertex count, and every
+    other line holds two vertex ids; each field may be anything ``int()``
+    accepts.  The text is read in blocks of about ``_TEXT_CHUNK``
+    characters that end at a "\n".  A block of plain "u v" lines is parsed
+    by numpy into int32 ids; any other block is parsed line by line, which
+    gives the same ids and names a faulty line by its number.
+    """
+    start, lines = 0, []
+    while not lines and start < len(text):  # the lines up to the next "\n"
+        stop = text.find("\n", start) + 1 or len(text)
+        lines = [ln for ln in text[start:stop].splitlines() if ln.strip()]
+        start = stop
+    if not lines:
+        raise ValueError("edge list is empty: expected a vertex count line")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise ValueError("first line must be the vertex count, got %r" % lines[0]) from exc
+    ends, lineno = _line_ends(lines[1:], 1)
+    pieces = [ends]
+    while start < len(text):
+        stop = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
+        block = text[start:stop]
+        if re.fullmatch(_PLAIN_LINES, block):
+            ends = np.fromstring(block, dtype=np.int32, sep=" ")
+            lineno += ends.size // 2
+        else:
+            ends, lineno = _line_ends(block.splitlines(), lineno)
+        pieces.append(ends)
+        start = stop
+    # empty pieces are left out, so plain blocks alone keep int32 ids
+    edges = [e for e in pieces if e.size]
+    return LabeledGraph(n, np.concatenate(edges).reshape(-1, 2) if edges else ())

@@ -12,8 +12,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .graphon import (LabeledGraph, StepGraphon, _check_prob_matrix, _check_vertex_count,
-                      _check_weights)
+from .graphon import (_ROW_CHUNK, LabeledGraph, StepGraphon, _check_prob_matrix,
+                      _check_vertex_count, _check_weights)
 
 __all__ = [
     "apportion_counts",
@@ -236,17 +236,41 @@ def alignment_distance_bound(counts_a, counts_b):
     return 2.0 * (1.0 / s_a - 1.0) + 2.0 * (1.0 / s_b - 1.0)
 
 
-def _aligned_edges(graph, aligned):
-    """Edges of the subgraph induced on ``aligned``, relabelled by position.
+def _aligned_rows(graph, aligned):
+    """Rows of the subgraph induced on ``aligned``, relabelled by position.
 
-    Returns the two ends' positions as two arrays.  ``aligned`` is
-    increasing, so the relabelled rows stay in lexicographic order.
+    Yields the nonempty int32 arrays of them that each block of
+    ``_ROW_CHUNK`` edge rows holds.  ``aligned`` is increasing, so the
+    relabelled rows stay in lexicographic order.
     """
     pos = np.full(graph.n, -1, dtype=np.int32)
     pos[aligned] = np.arange(aligned.size)
-    first, second = pos[graph.edges[:, 0]], pos[graph.edges[:, 1]]
-    keep = (first >= 0) & (second >= 0)
-    return first[keep], second[keep]
+    for i in range(0, len(graph.edges), _ROW_CHUNK):
+        block = graph.edges[i:i + _ROW_CHUNK]
+        first, second = pos.take(block[:, 0]), pos.take(block[:, 1])
+        keep = (first >= 0) & (second >= 0)
+        if keep.any():
+            yield np.column_stack((first[keep], second[keep]))
+
+
+def _same_rows(xs, ys):
+    """Whether two streams of nonempty row arrays hold the same rows in order.
+
+    One cursor walks each stream; each step compares the rows both have in
+    hand and keeps the rest of the longer array for the next step.
+    """
+    x = y = np.empty((0, 2), dtype=np.int32)
+    while True:
+        if not x.size:
+            x = next(xs, None)
+        if not y.size:
+            y = next(ys, None)
+        if x is None or y is None:
+            return x is y
+        m = min(len(x), len(y))
+        if not np.array_equal(x[:m], y[:m]):
+            return False
+        x, y = x[m:], y[m:]
 
 
 CoupledPair = namedtuple(
@@ -297,8 +321,7 @@ def coupled_block_sample(counts_a, counts_b, p, seed):
     g_a = build(a, aligned_a, s_a)
     g_b = build(b, aligned_b, s_b)
 
-    if c > 1 and not all(map(np.array_equal, _aligned_edges(g_a, aligned_a),
-                                 _aligned_edges(g_b, aligned_b))):
+    if c > 1 and not _same_rows(_aligned_rows(g_a, aligned_a), _aligned_rows(g_b, aligned_b)):
         raise RuntimeError("aligned subgraphs disagree; coupling is broken")
 
     diff = int(np.abs(a - b).sum())

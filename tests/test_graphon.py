@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stepldp import graphon
 from stepldp.graphon import (
     LabeledGraph,
     OverlapCoupling,
@@ -11,6 +12,7 @@ from stepldp.graphon import (
     apply_coupling,
     common_refinement,
     coupling_pieces,
+    dump_edgelist,
     dump_graphon,
     edge_density,
     graph_from_edgelist,
@@ -424,3 +426,109 @@ class TestSerialization:
             graph_from_edgelist("")
         with pytest.raises(ValueError):
             graph_from_edgelist("3\n1 2 3\n")
+
+
+def _per_row_text(g):
+    return "%d\n" % g.n + "".join("%d %d\n" % (u, v) for u, v in g.edges.tolist())
+
+
+def _line_loop_reader(text):
+    """The reader before block reading: every line at once, each field through int()."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("edge list is empty: expected a vertex count line")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise ValueError("first line must be the vertex count, got %r" % lines[0]) from exc
+    ends = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        fields = ln.split()
+        if len(fields) != 2:
+            raise ValueError("line %d: expected 'u v', got %r" % (lineno, ln))
+        try:
+            ends.extend(map(int, fields))
+        except ValueError as exc:
+            raise ValueError("line %d: vertex ids must be integers" % lineno) from exc
+    return LabeledGraph(n, np.reshape(ends, (-1, 2)))
+
+
+def _outcome(read, text):
+    try:
+        g = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.edges.tolist()
+
+
+# what int() and splitlines() accept beside plain "u v\n" lines, and faults
+READER_TEXTS = [
+    "4\n+1 2\n0 3\n", "8\n 7 1\n0 1\n", "11\n1_0 2\n0 1\n", "4\n\u0663 1\n0 1\n",
+    "4\r\n0 1\r\n2 3\r\n", "\n\n4\n\n0 1\n   \n\n2 3\n\n", "4\n0 1\n2 3",
+    "4\n0 1\r2 3\n1 2\n", "4\n0 1\x852 3\n1 2\n", "4\n0\t1\n1 2\n", " +4 \n0 1\n",
+    "4\r0 1\n1 2\n", "12\n0 0011\n", "4\n3 2\n1 0\n0 1\n0 1\n", "4\n0 1\n1 2\n2 3\n",
+    "4\n0 1\n1 2 3\n", "4\n0 1\n1 2\n\n\n0 x\n", "4\n0 1\n1 4\n", "4\n0 1\n2 2\n",
+    "4\n0 1\n-1 2\n", "3\n0 1000000000\n", "3\n0 99999999999999999999\n",
+    "%d\n0 1\n" % 2**31, "4 4\n0 1\n", "x\n0 1\n", "", "  \n\n", "4\n", "4\n\n",
+]
+
+
+class TestEdgeListFiles:
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 7])
+    def test_dump_writes_the_edgelist_bytes(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(graphon, "_ROW_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        graphs = [LabeledGraph(1), LabeledGraph(6)]  # one vertex; no edges
+        for n in (2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001):  # every label width
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < 30 / iu.size
+            keep[:1] = keep[-1:] = True
+            graphs.append(LabeledGraph(n, np.column_stack((iu[keep], ju[keep]))))
+        path = tmp_path / "g.edges"
+        for g in graphs:
+            dump_edgelist(g, path)
+            want = _per_row_text(g)
+            assert graph_to_edgelist(g) == want
+            assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("text", READER_TEXTS)
+    def test_blocks_read_as_the_line_loop(self, monkeypatch, chunk, text):
+        # a block boundary falls after every "\n" in turn at the small chunks
+        if chunk is not None:
+            monkeypatch.setattr(graphon, "_TEXT_CHUNK", chunk)
+        assert _outcome(graph_from_edgelist, text) == _outcome(_line_loop_reader, text)
+
+    @pytest.mark.parametrize("chunk", [None, 40])
+    def test_plain_blocks_read_as_the_line_loop(self, monkeypatch, chunk):
+        # one text through numpy's parse of plain blocks and through the line loop
+        if chunk is not None:
+            monkeypatch.setattr(graphon, "_TEXT_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        iu, ju = np.triu_indices(1500, 1)
+        keep = rng.random(iu.size) < 0.02
+        g = LabeledGraph(1500, np.column_stack((iu[keep], ju[keep])))
+        text = graph_to_edgelist(g)
+        looped = []
+        line_ends = graphon._line_ends
+
+        def counting(lines, lineno):
+            looped.append(lineno)
+            return line_ends(lines, lineno)
+
+        monkeypatch.setattr(graphon, "_line_ends", counting)
+        parsed = graph_from_edgelist(text)
+        assert looped == [1]  # the count line's remainder only
+        monkeypatch.setattr(graphon, "_PLAIN_LINES", "(?!)")  # matches no block
+        looped.clear()
+        read = graph_from_edgelist(text)
+        assert len(looped) > 1
+        for h in (parsed, read):
+            assert h.n == g.n and np.array_equal(h.edges, g.edges)
+        assert parsed.edges.dtype == np.int32
+
+    def test_ids_past_int64_are_named_exactly(self):
+        # the line loop read 2^63 as a float and named it -2^63
+        with pytest.raises(ValueError, match=r"^edge \(0, 9223372036854775808\) outside vertex"):
+            graph_from_edgelist("3\n0 %d\n" % 2**63)

@@ -256,7 +256,8 @@ PUBLIC_NAMES = [
     "graph_to_graphon", "edge_density", "overlay_partitions", "common_refinement",
     "coupling_pieces", "apply_coupling", "stretch_pullback", "project_steps",
     "graphon_to_json", "graphon_from_json", "dump_graphon", "load_graphon",
-    "graph_to_edgelist", "graph_from_edgelist", "SignedStepFn", "DistanceEstimate",
+    "graph_to_edgelist", "dump_edgelist", "graph_from_edgelist", "SignedStepFn",
+    "DistanceEstimate",
     "cut_norm_exact", "cut_norm_alternating", "cut_distance_upper", "aligned_cut_distance",
     "overlay_coupling", "cut_distance_search", "graph_cut_distance_exact",
     "ColouredStepGraphon", "coloured_refinement", "dk_norm", "dk_distance_search",

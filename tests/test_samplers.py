@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from stepldp import samplers
-from stepldp.graphon import LabeledGraph, graph_to_edgelist, make_step_graphon
+from stepldp.graphon import (LabeledGraph, dump_edgelist, graph_from_edgelist,
+                             graph_to_edgelist, make_step_graphon)
 from stepldp.samplers import (
     _bernoulli_pairs,
+    _same_rows,
     alignment_distance_bound,
     apportion_counts,
     coupled_block_sample,
@@ -188,10 +190,11 @@ def _traced_peak_mib(fn):
 class TestSamplerMemory:
     """Memory is O(n + E): no array of all n(n-1)/2 coins, thresholds or ranks.
 
-    The bounds are the traced peaks, 10.5, 9.1, 12.0 and 2.8 MiB, plus 25 %,
-    and never above 18, 10, 12.5 and 8 MiB.  Holding every coin at once took
-    27.5, 16.2 and 140 MiB in the three samplings, and the one-take edge
-    list 22.6 MiB.
+    The bounds are the traced peaks, 10.5, 5.4, 12.0, 2.8, 1.15 and 15.7 MiB,
+    plus 25 %, and never above 18, 7, 12.5, 8, 2 and 40 MiB.  Holding every
+    coin at once took 27.5, 16.2 and 140 MiB in the three samplings, the
+    one-take edge list 22.6 MiB, comparing the whole aligned subgraphs at
+    once 9.1 MiB, and reading every line and id into lists 101.7 MiB.
     """
 
     P = np.array([[0.45, 0.25], [0.25, 0.4]])
@@ -200,11 +203,11 @@ class TestSamplerMemory:
         assert _traced_peak_mib(lambda: sample_block([1156, 844], self.P, 1)) <= 13.2
 
     def test_coupled_block_sample_peak(self):
-        # 9.9 MiB on a process's first coupled draw; the aligned-subgraph
-        # check holds both graphs' relabelled aligned edges at the peak
+        # 6.1 MiB on a process's first coupled draw; the aligned-subgraph
+        # check holds one block of relabelled rows of each graph
         peak = _traced_peak_mib(
             lambda: coupled_block_sample([586, 592], [576, 602], self.P, 1))
-        assert peak <= 10.0
+        assert peak <= 6.8
 
     def test_graph_to_edgelist_peak(self):
         # the text itself is 5.8 MiB, and the joined str is a second copy
@@ -215,6 +218,21 @@ class TestSamplerMemory:
     def test_sparse_sample_block_peak(self):
         # 18 million pairs, 181 thousand edges
         assert _traced_peak_mib(lambda: sample_block([6000], [[0.01]], 1)) <= 3.5
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        return sample_block([1156, 844], self.P, 1)
+
+    def test_dump_edgelist_peak(self, dense, tmp_path):
+        # one block of 2^15 edges: its gathered labels and its text
+        assert _traced_peak_mib(lambda: dump_edgelist(dense, tmp_path / "g.edges")) <= 1.45
+
+    def test_graph_from_edgelist_peak(self, dense):
+        # the int32 ids of every block, their concatenation and the graph's rows
+        text = graph_to_edgelist(dense)
+        graph = []
+        assert _traced_peak_mib(lambda: graph.append(graph_from_edgelist(text))) <= 19.7
+        assert np.array_equal(graph[0].edges, dense.edges)
 
 
 class _CountingGenerator:
@@ -438,6 +456,63 @@ class TestCoupledBlockSample:
         assert pair.epsilon == 0.0
         assert pair.bound == 0.0
         assert np.array_equal(pair.graph_a.edges, pair.graph_b.edges)
+
+
+class _FlippedCoin:
+    """A generator whose coin number ``index``, counted over all its draws, is 1 - u."""
+
+    def __init__(self, rng, index):
+        self.rng, self.index, self.drawn = rng, index, 0
+
+    def random(self, size=None, out=None):
+        coins = self.rng.random(size, out=out)
+        k = self.index - self.drawn
+        if 0 <= k < coins.size:
+            coins[k] = 1.0 - coins[k]
+        self.drawn += coins.size
+        return coins
+
+
+class TestAlignedCheck:
+    """The aligned subgraphs are compared block by block, and a mismatch in any block is caught."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    @pytest.mark.parametrize("index", [0, 27, 54])  # of the 55 shared coins
+    def test_a_flipped_shared_coin_is_caught(self, monkeypatch, chunk, index):
+        if chunk is not None:
+            monkeypatch.setattr(samplers, "_ROW_CHUNK", chunk)
+        graphs = []
+
+        def flip_in_second_graph(types, p, rng, aligned=None, shared=None):
+            graphs.append(types.size)
+            if len(graphs) == 2:
+                shared = _FlippedCoin(shared, index)
+            return _bernoulli_pairs(types, p, rng, aligned, shared)
+
+        monkeypatch.setattr(samplers, "_bernoulli_pairs", flip_in_second_graph)
+        # coins at p = 1/2: a flipped coin flips its pair's edge
+        with pytest.raises(RuntimeError, match="^aligned subgraphs disagree; coupling is broken$"):
+            coupled_block_sample([5, 7], [6, 6], np.full((2, 2), 0.5), seed=0)
+        assert graphs == [12, 12]
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_small_blocks_pass_a_sound_pair(self, monkeypatch, chunk):
+        want = coupled_block_sample([40, 30], [36, 35], np.full((2, 2), 0.3), seed=2)
+        monkeypatch.setattr(samplers, "_ROW_CHUNK", chunk)
+        got = coupled_block_sample([40, 30], [36, 35], np.full((2, 2), 0.3), seed=2)
+        assert np.array_equal(got.graph_a.edges, want.graph_a.edges)
+        assert np.array_equal(got.graph_b.edges, want.graph_b.edges)
+
+    def test_same_rows_ignores_how_the_rows_are_split(self):
+        rows = np.arange(12, dtype=np.int32).reshape(6, 2)
+        changed = rows.copy()
+        changed[5, 1] += 1
+        assert _same_rows(iter([rows[:1], rows[1:4], rows[4:]]), iter([rows[:3], rows[3:]]))
+        assert _same_rows(iter([]), iter([]))
+        assert not _same_rows(iter([rows[:5]]), iter([rows[:2], rows[2:]]))  # a row more
+        assert not _same_rows(iter([rows]), iter([rows[:3], rows[3:5]]))  # a row fewer
+        assert not _same_rows(iter([]), iter([rows[:1]]))
+        assert not _same_rows(iter([rows[:2], rows[2:]]), iter([changed[:3], changed[3:]]))
 
 
 def _edgelist_sha256(graph):
