@@ -414,6 +414,26 @@ class TestFrozenCommandOutputs:
             "report.json": "a739fa39d169ff36e157a89e6705502fc44521b3670443bde69bcc1c4f5b6253",
             "curve.csv": "0e65157afa09e2d1762b3c3cc39fdfc2354f4726fc52308f70a9884b9a265739",
         }),
+        # ball points past 22 vertices, against a two-part target, and under
+        # random vertex types
+        (["ldp-curve", "--model", "gnp:0.5", "--event", "ball:t.json:0.06", "--n", "30",
+          "--method", "mc", "--num-samples", "20", "--seed", "3"], {
+            "stdout": "0dbfb7fb538c61aa175783d12abb08bd1b4a2b9217e84564810676afce1af7f3",
+            "report.json": "55a7b93308abdce177dd414bc8b7952f944324660699db15869bd59d86e66acd",
+            "curve.csv": "f2d585d52c1d27d7af7b42ee8452e61fa7908f6b409b9e74dc20a46a0d1f1cd6",
+        }),
+        (["ldp-curve", "--model", "gnp:0.5", "--event", "ball:u.json:0.12", "--n", "8",
+          "--method", "mc", "--num-samples", "20", "--seed", "2"], {
+            "stdout": "b07edd9da2ab2bd5e18971fa152703d9df06dc4b0d14622272a0a7f67215fd14",
+            "report.json": "e4da9ce9a543a5c8e651f0064a4b9fd9d17dc59e7332fa7623850a6e4d1e5765",
+            "curve.csv": "77733a468602aa3fb6ad3ab04f5cd03abeeb9e06f9a9f0526cdc6215ad33eb6b",
+        }),
+        (["ldp-curve", "--model", "wrandom:u.json", "--event", "ball:u.json:0.15", "--n", "4",
+          "--method", "enum", "--seed", "0"], {
+            "stdout": "dbef4a2cfc79afdeac4d7f845fa7732dfdcacd1a3667e658eabf55edcf20fd1d",
+            "report.json": "1f703ab364868d5399fbbc99492aedfb6ce488e1283f7d564f3833a95d21dcca",
+            "curve.csv": "f6bc262477ae92da1bda59ff39e9c6307bda40b51a9f470dc04f014897328e8c",
+        }),
     ])
     def test_digests(self, tmp_path, monkeypatch, capsys, argv, digests):
         monkeypatch.chdir(tmp_path)  # inputs and --out are echoed, so they are relative
