@@ -12,6 +12,7 @@ more than one colour.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -273,7 +274,7 @@ def cut_norm_alternating(f: SignedStepFn, restarts=DEFAULT_ALTERNATING_RESTARTS,
     return _alternating_cut_norm(_mass_matrix(f)[None], restarts, seed)
 
 
-def _alternating_cut_norm(K, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
+def _alternating_cut_norm(K, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0, stop=math.inf):
     """Lower bound on the max over 0/1 vectors x, y of sum_p |x^T K[p] y|.
 
     K is a (P, n, n) stack: one mass matrix for ``cut_norm_alternating``,
@@ -291,6 +292,11 @@ def _alternating_cut_norm(K, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
     first half of the block (BLAS rounds a column by its place).  A column
     leaves the block once it improves by at most 1e-15.  One (k, n)
     ``rng.integers`` draw yields the same starts as k draws of n.
+
+    The result is the largest value computed (or 0.0): a column's values
+    rise while it stays, and the last two are read as it leaves.  So once
+    one value exceeds ``stop`` the result will too, and that value is
+    returned at once.
     """
     rng = np.random.default_rng(seed)
     n = K.shape[1]
@@ -317,6 +323,8 @@ def _alternating_cut_norm(K, restarts=DEFAULT_ALTERNATING_RESTARTS, seed=0):
             KY = K @ (_signed_sum(S, KT @ X) > 0.0).astype(float)
             sums = np.einsum("ij,pij->pj", X, KY)
             val = _signed_sum(S, sums)
+            if val.max() > stop:
+                return float(val.max())
             if len(K) > 1:
                 S = np.where(sums == 0.0, S, np.sign(sums))
             done = val <= prev + 1e-15
@@ -420,6 +428,44 @@ def _profile_cost(u: StepGraphon, v: StepGraphon):
     return cost
 
 
+def _degree_bound(u: StepGraphon, v: StepGraphon):
+    """A lower bound on every value ``cut_distance_search(u, v)`` can return.
+
+    For any coupling the cut S x [0,1], S the pieces whose degree in u
+    exceeds (or falls short of) their degree in v, has the value
+    (sum |d_u - d_v| +- (e_u - e_v)) / 2 integrated over the coupling, which
+    is at least (W1(deg u, deg v) + |e_u - e_v|) / 2, W1 the 1-Wasserstein
+    distance of the weighted degree distributions (``_profile_distance``)
+    and e the edge densities.  No coupling is searched.  Returns that bound
+    less its margin.
+    """
+    wu, wv = u.parts.weights, v.parts.weights
+    du, dv = u.values @ wu, v.values @ wv
+    bound = (_profile_distance(du, wu, dv, wv) + abs(float(wu @ du) - float(wv @ dv))) / 2.0
+    # Margin.  Let u = 2^-53 and N = m k the grid's cells.  The search
+    # returns the value of its witness x, whose marginals OverlapCoupling
+    # holds within MARGINAL_TOL of the part weights per part (the stack's
+    # rescaling to mass one moves them by as much again), so the real value
+    # of x's best S x [0,1] cut is the bound above, taken on x's marginals:
+    # each marginal defect moves a degree, the W1 dual's term and the edge
+    # term by at most its size, as values lie in [0, 1], so the real cut
+    # value is at least the real bound less 6 (m + k) MARGINAL_TOL.  The
+    # search's value of x is at least that cut's value up to rounding.  An
+    # enumeration's sup is within gamma_(2N+2) S of the real maximum (see
+    # ``screen_bounds``), here with S = (sum x)^2 max|U - V| <= 2.  The
+    # heuristic's ascent starts from all pieces: its first value, computed
+    # within gamma_(2N+2) S, is the cut of the columns of one sign and then
+    # the best rows for them, whose real value falls short of the best
+    # S x [0,1] cut only by the sums whose computed sign is wrong, each
+    # within gamma_N of zero; the ascent reports at least that value.  The
+    # bound is computed from nested sums of at most m + k terms of size at
+    # most one, within gamma_(4(m+k)+4).  So the margin 8 (m + k)
+    # MARGINAL_TOL + (8N + 8(m + k) + 16) eps covers every loss.
+    m, k = wu.size, wv.size
+    margin = 8 * (m + k) * MARGINAL_TOL + (8 * m * k + 8 * (m + k) + 16) * np.finfo(float).eps
+    return bound - margin
+
+
 @functools.lru_cache(maxsize=64)
 def _cycle_moves(m, k):
     """All 2x2 cycle moves (a, b, i, j), a < b, i < j, in lexicographic order."""
@@ -469,9 +515,14 @@ class _SearchObjective:
     as a cut of its own pieces; ``screen`` bounds candidates with the pool.
     Building an objective computes no kernel: the screen builds what it
     reads once the pool holds a cut.
+
+    ``stop``, None unless set, turns a search into the decision ``value <=
+    stop`` (see ``_coupling_search``); ``settle`` evaluates a lone coupling
+    for it.
     """
 
     linear = None
+    stop = None
 
     def __init__(self, U, V):
         self.U, self.V = U, V
@@ -485,10 +536,11 @@ class _SearchObjective:
         self.pruned = 0
         self._kernels = {}
 
-    def stack(self, w, src, tgt):
-        """The objective on the pieces (w, src, tgt) of a trusted coupling."""
+    def stack(self, w, src, tgt, stop=math.inf):
+        """The objective on the pieces (w, src, tgt) of a trusted coupling;
+        past the piece limit ``stop`` goes to the heuristic."""
         if w.size > self.piece_limit:
-            return self.heuristic(w, src, tgt), None
+            return self.heuristic(w, src, tgt, stop), None
         return self.const(w, src, tgt), (w[:, None] * w[None, :]) * self.diff(src, tgt, None)
 
     def const(self, w, src, tgt):
@@ -515,14 +567,42 @@ class _SearchObjective:
             val = const
         else:
             val, (p, row) = _stack_value(const, H)
-            slot = self.pooled % _CUT_POOL_SIZE
-            self.pool[slot] = 0.0
-            self.pool[slot, src[row] * self.cols + tgt[row]] = 1.0
-            self.pool_kernel[slot] = p
-            self.pooled += 1
+            self._pool_cut(src[row] * self.cols + tgt[row], p)
         self.evaluations += 1
         self.memo[key] = val
         return val
+
+    def _pool_cut(self, cells, p):
+        """Pool the cut of kernel p on the grid ``cells`` over the oldest; its slot."""
+        slot = self.pooled % _CUT_POOL_SIZE
+        self.pool[slot] = 0.0
+        self.pool[slot, cells] = 1.0
+        self.pool_kernel[slot] = p
+        self.pooled += 1
+        return slot
+
+    def settle(self, c):
+        """The value of coupling c, or, with ``stop`` set, a value on the same
+        side of stop, for a search whose one coupling is c.
+
+        Past the piece limit the heuristic returns once a computed value
+        exceeds stop.  Within it, the cut of every cell, read by
+        ``screen_bounds`` with its best B and one alternating step, bounds the
+        exact value from below; past stop by more than its margin, the bound
+        is returned and nothing is enumerated.
+        """
+        if self.stop is None:
+            return self(c)
+        w, src, tgt = _matrix_pieces(c)
+        if w.size > self.piece_limit:
+            return self.stack(w, src, tgt, self.stop)[0]
+        x = c.reshape(1, -1)
+        total = x.sum(axis=1)
+        if abs(total[0] - 1.0) <= NORMALIZATION_TOL / 2.0:  # as ``screen`` asks
+            bound, margin = self.screen_bounds(x, total, np.array([self._pool_cut(slice(None), 0)]))
+            if bound[0] - margin[0] > self.stop:
+                return float(bound[0] - margin[0])
+        return self(c)
 
     def screen(self, cands, threshold, own):
         """Flags the couplings cands[r] whose value is certified >= threshold[r].
@@ -579,7 +659,7 @@ class _SearchObjective:
         n, cells = X.shape
         kernels = self.pool_kernel[slots]
         found = np.zeros(n)  # the empty cut's value
-        for p in np.unique(kernels):
+        for p in sorted(set(kernels.tolist())):  # np.unique would import numpy.ma
             if paired:
                 at = np.flatnonzero(kernels == p)
                 found[at] = self._cut_steps(X[at], self.pool[slots[at]][None], int(p))
@@ -671,10 +751,10 @@ class _CutObjective(_SearchObjective):
         if k > 1:
             self.linear = 2.0 * (self.ca[:, None] != self.cb[None, :]).ravel()
 
-    def stack(self, w, src, tgt):
+    def stack(self, w, src, tgt, stop=math.inf):
         """The base stack on the pieces rescaled to mass one (unless their
         mass is within NORMALIZATION_TOL of it)."""
-        return super().stack(_normalized(w, float(w.sum())), src, tgt)
+        return super().stack(_normalized(w, float(w.sum())), src, tgt, stop)
 
     def _read(self, a, i, sig):
         """sig[ca, ca'] U - sig[cb, cb'] V on the cells (a, i), for each
@@ -698,10 +778,13 @@ class _CutObjective(_SearchObjective):
             total += float(w[(ca == colour) != (cb == colour)].sum())
         return total
 
-    def heuristic(self, w, src, tgt):
+    def heuristic(self, w, src, tgt, stop=math.inf):
+        """The ascent's sup plus const; past ``stop`` the ascent may return
+        early, and const >= 0 keeps the sum past it."""
         k = self.colours
         pairs = np.eye(k * k).reshape(-1, k, k)
-        sup = _alternating_cut_norm((w[:, None] * w[None, :]) * self._read(src, tgt, pairs))
+        sup = _alternating_cut_norm((w[:, None] * w[None, :]) * self._read(src, tgt, pairs),
+                                    stop=stop)
         return sup + self.const(w, src, tgt)
 
     @functools.cached_property
@@ -839,8 +922,18 @@ def _lockstep_polish(starts, objective, moves, support_cap):
     ``pruned``.  A walk that ends at a value <= 0 retires every later walk,
     since the restart loop stops there.  Returns the (coupling, value) of
     each walk up to the first that ended at <= 0, in restart order.
+
+    With ``objective.stop`` set, the polish ends as soon as a walk's best
+    value is at most stop, whether at its start or after a move, and
+    returns the walks up to that one: walks only descend, so the search
+    value is at most stop whatever the other walks would reach.
     """
-    walks = [_Walk(c, objective, moves) for c in starts]
+    stop = -math.inf if objective.stop is None else objective.stop
+    walks = []
+    for c in starts:
+        walks.append(_Walk(c, objective, moves))
+        if walks[-1].best <= stop:
+            return [(walk.c, walk.best) for walk in walks]
     live = range(len(walks))
     while True:
         stepping, chunks = [], []
@@ -865,6 +958,8 @@ def _lockstep_polish(starts, objective, moves, support_cap):
         for slot, w in enumerate(live):
             at = slice(ends[slot], ends[slot + 1])
             walks[w].take(stops[at], after[at], skip[at], objective)
+            if walks[w].best <= stop:
+                return [(walk.c, walk.best) for walk in walks[:w + 1]]
     return [(walk.c, walk.best) for walk in walks]
 
 
@@ -878,15 +973,16 @@ def _derived_rng(seed, *extra):
     return np.random.default_rng(_seed_list(seed) + list(extra))
 
 
-def _multistart(results):
+def _multistart(results, stop=0.0):
     """The best of a sequence of local searches over a transportation polytope.
 
     ``results`` yields each restart's (coupling matrix, value) in restart
     order, restart r drawing from its own ``_derived_rng(seed, r)``.  Ties in
     value go to the lexicographically smallest support, and the loop stops
-    reading once the value is at most 0.  Returns (value, coupling matrix,
-    restarts used).  This one loop drives the cut, coloured, J and R
-    searches.
+    reading once the value is at most ``stop``: 0, below which no value
+    lies, unless a decision search sets a higher stop.  Returns (value,
+    coupling matrix, restarts used).  This one loop drives the cut,
+    coloured, J and R searches.
     """
     best_val = best_c = best_support = None
     used = 0
@@ -895,7 +991,7 @@ def _multistart(results):
         key = _support_key(c)
         if best_val is None or val < best_val or (val == best_val and key < best_support):
             best_val, best_c, best_support = val, c, key
-        if best_val <= 0.0:
+        if best_val <= stop:
             break
     return best_val, best_c, used
 
@@ -924,17 +1020,24 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
     ``evaluations`` and ``pruned`` counts do, since the walks share one
     memo and one pool of cuts in the order they evaluate; they are
     deterministic for a given input, seed and restart count.
+
+    With ``objective.stop`` set the search decides ``value <= stop``: the
+    one coupling is ``settle``d, the polish ends at the first walk at or
+    below stop, and so does the restart loop.  The returned value then lies
+    on the same side of stop as the full search's, and the rest of the
+    estimate is partial.
     """
     rows = u.parts.weights
     cols = v.parts.weights
     m, k = rows.size, cols.size
+    if m == 1 or k == 1:
+        c = np.outer(rows, cols)
+        return DistanceEstimate(objective.settle(c), OverlapCoupling(c, u.parts, v.parts), 1,
+                                objective.evaluations, objective.pruned)
     support_cap = min(max(objective.piece_limit, 8), m * k, max(m + k + 2, 12))
     moves = np.array(_cycle_moves(m, k), dtype=np.intp).reshape(-1, 4)
-    one_point = m == 1 or k == 1
 
     def start(r):
-        if one_point:
-            return np.outer(rows, cols)
         if r == 0:
             return _greedy_fill(rows, cols, np.argsort(start_cost(), axis=None, kind="stable"))
         if r == 1:
@@ -944,13 +1047,13 @@ def _coupling_search(u: StepGraphon, v: StepGraphon, objective, start_cost,
         return _greedy_fill(rows, cols, _derived_rng(seed, r).permutation(m * k))
 
     def results():
-        total = 1 if one_point else restarts
-        for first in range(0, total, _LOCKSTEP_WALKS):
-            block = range(first, min(first + _LOCKSTEP_WALKS, total))
+        for first in range(0, restarts, _LOCKSTEP_WALKS):
+            block = range(first, min(first + _LOCKSTEP_WALKS, restarts))
             starts = [start(r) for r in block]
             yield from _lockstep_polish(starts, objective, moves, support_cap)
 
-    best_val, best_c, used = _multistart(results())
+    stop = 0.0 if objective.stop is None else max(objective.stop, 0.0)
+    best_val, best_c, used = _multistart(results(), stop)
     witness = OverlapCoupling(best_c, u.parts, v.parts)
     return DistanceEstimate(best_val, witness, used, objective.evaluations, objective.pruned)
 
@@ -980,6 +1083,29 @@ def cut_distance_search(u: StepGraphon, v: StepGraphon,
         return cut_distance_search(v, u, restarts=restarts, seed=seed).transposed()
     return _coupling_search(u, v, _CutObjective(u.values, v.values),
                             functools.partial(_profile_cost, u, v), restarts, seed)
+
+
+def _within(u: StepGraphon, v: StepGraphon, eta, restarts=DEFAULT_SEARCH_RESTARTS,
+            seed=0) -> bool:
+    """Whether ``cut_distance_search(u, v, restarts, seed).upper <= eta``.
+
+    The same search, run as a decision with stop eta (see
+    ``_coupling_search``), so it settles as soon as the answer is known: a
+    one-part side's coupling is ``settle``d (its screen bound or the cut
+    short ascent can certify a miss), other pairs first try
+    ``_degree_bound``, a miss without any search when it exceeds eta, and
+    the search ends at the first walk at or below eta, a hit.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    if _canonical_key(v) < _canonical_key(u):
+        u, v = v, u
+    if u.parts.size > 1 and v.parts.size > 1 and _degree_bound(u, v) > eta:
+        return False
+    objective = _CutObjective(u.values, v.values)
+    objective.stop = eta
+    est = _coupling_search(u, v, objective, functools.partial(_profile_cost, u, v), restarts, seed)
+    return est.upper <= eta
 
 
 def graph_cut_distance_exact(g, h) -> float:

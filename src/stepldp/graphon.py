@@ -503,22 +503,45 @@ def load_graphon(path) -> StepGraphon:
         raise ValueError("%s: %s" % (path, exc)) from exc
 
 
+def _label_table(top):
+    """The byte labels b"%d " of 0..top, then b"%d\n" of 0..top, as one
+    NUL-padded fixed-width array: ``np.array`` of those bytes objects, built
+    by digit arithmetic on each run of labels of one width."""
+    width = len(str(top)) + 1
+    table = np.zeros((2, top + 1, width), dtype=np.uint8)
+    lo = 0
+    for digits in range(1, width):
+        hi = min(10 ** digits, top + 1)
+        rest = np.arange(lo, hi, dtype=np.int32)  # labels are int32
+        digit = np.empty_like(rest)
+        for col in range(digits - 1, -1, -1):  # last digit first
+            table[:, lo:hi, col] = np.remainder(rest, 10, out=digit)
+            rest //= 10
+        table[:, lo:hi, :digits] += ord("0")
+        table[:, lo:hi, digits] = [[ord(" ")], [ord("\n")]]
+        lo = hi
+    return table.reshape(-1, width).view("S%d" % width).ravel()
+
+
 def _edgelist_chunks(g: LabeledGraph):
     """The bytes of g's edge-list text: the count line, then one piece per
     block of ``_ROW_CHUNK`` edge rows.
 
-    Every vertex has two byte labels, b"%d " as a first end and b"%d\n" as a
-    second, in one fixed-width table.  A block gathers its labels from it in
-    one take, and deleting the NUL padding of the shorter labels leaves the
-    block's text, so neither a copy of the edge array nor the padded gather
-    of every edge is formed.
+    The labels from 0 to the largest in use have two byte labels each, b"%d "
+    as a first end and b"%d\n" as a second, in one fixed-width table
+    (``_label_table``).  A block gathers its labels from it in one take, and
+    deleting the NUL padding of the shorter labels leaves the block's text,
+    so neither a copy of the edge array nor the padded gather of every edge
+    is formed.
     """
-    n = g.n
-    labels = np.array([b"%d " % u for u in range(n)] + [b"%d\n" % v for v in range(n)])
-    yield b"%d\n" % n
+    yield b"%d\n" % g.n
+    if not len(g.edges):
+        return
+    top = int(g.edges[:, 1].max())  # the larger end of every row
+    labels = _label_table(top)
     for i in range(0, len(g.edges), _ROW_CHUNK):
         ends = g.edges[i:i + _ROW_CHUNK].astype(np.intp)
-        ends[:, 1] += n  # second ends read the b"%d\n" half of the table
+        ends[:, 1] += top + 1  # second ends read the b"%d\n" half of the table
         yield labels.take(ends, mode="clip").tobytes().translate(None, b"\0")
 
 

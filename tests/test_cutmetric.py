@@ -1303,3 +1303,79 @@ class TestFrozenBoundedSearch:
             results.append((est.upper, est.witness.matrix, est.restarts_used))
         assert _search_digest(results) == (
             "80779dd319697a8aabf15efb86918c0bdba8b2a1c885ab118f92bde8f14d1fd2")
+
+
+class TestBallDecision:
+    """``_within(u, v, eta, 16, 0)`` is ``cut_distance_search(u, v, 16,
+    0).upper <= eta`` wherever it settles: a miss certified by the degree
+    bound or by the forced coupling's screen bound, an ascent cut short past
+    22 pieces, a hit at the first walk at or below eta, or the whole search.
+    """
+
+    ONE_PART = [make_step_graphon([1.0], [[0.4]]), make_step_graphon([1.0], [[0.3125]])]
+    MULTI_PART = [
+        _TWO_PART_TARGET,
+        make_step_graphon([0.5, 0.5], [[0.7, 0.2], [0.2, 0.5]]),
+        make_step_graphon([0.3, 0.0, 0.7], [[0.6, 0.1, 0.3], [0.1, 0.4, 0.2], [0.3, 0.2, 0.5]]),
+        make_step_graphon([0.25, 0.0, 0.75], [[0.5, 0.9, 0.1], [0.9, 0.2, 0.3], [0.1, 0.3, 0.4]]),
+    ]
+    # ball-mc's radii at n = 12 and n = 40, for q from 0.3 to 0.5
+    RADII = [0.09, 0.0925, 0.1, 0.0496, 0.0546, 0.0]
+
+    def _cases(self):
+        rng = np.random.default_rng(41)
+        for n in list(range(1, 15)) + list(range(23, 41)):
+            q = float(rng.uniform(0.3, 0.5))
+            g = graph_to_graphon(sample_block([n], [[q]], int(rng.integers(1 << 20))))
+            targets = list(self.ONE_PART)
+            if n <= 7 or n in (23, 31, 40):
+                targets.append(self.MULTI_PART[n % len(self.MULTI_PART)])
+            for target in targets:
+                yield g, target
+                yield target, g  # either orientation
+
+    def test_decisions_match_the_search(self, monkeypatch):
+        paths = dict(degree=0, screen=0, ascent=0, walk=0)
+        eta_now = [None]
+        degree_bound = cutmetric._degree_bound
+        settle = cutmetric._SearchObjective.settle
+        ascent = cutmetric._alternating_cut_norm
+        polish = cutmetric._lockstep_polish
+
+        def counting_degree_bound(u, v):
+            bound = degree_bound(u, v)
+            paths["degree"] += bound > eta_now[0]
+            return bound
+
+        def counting_settle(self, c):
+            evaluations = self.evaluations
+            value = settle(self, c)
+            paths["screen"] += self.evaluations == evaluations and c.size <= self.piece_limit
+            return value
+
+        def counting_ascent(K, restarts=32, seed=0, stop=np.inf):
+            value = ascent(K, restarts, seed, stop)
+            paths["ascent"] += value > stop
+            return value
+
+        def counting_polish(starts, objective, moves, support_cap):
+            walks = polish(starts, objective, moves, support_cap)
+            if objective.stop is not None:
+                paths["walk"] += walks[-1][1] <= objective.stop
+            return walks
+
+        checked = 0
+        for u, v in self._cases():
+            d = cut_distance_search(u, v, 16, 0).upper
+            monkeypatch.setattr(cutmetric, "_degree_bound", counting_degree_bound)
+            monkeypatch.setattr(cutmetric._SearchObjective, "settle", counting_settle)
+            monkeypatch.setattr(cutmetric, "_alternating_cut_norm", counting_ascent)
+            monkeypatch.setattr(cutmetric, "_lockstep_polish", counting_polish)
+            for eta in [d, np.nextafter(d, -1.0), np.nextafter(d, 2.0)] + self.RADII:
+                eta_now[0] = eta
+                assert cutmetric._within(u, v, eta, 16, 0) == (d <= eta), (u, v, eta, d)
+                checked += 1
+            monkeypatch.undo()
+        assert checked > 500
+        # every way of settling was taken
+        assert min(paths.values()) > 0, paths

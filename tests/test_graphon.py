@@ -492,6 +492,33 @@ class TestEdgeListFiles:
             assert graph_to_edgelist(g) == want
             assert path.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("top", [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 99999,
+                                     10**5, 999999, 10**6, 1234567])
+    def test_label_table_is_the_bytes_table(self, top):
+        # the table as it was built, one bytes object per label: in full up to
+        # 10^5, and past it on the labels near each width change
+        def bytes_table(labels):
+            return np.array([b"%d " % u for u in labels] + [b"%d\n" % v for v in labels])
+
+        table = graphon._label_table(top)
+        if top <= 10**5:
+            want = bytes_table(range(top + 1))
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
+        else:
+            near = {10**d + s for d in range(1, 7) for s in (-1, 0, 1)}
+            rows = sorted({*range(12), top} | {u for u in near if u <= top})
+            want = bytes_table(rows)
+            assert table.dtype == want.dtype
+            got = table[np.concatenate([rows, np.add(rows, top + 1)])]
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, edges", [(1, []), (7, []), (1234568, [(0, 9), (99, 1234567)])])
+    def test_dump_without_a_table_past_the_labels(self, tmp_path, n, edges):
+        # one vertex, no edges, and seven-digit labels
+        g = LabeledGraph(n, edges)
+        dump_edgelist(g, tmp_path / "g.edges")
+        assert (tmp_path / "g.edges").read_bytes() == _per_row_text(g).encode()
+
     @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 5, 8])
     @pytest.mark.parametrize("text", READER_TEXTS)
     def test_blocks_read_as_the_line_loop(self, monkeypatch, chunk, text):

@@ -227,6 +227,13 @@ class TestSamplerMemory:
         # one block of 2^15 edges: its gathered labels and its text
         assert _traced_peak_mib(lambda: dump_edgelist(dense, tmp_path / "g.edges")) <= 1.45
 
+    def test_dump_edgelist_table_covers_the_labels_in_use(self, tmp_path):
+        # a label table of every vertex of 10^6 took 107.5 MiB for two lines
+        path = tmp_path / "g.edges"
+        g = LabeledGraph(10**6, [(0, 1)])
+        assert _traced_peak_mib(lambda: dump_edgelist(g, path)) <= 1.0
+        assert path.read_bytes() == b"1000000\n0 1\n"
+
     def test_graph_from_edgelist_peak(self, dense):
         # the int32 ids of every block, their concatenation and the graph's rows
         text = graph_to_edgelist(dense)
